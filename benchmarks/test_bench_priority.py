@@ -1,6 +1,6 @@
 """Experiment R3 -- what trace-driven priority buys the scheduler.
 
-Wavefront vs ready-name vs ready-longest-first on an *imbalanced*
+Ready-name vs ready-longest-first on an *imbalanced*
 fan-out workload (one middle unit several times heavier than its
 siblings, with a late-alphabetical name so plain name order dispatches
 it last).  Persisted as ``BENCH_priority.json``: wall clock, worker
@@ -11,7 +11,7 @@ thread timings noise):
 
 - longest-first dispatches the heavy unit *first* among the middle
   layer, name order dispatches it *last*;
-- all three arms produce identical export pids (priority is
+- both arms produce identical export pids (priority is
   scheduling, never semantics).
 
 Occupancy is recorded for the trajectory; the paper-style claim is
@@ -56,12 +56,11 @@ def middles():
     return [unit_name(k) for k in range(1, WIDTH + 1)]
 
 
-def build_arm(schedule, offer_key=None):
+def build_arm(offer_key=None):
     tracer = Tracer()
     workload = imbalanced_workload()
     builder = CutoffBuilder(workload.project, meter=tracer)
-    report = builder.build(jobs=JOBS, pool="thread",
-                           schedule=schedule, offer_key=offer_key)
+    report = builder.build(jobs=JOBS, pool="thread", offer_key=offer_key)
     assert len(report.compiled) == len(workload.project)
     pids = {n: u.export_pid for n, u in builder.units.items()}
     return {
@@ -86,16 +85,14 @@ def test_priority_occupancy_and_dispatch(benchmark):
         base = tempfile.mkdtemp(prefix="benchpriority-")
         try:
             history = BuildHistory(os.path.join(base, ".bin"))
-            seed = build_arm("ready")
+            seed = build_arm()
             history.record(profile_from_report(seed["report"],
                                                manager="cutoff"))
             key = longest_first_key(history.compile_seconds("cutoff"))
             assert key is not None
             return {
-                "wavefront": build_arm("wavefront"),
-                "ready-name": build_arm("ready"),
-                "ready-longest-first": build_arm("ready",
-                                                 offer_key=key),
+                "ready-name": build_arm(),
+                "ready-longest-first": build_arm(offer_key=key),
             }
         finally:
             shutil.rmtree(base, ignore_errors=True)
@@ -105,7 +102,7 @@ def test_priority_occupancy_and_dispatch(benchmark):
     # Deterministic gates: dispatch position and byte identity.
     assert heavy_rank(arms["ready-name"]["report"]) == WIDTH - 1
     assert heavy_rank(arms["ready-longest-first"]["report"]) == 0
-    assert (arms["wavefront"]["pids"] == arms["ready-name"]["pids"]
+    assert (arms["ready-name"]["pids"]
             == arms["ready-longest-first"]["pids"])
 
     rows = []

@@ -32,21 +32,23 @@ Options:
     --trace-sample N                without --trace/--trace-out: record
                                     full spans for 1-in-N builds and
                                     cheap counters for the rest
-    --priority {name,longest-first} with --schedule ready: order ready
-                                    units by name, or longest compile
-                                    first using recorded build profiles
-                                    (same store bytes either way)
+    --jobs N                        compile up to N ready units at once
+                                    on a worker pool (same store bytes
+                                    as a serial build)
+    --priority {name,longest-first} with --jobs N > 1 or supervision:
+                                    offer ready units by name, or
+                                    longest compile first using recorded
+                                    build profiles (same store bytes
+                                    either way)
     --retries N                     supervised build: retry transient
                                     worker failures up to N times per unit
     --timeout SECONDS               supervised build: per-attempt wall
-                                    clock; hung workers are rescheduled
+                                    clock once a worker starts it; hung
+                                    workers are rescheduled
     --resume                        continue a killed build from the bin
                                     store + journal checkpoint
     --quarantine                    with --fsck: move damaged record files
                                     aside into .bin/quarantine/
-    --schedule {wavefront,ready}    with --jobs: wave barriers or
-                                    per-unit ready-set dispatch (same
-                                    bytes either way)
     --serve                         run as a resident build daemon:
                                     JSON-lines requests on stdin, one
                                     JSON response per line on stdout
@@ -88,9 +90,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--manager", choices=sorted(MANAGERS),
                         default="cutoff")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="compile up to N independent units "
-                             "concurrently (DAG wavefronts; results are "
-                             "byte-identical to a serial build)")
+                        help="compile up to N units concurrently, each "
+                             "as soon as its imports are built (results "
+                             "are byte-identical to a serial build)")
     parser.add_argument("--pool", choices=["process", "thread"],
                         default="process",
                         help="worker pool kind for --jobs > 1 (process "
@@ -147,9 +149,10 @@ def main(argv: list[str] | None = None) -> int:
                              "a full tracer")
     parser.add_argument("--priority", choices=["name", "longest-first"],
                         default="name",
-                        help="with --schedule ready: offer ready units "
-                             "by name order (default) or longest "
-                             "compile first, using per-unit times from "
+                        help="with --jobs N > 1 or supervision: offer "
+                             "ready units by name order (default) or "
+                             "longest compile first, using per-unit "
+                             "times from "
                              "recorded build profiles; store bytes are "
                              "identical either way")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
@@ -171,11 +174,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --fsck: move damaged record files "
                              "aside into .bin/quarantine/ so the next "
                              "load starts clean")
-    parser.add_argument("--schedule", choices=["wavefront", "ready"],
-                        default="wavefront",
-                        help="how --jobs orders compiles: wave barriers "
-                             "(default) or per-unit ready-set dispatch; "
-                             "store bytes are identical either way")
     parser.add_argument("--serve", action="store_true",
                         help="run as a resident build daemon serving "
                              "JSON-lines requests on stdin (one JSON "
@@ -310,12 +308,10 @@ def _build_directory(args, tracer):
                                    pool=args.pool, policy=policy,
                                    resume=args.resume,
                                    checkpoint_dir=bin_dir,
-                                   schedule=args.schedule,
                                    offer_key=offer_key)
         else:
             report = builder.build(jobs=max(1, args.jobs),
                                    pool=args.pool,
-                                   schedule=args.schedule,
                                    offer_key=offer_key)
     except Exception as err:  # ElabError, DependencyError, ParseError...
         print(f"error: {err}", file=sys.stderr)
@@ -460,7 +456,6 @@ def _otlp_payload(args, tracer, builder) -> dict:
     resource = {
         "build.group": args.srcdir,
         "build.manager": args.manager,
-        "build.schedule": args.schedule,
         "build.jobs": max(1, args.jobs),
     }
     ledger = builder.ledger if builder is not None else None
@@ -475,7 +470,7 @@ def _run_serve(args) -> int:
     from repro.cm.daemon import BuildDaemon, serve
 
     daemon = BuildDaemon(manager=args.manager, jobs=max(1, args.jobs),
-                         pool=args.pool, schedule="ready",
+                         pool=args.pool,
                          store_backend=args.store_backend,
                          store_url=args.store_url,
                          priority=args.priority,

@@ -62,43 +62,39 @@ class BaseBuilder:
 
     # -- the build loop -----------------------------------------------------
 
-    def build(self, jobs: int = 1, pool: str = "process",
-              supervise: bool = False, policy=None, resume: bool = False,
-              checkpoint_dir: str | None = None,
-              schedule: str = "wavefront",
+    def build(self, jobs: int = 1, pool: str = "process", policy=None,
+              resume: bool = False, checkpoint_dir: str | None = None,
               offer_key=None) -> BuildReport:
         """Bring every unit up to date; returns what was done.
 
-        With ``jobs > 1`` ready units are compiled on a worker pool
-        (:mod:`repro.cm.parallel`) under either ``schedule`` --
-        ``"wavefront"`` antichain barriers or per-unit ``"ready"``
-        dispatch; the resulting statenv, bin store contents and export
-        pids are byte-identical to a serial build either way.
-        ``offer_key`` (ready schedule only) reorders the ready set's
+        With ``jobs == 1`` and no supervision this is the serial loop
+        below, compiling in this builder's own session.  Anything else
+        runs the ready-set pump (:class:`repro.cm.supervise.Supervisor`):
+        each unit is decided the moment its last import lands and its
+        compile runs on a ``jobs``-worker ``pool``; the resulting
+        statenv, bin store contents and export pids are byte-identical
+        to a serial build.  ``offer_key`` reorders the ready set's
         offers, e.g. longest-prior-compile-first from a build profile
         (:func:`repro.obs.history.longest_first_key`) -- a pure
         scheduling hint, same bytes for every key.
 
-        ``supervise=True`` (implied by ``policy``, ``resume`` or
-        ``checkpoint_dir``) routes through the fault-tolerant
-        :mod:`repro.cm.supervise` scheduler: worker failures retry with
-        backoff, hung workers time out and reschedule, poison units
-        skip only their dependents, and with a ``checkpoint_dir`` the
-        build checkpoints every wave and can ``resume`` after a kill.
+        Without supervision the first failed compile raises
+        :class:`~repro.cm.parallel.ParallelBuildError`.  A ``policy``
+        (or ``resume`` / ``checkpoint_dir``, which imply the default
+        one) supervises instead: worker failures retry with backoff,
+        hung workers time out and reschedule, poison units skip only
+        their dependents, and with a ``checkpoint_dir`` the build
+        checkpoints at quiet points and can ``resume`` after a kill.
         """
-        if supervise or policy is not None or resume \
-                or checkpoint_dir is not None:
-            from repro.cm.supervise import supervised_build
-            return supervised_build(self, jobs=jobs, pool=pool,
-                                    policy=policy, resume=resume,
-                                    checkpoint_dir=checkpoint_dir,
-                                    schedule=schedule,
-                                    offer_key=offer_key)
-        if jobs != 1 or schedule == "ready":
-            from repro.cm.parallel import parallel_build
-            return parallel_build(self, jobs=jobs, pool=pool,
-                                  schedule=schedule,
-                                  offer_key=offer_key)
+        supervised = (policy is not None or resume
+                      or checkpoint_dir is not None)
+        if jobs != 1 or supervised:
+            from repro.cm.supervise import SupervisePolicy, Supervisor
+            if supervised and policy is None:
+                policy = SupervisePolicy()
+            return Supervisor(jobs=jobs, pool=pool, policy=policy,
+                              resume=resume, checkpoint_dir=checkpoint_dir,
+                              offer_key=offer_key).run(self)
         meter = self.meter
         t0 = time.perf_counter()
         report = BuildReport()
@@ -196,32 +192,48 @@ class BaseBuilder:
     # implement :meth:`decide` (a pure judgement over the record, the live
     # import pids and the builder's own bookkeeping) and optionally
     # :meth:`on_compiled` / :meth:`_begin_build`.  Splitting the decision
-    # from the action is what lets the parallel scheduler reuse every
-    # builder's recompilation policy unchanged: it asks ``decide`` in
-    # wavefront order and runs the compiles on a worker pool.
+    # from the action is what lets the build pump reuse every builder's
+    # recompilation policy unchanged: it asks :meth:`try_reuse` in
+    # dependency order and runs the compiles on a worker pool.
 
     def process(self, name: str, graph: DepGraph,
                 imports: list[CompiledUnit]) -> UnitOutcome:
+        outcome, reason = self.try_reuse(name, graph, imports)
+        if outcome is not None:
+            return outcome
+        with self.meter.span("unit", cat="unit", unit=name,
+                             action="compile") as sp:
+            outcome = self.compile(name, imports, reason)
+            sp.set(action=outcome.action, reason=outcome.reason)
+        self.on_compiled(name, graph)
+        return outcome
+
+    def try_reuse(self, name: str, graph: DepGraph,
+                  imports: list[CompiledUnit]
+                  ) -> tuple[UnitOutcome | None, str]:
+        """Decide ``name``, record why in the ledger, and carry out a
+        ``cached`` or ``load`` verdict.  Returns ``(outcome, reason)``;
+        ``outcome`` is None when the unit must be compiled (for
+        ``reason``), which the caller does serially or on a worker."""
         record = self.store.get(name)
         action, reason = self.decide(name, graph, imports, record)
         self.explain(name, action, reason, record, imports)
         if action == "cached":
-            return UnitOutcome(name, "cached", "up to date")
+            return UnitOutcome(name, "cached", "up to date"), reason
+        if action != "load":
+            return None, reason
         with self.meter.span("unit", cat="unit", unit=name,
                              action=action) as sp:
-            if action == "load":
-                outcome = self.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # The load degraded to a recompile (unreadable
-                    # payload): the ledger must say so.
-                    self.explain(name, "compile", outcome.reason, None,
-                                 imports)
-            else:
-                outcome = self.compile(name, imports, reason)
+            outcome = self.load(name, record, imports)
+            if outcome.action == "compiled":
+                # The load degraded to a recompile (unreadable
+                # payload): the ledger must say so.
+                self.explain(name, "compile", outcome.reason, None,
+                             imports)
             sp.set(action=outcome.action, reason=outcome.reason)
         if outcome.action == "compiled":
             self.on_compiled(name, graph)
-        return outcome
+        return outcome, reason
 
     def explain(self, name: str, action: str, reason: str,
                 record: BinRecord | None,
@@ -284,7 +296,7 @@ class BaseBuilder:
                record: BinRecord | None) -> tuple[str, str]:
         """What should happen to ``name``: ``("compile", reason)``,
         ``("load", "")`` or ``("cached", "")``.  Must not mutate builder
-        state (the scheduler may call it ahead of the actions)."""
+        state: it only judges, :meth:`try_reuse` acts."""
         raise NotImplementedError
 
     def on_compiled(self, name: str, graph: DepGraph) -> None:

@@ -1,12 +1,12 @@
-"""Wavefront-parallel builds.
+"""Parallel builds: hermetic workers, the ready set and the executors.
 
 The cutoff model makes units independent once the pids of their imports
 are fixed (§5): a unit's compilation reads only its source text and the
-statenvs of the units it imports.  Every *antichain* of the dependency
-DAG can therefore compile concurrently, and the build becomes a sequence
-of **wavefronts** -- wave *k* holds the units whose longest import chain
-has length *k*, so all of a unit's imports live in strictly earlier
-waves.
+statenvs of the units it imports.  A unit can therefore compile the
+moment its last in-graph import has landed, concurrently with every
+other unit in that position: :class:`ReadySet` tracks which units have
+reached it, and the one build pump in :mod:`repro.cm.supervise` drains
+it onto a worker pool.
 
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
@@ -18,28 +18,21 @@ Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
    references are named by ``(pid, export index)``, so neither the pid
    nor the payload bytes depend on session history, process identity,
    or the order in which other units were compiled.
-3. The parent applies each wave's results in sorted unit order --
-   rehydrating the worker's payload into its own session, writing the
-   same :class:`~repro.cm.store.BinRecord` a serial compile would write.
+3. The parent applies each result (:func:`_apply_result`) only after
+   all of the unit's providers were applied -- rehydrating the worker's
+   payload into its own session and writing the same
+   :class:`~repro.cm.store.BinRecord` a serial compile would write.
 
 Hence statenv, store contents and export pids are equal for every jobs
-count and every scheduling interleaving; the differential determinism
-matrix in ``tests/cm/test_parallel_determinism.py`` checks this
-byte-for-byte, under fault injection.
+count and every completion order; the differential determinism matrix
+in ``tests/cm/test_parallel_determinism.py`` checks this byte-for-byte,
+under fault injection.
 
-Scheduling machinery: :func:`wavefronts` partitions a
-:class:`~repro.cm.depend.DepGraph` into wave barriers;
-:class:`ReadySet` is the barrier-free alternative -- a unit becomes
-dispatchable the moment its last in-graph import completes, so a slow
-unit stalls only its own dependent cone, not the whole wave.
-:func:`parallel_build` drives any :class:`~repro.cm.base.BaseBuilder`
-(its ``decide`` seam supplies the recompilation policy) over a
-:class:`ProcessPoolExecutor`, falling back to threads where process
-pools are unavailable, under either schedule (``schedule="wavefront"``
-or ``"ready"`` -- same bytes either way, because record bytes are
-intrinsic per unit and providers always complete before dependents).
+:func:`make_executor` picks the worker tier -- a process pool, a thread
+pool, or :class:`InlineExecutor`, which runs each task in the caller --
+and :func:`parallel_build` is the fail-fast entry point over the pump.
 :class:`WorkerFaults` is the deterministic fault seam used by the
-crash-mid-wave tests.
+crash tests.
 """
 
 from __future__ import annotations
@@ -47,12 +40,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.cm.depend import DepGraph
 from repro.cm.report import BuildReport, UnitOutcome
-from repro.obs.meter import NULL_METER
 from repro.units.pipeline import compile_unit, load_unit
 from repro.units.unit import PhaseTimes
 
@@ -62,20 +54,16 @@ class ParallelBuildError(Exception):
 
     Worker exceptions are shipped back as (type name, message) rather
     than pickled exception objects, so a compile error on a process pool
-    surfaces identically to one on a thread pool.  ``name`` and ``wave``
-    identify the failing unit and the wavefront it was dispatched in
-    (``wave`` is -1 when unknown), so thread- and process-pool failures
-    alike point at the exact task that died.
+    surfaces identically to one on a thread pool.  ``name`` identifies
+    the failing unit, so thread- and process-pool failures alike point
+    at the exact task that died.
     """
 
-    def __init__(self, name: str, exc_type: str, message: str,
-                 wave: int = -1):
-        where = f"{name} (wave {wave})" if wave >= 0 else name
-        super().__init__(f"{where}: {exc_type}: {message}")
+    def __init__(self, name: str, exc_type: str, message: str):
+        super().__init__(f"{name}: {exc_type}: {message}")
         self.name = name
         self.exc_type = exc_type
         self.message = message
-        self.wave = wave
 
 
 @dataclass(frozen=True)
@@ -105,32 +93,6 @@ class WorkerFaults:
     poison_units: frozenset = frozenset()
 
 
-# -- wavefront schedule --------------------------------------------------
-
-
-def wavefronts(graph: DepGraph) -> list[list[str]]:
-    """Partition ``graph.order`` into antichains.
-
-    ``wave(u) = 1 + max(wave(d) for in-graph imports d)``; imports
-    outside the graph (stable-library units, already live) do not gate.
-    Each wave is sorted, every unit's imports land in strictly earlier
-    waves, and every unit in wave k > 0 has an import in wave k-1 (the
-    partition is tight: no unit could run earlier).
-    """
-    index: dict[str, int] = {}
-    waves: list[list[str]] = []
-    for name in graph.order:
-        wave = 0
-        for dep in graph.deps.get(name, ()):
-            if dep in index:
-                wave = max(wave, index[dep] + 1)
-        index[name] = wave
-        if wave == len(waves):
-            waves.append([])
-        waves[wave].append(name)
-    return [sorted(wave) for wave in waves]
-
-
 # -- ready-set schedule --------------------------------------------------
 
 
@@ -139,7 +101,7 @@ class ReadySet:
 
     Tracks, per unit, how many of its *in-graph* imports have not yet
     completed (imports outside the graph -- stable-library units,
-    already live -- do not gate, matching :func:`wavefronts`).  A unit
+    already live -- do not gate).  A unit
     with zero outstanding imports is *ready*; :meth:`take` drains the
     ready units in sorted name order (each offered exactly once) and
     :meth:`complete` retires a finished unit, releasing any dependents
@@ -219,7 +181,7 @@ class ReadySet:
 # -- the worker ----------------------------------------------------------
 #
 # Workers are hermetic: each carries its own Session and a cache of
-# rehydrated units keyed by (name, pid), so repeated waves do not re-pay
+# rehydrated units keyed by (name, pid), so later tasks do not re-pay
 # rehydration.  State is thread-local, which covers both pool kinds: a
 # process-pool worker is a single thread, a thread-pool worker must not
 # share a session (stamp registries are not thread-safe) with siblings.
@@ -338,17 +300,31 @@ def _probe() -> int:
 # -- executors -----------------------------------------------------------
 
 
+class InlineExecutor(Executor):
+    """The ``jobs <= 1`` tier: runs each task in the caller, at submit
+    time, and returns an already finished future -- so the build pump
+    has one dispatch path whatever the tier."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as err:
+            future.set_exception(err)
+        return future
+
+
 def make_executor(jobs: int, pool: str = "process"):
-    """An executor for ``jobs`` workers, or ``(None, "inline")``.
+    """An ``(executor, kind)`` pair for ``jobs`` workers.
 
     ``pool`` is ``"process"`` (the default; probed, because process
     pools fail on platforms without working semaphores or fork/spawn),
-    ``"thread"``, or ``"inline"`` (run tasks synchronously in the
-    caller -- the jobs=1 path through the worker code).  Process-pool
-    failure degrades to threads, never to an error.
+    ``"thread"``, or ``"inline"`` (:class:`InlineExecutor`, also used
+    for any ``jobs <= 1``).  Process-pool failure degrades to threads,
+    never to an error.
     """
     if pool == "inline" or jobs <= 1:
-        return None, "inline"
+        return InlineExecutor(), "inline"
     if pool == "process":
         executor = None
         try:
@@ -367,225 +343,21 @@ def make_executor(jobs: int, pool: str = "process"):
     raise ValueError(f"unknown pool kind {pool!r}")
 
 
-# -- the parallel build loop ----------------------------------------------
-
-
 def parallel_build(builder, jobs: int = 2, pool: str = "process",
                    faults: WorkerFaults | None = None,
-                   schedule: str = "wavefront",
                    offer_key=None) -> BuildReport:
-    """Bring ``builder``'s project up to date on a worker pool.
+    """Bring ``builder``'s project up to date on a worker pool,
+    fail-fast: the first failed compile cancels queued work and raises
+    :class:`ParallelBuildError`, after every already-landed result was
+    fully applied (the in-memory store then holds a valid prefix of the
+    build).  ``offer_key`` reorders the ready set's offers, e.g.
+    :func:`repro.obs.history.longest_first_key`; store bytes are
+    identical for every key.  See :class:`repro.cm.supervise.Supervisor`
+    for the pump itself."""
+    from repro.cm.supervise import Supervisor
 
-    ``schedule="wavefront"`` (the default) runs wave barriers: per
-    wave, ask the builder's ``decide`` seam what each unit needs
-    (cached / load / compile), rehydrate loads in the parent (cheap),
-    dispatch compiles to the pool, then apply results in sorted unit
-    order.  ``schedule="ready"`` drops the barrier: each unit is
-    decided and dispatched the moment its last in-graph import lands,
-    and results are applied as they complete.  Both leave a store
-    byte-identical to a serial build's regardless of jobs count or
-    completion order -- record bytes are intrinsic per unit, a unit's
-    providers always complete before it is decided, and the on-disk
-    layout (one file pair per unit plus a sorted manifest) does not
-    depend on application order.
-
-    ``offer_key`` (ready schedule only) reorders the ready set's
-    offers -- e.g. longest-prior-compile-first from a build profile
-    (:func:`repro.obs.history.longest_first_key`); None keeps sorted
-    name order.  Purely a scheduling hint: store bytes are identical
-    for every key.
-
-    A worker failure raises :class:`ParallelBuildError` after every
-    already-landed result was fully applied; the in-memory store then
-    holds exactly a valid prefix of the build, and saving it degrades
-    to the store's ordinary crash-safety guarantees.
-    """
-    if schedule not in ("wavefront", "ready"):
-        raise ValueError(f"unknown schedule {schedule!r} "
-                         f"(want 'wavefront' or 'ready')")
-    meter = getattr(builder, "meter", NULL_METER)
-    t0 = time.perf_counter()
-    report = BuildReport(jobs=jobs, schedule=schedule)
-    with meter.span("build", cat="build",
-                    manager=type(builder).__name__, jobs=jobs,
-                    schedule=schedule) as bsp:
-        builder._begin_build()
-        builder._load_pending_stables(report)
-        with meter.span("analyze", cat="build"):
-            graph = builder.analyze()
-        executor, using = make_executor(jobs, pool)
-        report.pool = using
-        bsp.set(pool=using, units=len(graph.order))
-        try:
-            if schedule == "ready":
-                _run_ready(builder, graph, executor, faults, report,
-                           meter, offer_key=offer_key)
-            else:
-                for wave_index, wave in enumerate(wavefronts(graph)):
-                    with meter.span("wave", cat="wave", index=wave_index,
-                                    size=len(wave)) as wsp:
-                        _run_wave(builder, graph, wave, wave_index,
-                                  executor, faults, report, meter, wsp)
-            report.wall_seconds = time.perf_counter() - t0
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-    builder._finish_report(report)
-    return report
-
-
-def _run_wave(builder, graph: DepGraph, wave: list[str], wave_index: int,
-              executor, faults: WorkerFaults | None, report: BuildReport,
-              meter, wsp) -> None:
-    """Decide, dispatch and apply one wavefront."""
-    pending: list[tuple[str, str]] = []
-    for name in wave:
-        report.dispatch_order.append(name)
-        record = builder.store.get(name)
-        imports = [builder.units[d] for d in graph.deps[name]]
-        action, reason = builder.decide(name, graph, imports, record)
-        builder.explain(name, action, reason, record, imports)
-        if action == "cached":
-            report.add(UnitOutcome(name, "cached", "up to date"))
-        elif action == "load":
-            outcome = builder.load(name, record, imports)
-            if outcome.action == "compiled":
-                # Unreadable payload degraded to a recompile.
-                builder.explain(name, "compile", outcome.reason, None,
-                                imports)
-                builder.on_compiled(name, graph)
-            report.add(outcome)
-        else:
-            pending.append((name, reason))
-    wsp.set(dispatched=len(pending))
-    if not pending:
-        return
-    results: dict[str, CompileResult] = {}
-    if executor is None:
-        for name, _reason in pending:
-            results[name] = compile_task(
-                _make_task(builder, graph, name, faults))
-    else:
-        futures = {}
-        try:
-            for name, _reason in pending:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                wave=wave_index)
-                futures[name] = executor.submit(
-                    compile_task,
-                    _make_task(builder, graph, name, faults))
-            for name, future in futures.items():
-                results[name] = future.result()
-        except BaseException:
-            # A submit or collection failure must not leak in-flight
-            # tasks: cancel everything still queued before unwinding
-            # (parallel_build's ``finally`` then joins the workers).
-            executor.shutdown(wait=False, cancel_futures=True)
-            raise
-    for name, reason in pending:  # wave is sorted: deterministic
-        result = results[name]
-        if meter.enabled and result.worker:
-            # Occupancy: when and where the worker actually ran, on
-            # its own track (perf_counter is host-wide on this
-            # platform, so process-pool times line up too).
-            meter.complete_span("worker-compile", result.started,
-                                result.ended, cat="worker",
-                                track=result.worker, unit=name,
-                                wave=wave_index)
-        if result.error is not None:
-            if executor is not None:
-                # The wave is aborting: cancel any queued siblings so
-                # a failed wave cannot leak orphaned in-flight tasks.
-                executor.shutdown(wait=False, cancel_futures=True)
-            raise ParallelBuildError(name, *result.error,
-                                     wave=wave_index)
-        with meter.span("apply", cat="unit", unit=name):
-            report.add(_apply_result(builder, graph, name, reason,
-                                     result))
-
-
-def _run_ready(builder, graph: DepGraph, executor,
-               faults: WorkerFaults | None, report: BuildReport,
-               meter, offer_key=None) -> None:
-    """Per-unit ready-set dispatch: decide each unit the moment its
-    last in-graph import completes, apply worker results as they land.
-
-    Landed results are applied under the landing loop, in sorted name
-    order within each completion batch -- the order does not matter for
-    store bytes (intrinsic pids, per-unit file pairs, sorted manifest)
-    but keeping it sorted makes traces reproducible for a fixed
-    completion pattern.
-    """
-    ready = ReadySet(graph, key=offer_key)
-    active: dict[str, object] = {}  # name -> future
-    reasons: dict[str, str] = {}
-
-    def land(name: str, result: CompileResult) -> None:
-        if meter.enabled and result.worker:
-            meter.complete_span("worker-compile", result.started,
-                                result.ended, cat="worker",
-                                track=result.worker, unit=name)
-        if result.error is not None:
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-            raise ParallelBuildError(name, *result.error)
-        with meter.span("apply", cat="unit", unit=name):
-            report.add(_apply_result(builder, graph, name,
-                                     reasons.pop(name, ""), result))
-        ready.complete(name)
-
-    while True:
-        for name in ready.take():
-            report.dispatch_order.append(name)
-            record = builder.store.get(name)
-            imports = [builder.units[d] for d in graph.deps[name]]
-            action, reason = builder.decide(name, graph, imports, record)
-            builder.explain(name, action, reason, record, imports)
-            if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                ready.complete(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # Unreadable payload degraded to a recompile.
-                    builder.explain(name, "compile", outcome.reason,
-                                    None, imports)
-                    builder.on_compiled(name, graph)
-                report.add(outcome)
-                ready.complete(name)
-            else:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                seq=len(report.dispatch_order))
-                reasons[name] = reason
-                if executor is None:
-                    land(name, compile_task(
-                        _make_task(builder, graph, name, faults)))
-                else:
-                    try:
-                        active[name] = executor.submit(
-                            compile_task,
-                            _make_task(builder, graph, name, faults))
-                    except BaseException:
-                        executor.shutdown(wait=False,
-                                          cancel_futures=True)
-                        raise
-        if ready.has_ready():
-            continue  # completions above released more units
-        if not active:
-            break
-        finished, _ = wait(active.values(),
-                           return_when=FIRST_COMPLETED)
-        for name in sorted(n for n, f in active.items()
-                           if f in finished):
-            future = active.pop(name)
-            try:
-                result = future.result()
-            except BaseException:
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-            land(name, result)
+    return Supervisor(jobs=jobs, pool=pool, faults=faults,
+                      offer_key=offer_key).run(builder)
 
 
 def _make_task(builder, graph: DepGraph, name: str,

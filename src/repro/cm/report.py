@@ -37,18 +37,13 @@ class BuildReport:
     outcomes: list[UnitOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: Worker count and pool kind ("serial" for the classic build loop;
-    #: "process"/"thread"/"inline" for wavefront builds).
+    #: "process"/"thread"/"inline" for the build pump).
     jobs: int = 1
     pool: str = "serial"
-    #: How compiles were ordered: "wavefront" (antichain barriers; also
-    #: what the serial loop degenerates to) or "ready" (per-unit
-    #: ready-set dispatch).  Same store bytes either way.
-    schedule: str = "wavefront"
-    #: The order units were *decided* in -- for wavefront builds this is
-    #: wave-by-wave sorted order; for ready-set builds it is the actual
-    #: dispatch sequence.  Always a linear extension of the dep graph
-    #: (the property test in ``tests/property/test_ready_set.py`` holds
-    #: the scheduler to that).
+    #: The order the build pump *decided* units in (empty for the
+    #: serial loop, which follows the graph's topological order).
+    #: Always a linear extension of the dep graph (the property test in
+    #: ``tests/property/test_ready_set.py`` holds the pump to that).
     dispatch_order: list[str] = field(default_factory=list)
     #: Why each unit was recompiled or reused (the cutoff-explanation
     #: ledger the builder kept while deciding this pass).

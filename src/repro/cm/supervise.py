@@ -1,10 +1,21 @@
-"""Supervised wavefront builds: fault tolerance as a scheduling policy.
+"""The build pump: every pooled build, fail-fast or supervised.
 
-:func:`parallel_build` treats the first worker failure as fatal -- fine
-for a developer's desk, wrong for an unattended build service.  This
-module wraps the same wavefront machinery (same ``decide`` seam, same
-hermetic workers, same sorted-order application, hence the same
-byte-identical stores) in a :class:`Supervisor` that treats failure as
+:class:`Supervisor` drives one build as a *ready-set pump*: a unit is
+admitted (decided through the builder's ``try_reuse`` seam, then
+compiled on a worker if it must be) the moment its last in-graph import
+has landed, and every fate -- applied, cached, loaded, failed, skipped
+-- completes it in the :class:`~repro.cm.parallel.ReadySet`.  Workers
+are hermetic and results are applied only after their providers, so
+the store is byte-identical to a serial build's for every jobs count,
+pool kind and completion order.  Tasks always go through an executor;
+the ``jobs <= 1`` tier is :class:`~repro.cm.parallel.InlineExecutor`,
+which runs them at submit time.
+
+Without a policy the pump is **fail-fast**
+(:func:`repro.cm.parallel.parallel_build`, ``--jobs N``): the first
+failed compile cancels queued work and raises
+:class:`~repro.cm.parallel.ParallelBuildError`, keeping what was
+already applied.  With a :class:`SupervisePolicy` it treats failure as
 an *event to schedule around*:
 
 - **Retry with backoff.**  A failed attempt whose exception type is in
@@ -12,26 +23,31 @@ an *event to schedule around*:
   exponential backoff, up to ``retries`` extra attempts per unit and
   ``retry_total`` across the whole build (the *typed retry budget*:
   deterministic compile errors are not retried at all).
-- **Timeouts.**  With ``timeout`` set, an attempt that exceeds its
-  wall-clock deadline is abandoned -- the hung worker keeps its slot
-  until it dies on its own, but its eventual result is ignored as
-  *stale* -- and the unit is rescheduled like any other failure.
+- **Timeouts.**  With ``timeout`` set, an attempt that runs past its
+  wall-clock deadline (counted from when a worker picks it up, so
+  waiting in the pool's queue does not count) is abandoned -- the hung
+  worker keeps its slot until it dies on its own, but its eventual
+  result is ignored as *stale* -- and the unit is rescheduled like any
+  other failure.
 - **Graceful degradation.**  A unit that exhausts its budget is
   *poisoned*: it is recorded as ``failed``, its dependents are
   ``skipped`` (ledger cause ``poison-import``, naming the culprit), and
-  every independent subgraph builds to completion.  A dying pool
-  degrades process -> thread -> inline instead of aborting.
+  every independent subgraph builds to completion.
 - **Resume.**  With a ``checkpoint_dir``, the store is saved and a
-  :class:`BuildJournal` of completed units written after every wave, so
-  a killed build's next run (``resume=True``) reuses everything that
-  finished -- the crash-safe store carries the artifacts, the journal
-  proves which units completed and feeds the report's ``resumed``
-  count.
+  :class:`BuildJournal` of completed units written at every quiet
+  point, so a killed build's next run (``resume=True``) reuses
+  everything that finished -- the crash-safe store carries the
+  artifacts, the journal proves which units completed and feeds the
+  report's ``resumed`` count.
 
-Everything the supervisor does is observable: ``retry`` / ``timeout`` /
-``degrade`` / ``poison`` / ``skip`` events and ``retry-backoff`` spans
-flow through the builder's meter, and every casualty gets a typed
-ledger decision (``--explain`` says exactly why a unit was skipped).
+In both modes a dying pool degrades process -> thread -> inline instead
+of aborting, one rung per dead pool.
+
+Everything the pump does is observable: ``dispatch`` / ``retry`` /
+``timeout`` / ``degrade`` / ``poison`` / ``skip`` events,
+``worker-compile`` / ``apply`` / ``retry-backoff`` spans flow through
+the builder's meter, and every casualty gets a typed ledger decision
+(``--explain`` says exactly why a unit was skipped).
 
 Determinism: retries re-run the same hermetic compile, and export pids
 are intrinsic, so a build that survives any number of transient faults
@@ -47,19 +63,20 @@ import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.cm import parallel
 from repro.cm.depend import DepGraph
 from repro.cm.faults import FileSystem
 from repro.cm.parallel import (
     CompileResult,
+    ParallelBuildError,
     ReadySet,
     WorkerFaults,
     _apply_result,
     _make_task,
     compile_task,
     make_executor,
-    wavefronts,
 )
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import JOURNAL_NAME, TMP_SUFFIX, StoreError
@@ -86,7 +103,8 @@ class SupervisePolicy:
     systemically-failing environment converges instead of thrashing.
     ``backoff_base * 2**attempt`` seconds, capped at ``backoff_cap``,
     separates attempts.  ``timeout`` (pooled builds only; the inline
-    tier cannot preempt) is the per-attempt wall-clock deadline.
+    tier cannot preempt) is the per-attempt wall-clock deadline, from
+    when a worker starts the attempt.
     ``retryable`` is the typed budget: exception *type names* worth
     retrying.
     """
@@ -155,39 +173,42 @@ class BuildJournal:
             pass
 
 
+#: How often the pump looks for queued attempts that started running
+#: (only while a timeout is set and such attempts exist).
+_POLL_SECONDS = 0.05
+
 #: The degradation ladder a dying pool walks down.
 _NEXT_POOL = {"process": "thread", "thread": "inline", "inline": "inline"}
 
 
 class Supervisor:
-    """Drives one fault-tolerant wavefront build (see module docstring).
+    """Drives one pooled build through the ready-set pump (see module
+    docstring).  ``policy=None`` is fail-fast.
 
-    ``executor_factory`` is a test seam with :func:`make_executor`'s
-    signature; ``max_waves`` stops the build after N checkpointed waves
-    -- the deterministic stand-in for ``kill -9`` in the resume tests.
+    ``executor_factory`` has :func:`~repro.cm.parallel.make_executor`'s
+    signature; the default is resolved from :mod:`repro.cm.parallel` at
+    build time, so instrumentation that rebinds that function sees
+    every pool start.  ``max_checkpoints`` stops the build after N
+    checkpoints -- the deterministic stand-in for ``kill -9`` in the
+    resume tests.
     """
 
     def __init__(self, jobs: int = 2, pool: str = "process",
                  faults: WorkerFaults | None = None,
                  policy: SupervisePolicy | None = None,
                  resume: bool = False, checkpoint_dir: str | None = None,
-                 max_waves: int | None = None,
-                 executor_factory=make_executor,
-                 schedule: str = "wavefront",
+                 max_checkpoints: int | None = None,
+                 executor_factory=None,
                  keep_executor: bool = False,
                  offer_key=None):
-        if schedule not in ("wavefront", "ready"):
-            raise ValueError(f"unknown schedule {schedule!r} "
-                             f"(want 'wavefront' or 'ready')")
         self.jobs = jobs
         self.pool = pool
         self.faults = faults
-        self.policy = policy if policy is not None else SupervisePolicy()
+        self.policy = policy
         self.resume = resume
         self.checkpoint_dir = checkpoint_dir
-        self.max_waves = max_waves
+        self.max_checkpoints = max_checkpoints
         self.executor_factory = executor_factory
-        self.schedule = schedule
         #: Ready-set offer order override (e.g. longest-first from a
         #: build profile); None keeps sorted name order.  Scheduling
         #: only -- store bytes are identical for every key.
@@ -205,53 +226,50 @@ class Supervisor:
         #: (a poisoned unit maps to itself).
         self.dead: dict[str, str] = {}
         self.retry_spent = 0
-        self.report = BuildReport(jobs=jobs, schedule=schedule)
+        self.report = BuildReport(jobs=jobs)
         self.journal: BuildJournal | None = None
         self.meter = NULL_METER
 
-    # -- the build loop ---------------------------------------------------
-
     def build(self, builder) -> BuildReport:
-        meter = self.meter = getattr(builder, "meter", NULL_METER)
+        """Bring ``builder``'s project up to date: the entry point of
+        the daemon and :func:`supervised_build`.  ``BaseBuilder.build``
+        calls :meth:`run` instead, so the two public build methods never
+        nest and instrumentation wrapping both sees one build each."""
+        return self.run(builder)
+
+    def run(self, builder) -> BuildReport:
+        """The whole build: analyze, start the pool, pump, report."""
+        meter = self.meter = builder.meter
         t0 = time.perf_counter()
         report = self.report
         with meter.span("build", cat="build",
                         manager=type(builder).__name__, jobs=self.jobs,
-                        supervised=True, schedule=self.schedule) as bsp:
+                        supervised=self.policy is not None) as bsp:
             builder._begin_build()
             builder._load_pending_stables(report)
             with meter.span("analyze", cat="build"):
                 graph = builder.analyze()
-            self.executor, self.using = self.executor_factory(
-                self.jobs, self.pool)
+            factory = self.executor_factory or parallel.make_executor
+            self.executor, self.using = factory(self.jobs, self.pool)
             report.pool = self.using
             bsp.set(pool=self.using, units=len(graph.order))
             if self.checkpoint_dir is not None:
-                if self.resume:
-                    self.journal = BuildJournal.load(
-                        self.checkpoint_dir, builder.store.fs)
-                else:
-                    self.journal = BuildJournal(self.checkpoint_dir,
-                                                builder.store.fs)
-            killed = False
+                self.journal = (BuildJournal.load if self.resume
+                                else BuildJournal)(self.checkpoint_dir,
+                                                   builder.store.fs)
+            first = len(report.outcomes)
             try:
-                if self.schedule == "ready":
-                    killed = self._run_ready_build(builder, graph)
-                else:
-                    for wave_index, wave in enumerate(wavefronts(graph)):
-                        with meter.span("wave", cat="wave",
-                                        index=wave_index,
-                                        size=len(wave)) as wsp:
-                            done = self._run_wave(builder, graph, wave,
-                                                  wave_index, wsp)
-                        self._checkpoint(builder, done)
-                        if self.max_waves is not None \
-                                and wave_index + 1 >= self.max_waves:
-                            killed = True  # simulated kill (test seam)
-                            break
+                killed = self._pump(builder, graph)
                 report.wall_seconds = time.perf_counter() - t0
+                # Report in the serial loop's order, not completion
+                # order: the same build always reads the same.
+                rank = {name: k for k, name in enumerate(graph.order)}
+                report.outcomes[first:] = sorted(
+                    report.outcomes[first:], key=lambda o: rank[o.name])
             finally:
-                if self.executor is not None and not self.keep_executor:
+                if not self.keep_executor:
+                    # Cancels queued work (a fail-fast abort or a
+                    # simulated kill) and joins the workers.
                     self.executor.shutdown(wait=True, cancel_futures=True)
             if self.journal is not None and not killed \
                     and not report.failed and not report.skipped:
@@ -267,121 +285,116 @@ class Supervisor:
                     meter.counter(f"supervise.{key}", value)
         return report
 
-    # -- one wave ---------------------------------------------------------
+    # -- the pump ---------------------------------------------------------
 
-    def _run_wave(self, builder, graph: DepGraph, wave: list[str],
-                  wave_index: int, wsp) -> list[str]:
-        """Decide, dispatch-with-supervision, apply.  Returns the units
-        that are up to date after this wave (for the journal)."""
-        meter = self.meter
-        report = self.report
-        done: list[str] = []
-        pending: list[tuple[str, str]] = []
-        for name in wave:
-            culprit = self._poisoned_import(graph, name)
-            if culprit is not None:
-                self._skip(builder, name, culprit)
-                continue
-            record = builder.store.get(name)
-            imports = [builder.units[d] for d in graph.deps[name]]
-            action, reason = builder.decide(name, graph, imports, record)
-            builder.explain(name, action, reason, record, imports)
-            if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                self._count_resumed(name)
-                done.append(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # Unreadable payload degraded to a recompile.
-                    builder.explain(name, "compile", outcome.reason,
-                                    None, imports)
-                    builder.on_compiled(name, graph)
-                else:
-                    self._count_resumed(name)
-                report.add(outcome)
-                done.append(name)
-            else:
-                pending.append((name, reason))
-        wsp.set(dispatched=len(pending))
-        if not pending:
-            return done
-        results = self._execute(builder, graph, pending, wave_index)
-        for name, reason in pending:  # wave is sorted: deterministic
-            got = results.get(name)
-            if got is None:
-                continue  # poisoned: already reported
-            result = got
-            if meter.enabled and result.worker:
-                meter.complete_span("worker-compile", result.started,
-                                    result.ended, cat="worker",
-                                    track=result.worker, unit=name,
-                                    wave=wave_index,
-                                    attempt=result.attempt)
-            with meter.span("apply", cat="unit", unit=name):
-                report.add(_apply_result(builder, graph, name, reason,
-                                         result))
-            done.append(name)
-        return done
+    def _pump(self, builder, graph: DepGraph) -> bool:
+        """Admit, dispatch and settle until every unit's fate is known.
 
-    def _poisoned_import(self, graph: DepGraph, name: str) -> str | None:
-        for dep in graph.deps.get(name, ()):
-            if dep in self.dead:
-                return self.dead[dep]
-        return None
-
-    def _count_resumed(self, name: str) -> None:
-        if self.resume and self.journal is not None \
-                and name in self.journal.completed:
-            self.report.resumed += 1
-
-    # -- supervised ready-set dispatch ------------------------------------
-
-    def _run_ready_build(self, builder, graph: DepGraph) -> bool:
-        """The whole build as one supervised ready-set pump.
-
-        A unit is *admitted* (decided, then dispatched / settled
-        inline) the moment its last in-graph import completes; every
-        fate -- applied, cached, loaded, failed, skipped -- completes
-        the unit in the :class:`~repro.cm.parallel.ReadySet`, so poison
-        flows through the graph exactly as it does wave-by-wave:
-        dependents of a poisoned unit become ready, are admitted, and
-        are skipped with a ledger entry naming the culprit.
+        The scheduling state is small: ``admit_queue`` holds units the
+        ready set released, ``active`` the in-flight attempts (future,
+        the executor it went to, attempt number, deadline, reason) and
+        ``pending`` the attempts waiting to launch: retries sleeping out
+        their backoff, and attempts a dead pool dropped.  An attempt's
+        deadline starts when it is first seen running.  Landed
+        results are settled in sorted name order within each completion
+        batch; an already finished future (the inline tier) is settled
+        at once, exactly where a serial build would compile.  Abandoned
+        (timed-out) attempts simply leave ``active``: their results are
+        never read, and all attempts produce identical intrinsic bytes
+        anyway.
 
         Checkpointing happens at *quiet points*: whenever the admit
         queue drains and at least one unit finished since the last
-        checkpoint.  ``max_waves`` counts those checkpoints -- the same
-        simulated-kill seam the resume tests use for wave builds.
-        Returns True when the kill seam fired.
+        checkpoint.  Returns True when the ``max_checkpoints`` kill
+        seam fired.
         """
         meter = self.meter
         policy = self.policy
         report = self.report
         ready = ReadySet(graph, key=self.offer_key)
-        active: dict[str, tuple] = {}  # name -> (future, attempt, deadline, reason)
-        queue: list[tuple] = []  # (resume_at, name, attempt, reason)
-        admit_queue: deque[str] = deque()
-        done_since_checkpoint: list[str] = []
+        admit_queue: deque[str] = deque(ready.take())
+        active: dict[str, tuple] = {}
+        pending: list[tuple] = []  # (launch_at, name, attempt, reason)
+        done: list[str] = []  # finished since the last checkpoint
         checkpoints = 0
+        timed = policy is not None and policy.timeout is not None
 
         def finish(name: str) -> None:
             admit_queue.extend(ready.complete(name))
 
+        def admit(name: str) -> None:
+            report.dispatch_order.append(name)
+            culprit = self._poisoned_import(graph, name)
+            if culprit is not None:
+                self._skip(builder, name, culprit)
+                finish(name)
+                return
+            imports = [builder.units[d] for d in graph.deps[name]]
+            outcome, reason = builder.try_reuse(name, graph, imports)
+            if outcome is None:
+                if meter.enabled:
+                    meter.event("dispatch", cat="sched", unit=name,
+                                seq=len(report.dispatch_order))
+                launch(name, 0, reason)
+                return
+            if outcome.action != "compiled":
+                self._count_resumed(name)
+            report.add(outcome)
+            done.append(name)
+            finish(name)
+
+        def launch(name: str, attempt: int, reason: str) -> None:
+            task = _make_task(builder, graph, name, self.faults,
+                              attempt=attempt)
+            while True:
+                executor = self.executor
+                try:
+                    future = executor.submit(compile_task, task)
+                    break
+                except Exception as err:
+                    self._degrade(f"submit failed: "
+                                  f"{type(err).__name__}: {err}")
+            active[name] = (future, executor, attempt, None, reason)
+            if future.done():
+                land(name)
+
+        def land(name: str) -> None:
+            future, executor, attempt, _deadline, reason = \
+                active.pop(name)
+            try:
+                result = future.result()
+            except Exception as err:
+                # The pool itself died mid-flight: rerun this very
+                # attempt on the next tier, at once (not charged to the
+                # unit's retry budget -- the unit never got to fail).
+                # Only the first casualty of a dead pool steps down the
+                # ladder; its siblings follow onto the replacement.
+                if executor is self.executor:
+                    self._degrade(f"{type(err).__name__}: {err}")
+                pending.append((0.0, name, attempt, reason))
+                return
+            settle(name, attempt, reason, result)
+
         def settle(name: str, attempt: int, reason: str,
                    result: CompileResult) -> None:
+            if meter.enabled and result.worker:
+                # Occupancy: when and where the worker actually ran,
+                # on its own track (perf_counter is host-wide, so
+                # process-pool times line up too).
+                meter.complete_span("worker-compile", result.started,
+                                    result.ended, cat="worker",
+                                    track=result.worker, unit=name,
+                                    attempt=result.attempt)
             if result.error is None:
-                if meter.enabled and result.worker:
-                    meter.complete_span("worker-compile", result.started,
-                                        result.ended, cat="worker",
-                                        track=result.worker, unit=name,
-                                        attempt=result.attempt)
                 with meter.span("apply", cat="unit", unit=name):
                     report.add(_apply_result(builder, graph, name,
                                              reason, result))
-                done_since_checkpoint.append(name)
+                done.append(name)
                 finish(name)
                 return
             exc_type, message = result.error
+            if policy is None:
+                raise ParallelBuildError(name, exc_type, message)
             retryable = exc_type in policy.retryable
             if retryable and attempt < policy.retries \
                     and self.retry_spent < policy.retry_total:
@@ -398,127 +411,58 @@ class Supervisor:
                                         track="supervisor", unit=name,
                                         attempt=attempt + 1,
                                         kind=exc_type)
-                queue.append((t + delay, name, attempt + 1, reason))
+                pending.append((t + delay, name, attempt + 1, reason))
             else:
                 self._poison(builder, name, exc_type, message, attempt,
                              retryable)
                 finish(name)
 
-        def launch(name: str, attempt: int, reason: str) -> None:
-            if self.executor is None:
-                settle(name, attempt, reason, compile_task(
-                    _make_task(builder, graph, name, self.faults,
-                               attempt=attempt)))
-                return
-            deadline = (time.perf_counter() + policy.timeout
-                        if policy.timeout is not None else None)
-            while self.executor is not None:
-                try:
-                    future = self.executor.submit(
-                        compile_task,
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt))
-                    active[name] = (future, attempt, deadline, reason)
-                    return
-                except BaseException as err:
-                    self._degrade(f"submit failed: "
-                                  f"{type(err).__name__}: {err}")
-            # Degraded all the way to inline: run it here.
-            settle(name, attempt, reason, compile_task(
-                _make_task(builder, graph, name, self.faults,
-                           attempt=attempt)))
-
-        def admit(name: str) -> None:
-            report.dispatch_order.append(name)
-            culprit = self._poisoned_import(graph, name)
-            if culprit is not None:
-                self._skip(builder, name, culprit)
-                finish(name)
-                return
-            record = builder.store.get(name)
-            imports = [builder.units[d] for d in graph.deps[name]]
-            action, reason = builder.decide(name, graph, imports, record)
-            builder.explain(name, action, reason, record, imports)
-            if action == "cached":
-                report.add(UnitOutcome(name, "cached", "up to date"))
-                self._count_resumed(name)
-                done_since_checkpoint.append(name)
-                finish(name)
-            elif action == "load":
-                outcome = builder.load(name, record, imports)
-                if outcome.action == "compiled":
-                    # Unreadable payload degraded to a recompile.
-                    builder.explain(name, "compile", outcome.reason,
-                                    None, imports)
-                    builder.on_compiled(name, graph)
-                else:
-                    self._count_resumed(name)
-                report.add(outcome)
-                done_since_checkpoint.append(name)
-                finish(name)
-            else:
-                if meter.enabled:
-                    meter.event("dispatch", cat="sched", unit=name,
-                                seq=len(report.dispatch_order))
-                launch(name, 0, reason)
-
-        admit_queue.extend(ready.take())
         while True:
             while admit_queue:
                 admit(admit_queue.popleft())
-            if done_since_checkpoint:
-                self._checkpoint(builder, done_since_checkpoint)
-                done_since_checkpoint = []
+            if done and self.checkpoint_dir is not None:
+                self._checkpoint(builder, done)
+                done.clear()
                 checkpoints += 1
-                if self.max_waves is not None \
-                        and checkpoints >= self.max_waves:
+                if self.max_checkpoints is not None \
+                        and checkpoints >= self.max_checkpoints:
                     return True  # simulated kill (test seam)
-            if not active and not queue:
+            if not active and not pending:
                 return False
-            t = time.perf_counter()
-            due = [item for item in queue if item[0] <= t]
+            now = time.perf_counter()
+            due = [item for item in pending if item[0] <= now]
             if due:
-                queue[:] = [item for item in queue if item[0] > t]
+                pending[:] = [item for item in pending if item[0] > now]
                 for _at, name, attempt, reason in due:
                     launch(name, attempt, reason)
                 continue
             if not active:
-                time.sleep(max(0.0, min(
-                    min(item[0] for item in queue) - t, 0.05)))
+                time.sleep(min(item[0] for item in pending) - now)
                 continue
-            if self.executor is None:
-                # Degraded to inline mid-build: drain synchronously.
-                for name in sorted(active):
-                    _future, attempt, _deadline, reason = \
-                        active.pop(name)
-                    settle(name, attempt, reason, compile_task(
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt)))
-                continue
-            deadlines = [entry[2] for entry in active.values()
-                         if entry[2] is not None]
-            timeout = 0.05
-            if deadlines:
-                timeout = max(0.0, min(min(deadlines) - t, timeout))
-            finished, _ = wait([entry[0] for entry in active.values()],
-                               timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-            t = time.perf_counter()
+            wake = [item[0] for item in pending] + [
+                entry[3] for entry in active.values()
+                if entry[3] is not None]
+            if timed and any(entry[3] is None
+                             for entry in active.values()):
+                wake.append(now + _POLL_SECONDS)  # watch queued attempts
+            finished, _ = wait(
+                [entry[0] for entry in active.values()],
+                timeout=max(0.0, min(wake) - now) if wake else None,
+                return_when=FIRST_COMPLETED)
+            now = time.perf_counter()
             for name in sorted(active):
-                future, attempt, deadline, reason = active[name]
+                future, executor, attempt, deadline, reason = \
+                    active[name]
                 if future in finished:
-                    del active[name]
-                    try:
-                        result = future.result()
-                    except BaseException as err:
-                        # The pool itself died mid-flight: degrade the
-                        # tier and rerun this very attempt (not charged
-                        # to the unit's retry budget).
-                        self._degrade(f"{type(err).__name__}: {err}")
-                        launch(name, attempt, reason)
-                        continue
-                    settle(name, attempt, reason, result)
-                elif deadline is not None and t >= deadline:
+                    land(name)
+                elif deadline is None:
+                    if timed and future.running():
+                        # The clock starts once a worker picks the
+                        # attempt up: queueing behind busy workers is
+                        # not hanging.
+                        active[name] = (future, executor, attempt,
+                                        now + policy.timeout, reason)
+                elif now >= deadline:
                     # A hung worker: abandon the attempt (stale result
                     # ignored) and schedule the unit like a failure.
                     del active[name]
@@ -535,148 +479,16 @@ class Supervisor:
                             f"{policy.timeout:.3f}s wall clock"),
                         attempt=attempt))
 
-    # -- supervised execution of one wave's compiles ----------------------
+    def _poisoned_import(self, graph: DepGraph, name: str) -> str | None:
+        for dep in graph.deps.get(name, ()):
+            if dep in self.dead:
+                return self.dead[dep]
+        return None
 
-    def _execute(self, builder, graph: DepGraph,
-                 pending: list[tuple[str, str]],
-                 wave_index: int) -> dict[str, CompileResult]:
-        """Run every pending compile to success or poison.
-
-        The scheduling state is small: ``active`` holds in-flight
-        futures (with their attempt number and deadline), ``queue``
-        holds attempts sleeping out a backoff.  Abandoned (timed-out)
-        futures simply leave ``active``; if the hung worker eventually
-        finishes, its result is never read -- stale attempts cannot
-        corrupt the build because the *applied* result is always the
-        one the supervisor settled on, and all attempts produce
-        identical intrinsic bytes anyway.
-        """
-        meter = self.meter
-        policy = self.policy
-        results: dict[str, CompileResult] = {}
-        active: dict[str, tuple] = {}  # name -> (future, attempt, deadline, reason)
-        queue: list[tuple] = []  # (resume_at, name, attempt, reason)
-
-        def settle(name: str, attempt: int, reason: str,
-                   result: CompileResult) -> None:
-            if result.error is None:
-                results[name] = result
-                return
-            exc_type, message = result.error
-            retryable = exc_type in policy.retryable
-            if retryable and attempt < policy.retries \
-                    and self.retry_spent < policy.retry_total:
-                self.retry_spent += 1
-                self.report.retries += 1
-                delay = min(policy.backoff_cap,
-                            policy.backoff_base * (2 ** attempt))
-                t = time.perf_counter()
-                if meter.enabled:
-                    meter.event("retry", cat="supervise", unit=name,
-                                attempt=attempt + 1, kind=exc_type,
-                                wave=wave_index)
-                    meter.complete_span("retry-backoff", t, t + delay,
-                                        cat="supervise",
-                                        track="supervisor", unit=name,
-                                        attempt=attempt + 1,
-                                        kind=exc_type)
-                queue.append((t + delay, name, attempt + 1, reason))
-            else:
-                self._poison(builder, name, exc_type, message, attempt,
-                             retryable)
-
-        def launch(name: str, attempt: int, reason: str) -> None:
-            if self.executor is None:
-                settle(name, attempt, reason, compile_task(
-                    _make_task(builder, graph, name, self.faults,
-                               attempt=attempt)))
-                return
-            deadline = (time.perf_counter() + policy.timeout
-                        if policy.timeout is not None else None)
-            while self.executor is not None:
-                try:
-                    future = self.executor.submit(
-                        compile_task,
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt))
-                    active[name] = (future, attempt, deadline, reason)
-                    return
-                except BaseException as err:
-                    self._degrade(f"submit failed: "
-                                  f"{type(err).__name__}: {err}")
-            # Degraded all the way to inline: run it here.
-            settle(name, attempt, reason, compile_task(
-                _make_task(builder, graph, name, self.faults,
-                           attempt=attempt)))
-
-        for name, reason in pending:
-            if meter.enabled:
-                meter.event("dispatch", cat="sched", unit=name,
-                            wave=wave_index)
-            launch(name, 0, reason)
-
-        while active or queue:
-            t = time.perf_counter()
-            due = [item for item in queue if item[0] <= t]
-            if due:
-                queue[:] = [item for item in queue if item[0] > t]
-                for _at, name, attempt, reason in due:
-                    launch(name, attempt, reason)
-                continue
-            if not active:
-                time.sleep(max(0.0, min(
-                    min(item[0] for item in queue) - t, 0.05)))
-                continue
-            if self.executor is None:
-                # Degraded to inline mid-wave: drain synchronously.
-                for name in sorted(active):
-                    _future, attempt, _deadline, reason = active.pop(name)
-                    settle(name, attempt, reason, compile_task(
-                        _make_task(builder, graph, name, self.faults,
-                                   attempt=attempt)))
-                continue
-            deadlines = [entry[2] for entry in active.values()
-                         if entry[2] is not None]
-            timeout = 0.05
-            if deadlines:
-                timeout = max(0.0, min(min(deadlines) - t, timeout))
-            finished, _ = wait([entry[0] for entry in active.values()],
-                               timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-            t = time.perf_counter()
-            for name in list(active):
-                future, attempt, deadline, reason = active[name]
-                if future in finished:
-                    del active[name]
-                    try:
-                        result = future.result()
-                    except BaseException as err:
-                        # The pool itself died mid-flight: degrade the
-                        # tier and rerun this very attempt (not charged
-                        # to the unit's retry budget -- the unit never
-                        # got to fail).
-                        self._degrade(f"{type(err).__name__}: {err}")
-                        launch(name, attempt, reason)
-                        continue
-                    settle(name, attempt, reason, result)
-                elif deadline is not None and t >= deadline:
-                    # A hung worker: abandon the attempt (stale result
-                    # ignored) and schedule the unit like a failure.
-                    del active[name]
-                    future.cancel()
-                    self.report.timeouts += 1
-                    if meter.enabled:
-                        meter.event("timeout", cat="supervise",
-                                    unit=name, attempt=attempt,
-                                    wave=wave_index,
-                                    deadline=policy.timeout)
-                    settle(name, attempt, reason, CompileResult(
-                        name, error=(
-                            "TimeoutError",
-                            f"attempt {attempt} exceeded "
-                            f"{policy.timeout:.3f}s wall clock"),
-                        attempt=attempt))
-        return results
+    def _count_resumed(self, name: str) -> None:
+        if self.resume and self.journal is not None \
+                and name in self.journal.completed:
+            self.report.resumed += 1
 
     # -- casualties -------------------------------------------------------
 
@@ -711,18 +523,13 @@ class Supervisor:
     def _degrade(self, why: str) -> None:
         """Walk one rung down the pool ladder (process -> thread ->
         inline), shutting the dying pool down without waiting."""
-        old, old_kind = self.executor, self.using
-        next_kind = _NEXT_POOL[old_kind]
-        if old is not None:
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-        if next_kind == "inline" or old_kind == "inline":
-            self.executor, self.using = None, "inline"
-        else:
-            self.executor, self.using = make_executor(self.jobs,
-                                                      next_kind)
+        old_kind = self.using
+        try:
+            self.executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:
+            pass
+        self.executor, self.using = make_executor(self.jobs,
+                                                  _NEXT_POOL[old_kind])
         # Any replacement pool is ours to shut down, and a caller's
         # cached pool (daemon warm pool) is already dead.
         self.keep_executor = False
@@ -736,10 +543,8 @@ class Supervisor:
     # -- checkpointing ----------------------------------------------------
 
     def _checkpoint(self, builder, done: list[str]) -> None:
-        """Persist the wave: store save + journal update.  Best effort
-        -- a full disk costs resumability, never the build."""
-        if self.checkpoint_dir is None or self.journal is None:
-            return
+        """Persist a quiet point: store save + journal update.  Best
+        effort -- a full disk costs resumability, never the build."""
         try:
             builder.store.save_directory(self.checkpoint_dir)
         except StoreError as err:
@@ -761,25 +566,21 @@ def supervised_build(builder, jobs: int = 2, pool: str = "process",
                      policy: SupervisePolicy | None = None,
                      resume: bool = False,
                      checkpoint_dir: str | None = None,
-                     max_waves: int | None = None,
-                     executor_factory=make_executor,
-                     schedule: str = "wavefront",
+                     max_checkpoints: int | None = None,
+                     executor_factory=None,
                      offer_key=None) -> BuildReport:
-    """Bring ``builder``'s project up to date under supervision.
-
-    The fault-tolerant sibling of
-    :func:`repro.cm.parallel.parallel_build`: same schedules
-    (``"wavefront"`` barriers or per-unit ``"ready"`` dispatch), same
-    decide seam, same byte-identical results -- but worker failures
+    """Bring ``builder``'s project up to date under supervision
+    (``policy`` defaults to :class:`SupervisePolicy`'s defaults): the
+    fault-tolerant sibling of :func:`repro.cm.parallel.parallel_build`
+    -- same pump, same byte-identical results, but worker failures
     retry with backoff, hung workers time out and reschedule, poison
-    units take down only their dependents, a dying pool degrades
-    instead of aborting, and (with a ``checkpoint_dir``) the build is
-    resumable after a kill.
+    units take down only their dependents, and (with a
+    ``checkpoint_dir``) the build is resumable after a kill.
     """
-    supervisor = Supervisor(jobs=jobs, pool=pool, faults=faults,
-                            policy=policy, resume=resume,
-                            checkpoint_dir=checkpoint_dir,
-                            max_waves=max_waves,
-                            executor_factory=executor_factory,
-                            schedule=schedule, offer_key=offer_key)
+    supervisor = Supervisor(
+        jobs=jobs, pool=pool, faults=faults,
+        policy=policy if policy is not None else SupervisePolicy(),
+        resume=resume, checkpoint_dir=checkpoint_dir,
+        max_checkpoints=max_checkpoints,
+        executor_factory=executor_factory, offer_key=offer_key)
     return supervisor.build(builder)

@@ -9,7 +9,7 @@ collector (Jaeger, Tempo, Honeycomb, ...) without adding a single
 package:
 
 - **Resource attributes** identify the build: group, manager,
-  schedule, jobs -- plus every tracer counter (``counter.<name>``),
+  jobs -- plus every tracer counter (``counter.<name>``),
   so rollup numbers ride with the trace.
 - **Span tree** is preserved via ``parentSpanId``; each span carries
   its category and track as attributes plus whatever args the
@@ -69,7 +69,7 @@ def to_otlp(tracer, resource: dict | None = None, ledger=None,
     """Serialize a tracer's spans/events to an OTLP/JSON payload.
 
     ``resource`` becomes the resource attributes (group, manager,
-    schedule, jobs...); ``ledger`` (an
+    jobs...); ``ledger`` (an
     :class:`~repro.obs.ledger.ExplanationLedger`) adds span links from
     each ``import-pid-changed`` recompile to the culprit import's
     span.  ``base_unix_nano`` anchors the tracer's relative clock to

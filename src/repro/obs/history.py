@@ -19,7 +19,7 @@ act on what the last one measured:
 A profile captures what the report and ledger already knew at the end
 of a build: per-unit wall seconds and actions, the typed decision
 (verdict/cause/culprit/pid changes), export pids, the dispatch order,
-and the build configuration (manager, schedule, jobs, pool).
+and the build configuration (manager, jobs, pool).
 
 Storage discipline mirrors the store's own crash-safety: every profile
 is written atomically (tmp + rename) through an injectable filesystem
@@ -133,7 +133,6 @@ class BuildProfile:
     seq: int = 0
     group: str = ""
     manager: str = ""
-    schedule: str = "wavefront"
     jobs: int = 1
     pool: str = "serial"
     wall_seconds: float = 0.0
@@ -156,7 +155,6 @@ class BuildProfile:
             "seq": self.seq,
             "group": self.group,
             "manager": self.manager,
-            "schedule": self.schedule,
             "jobs": self.jobs,
             "pool": self.pool,
             "wall_seconds": round(self.wall_seconds, 6),
@@ -178,7 +176,6 @@ class BuildProfile:
             seq=int(data.get("seq", 0)),
             group=str(data.get("group", "")),
             manager=str(data.get("manager", "")),
-            schedule=str(data.get("schedule", "wavefront")),
             jobs=int(data.get("jobs", 1)),
             pool=str(data.get("pool", "serial")),
             wall_seconds=float(data.get("wall_seconds", 0.0)),
@@ -215,7 +212,7 @@ def profile_from_report(report, ledger=None, export_pids=None,
     export_pids = export_pids or {}
     profile = BuildProfile(
         seq=seq, group=group, manager=manager,
-        schedule=report.schedule, jobs=report.jobs, pool=report.pool,
+        jobs=report.jobs, pool=report.pool,
         wall_seconds=report.wall_seconds,
         dispatch_order=list(report.dispatch_order),
         stats=report.stats(),

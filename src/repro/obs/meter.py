@@ -1,7 +1,7 @@
 """The :class:`BuildMeter` seam: how instrumented code reports itself.
 
 Instrumented call sites throughout the compilation manager (builders,
-the store, the unit pipeline, the wavefront scheduler) talk to a meter
+the store, the unit pipeline, the build pump) talk to a meter
 rather than to a concrete tracer, so the cost of instrumentation when
 nobody is listening is a handful of no-op method calls:
 
@@ -24,7 +24,7 @@ class BuildMeter(Protocol):
     """What an instrumented call site may ask of its listener.
 
     Implementations must be safe to call from worker threads (the
-    wavefront scheduler's thread pool shares one meter).
+    build pump's thread pool shares one meter).
     """
 
     #: False for the null meter; instrumented code may use this to skip

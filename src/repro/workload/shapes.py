@@ -34,7 +34,7 @@ def tree(depth: int, fanout: int = 2) -> list[list[int]]:
 def fanout(width: int) -> list[list[int]]:
     """Wide fan-out: one base unit imported by ``width`` independent
     units, plus one top unit importing them all.  The best case for
-    wavefront parallelism (the whole middle layer is one antichain) and
+    parallel builds (the whole middle layer is one antichain) and
     the worst case for an interface edit to the base."""
     deps: list[list[int]] = [[]]
     deps.extend([0] for _ in range(width))

@@ -47,6 +47,19 @@ class TestCli:
         assert main([srcdir, "--no-link"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_parallel_compile_error_fails_fast(self, tmp_path, capsys):
+        d = tmp_path / "broken"
+        d.mkdir()
+        (d / "u000.sml").write_text(
+            "structure U0 = struct val v = 1 end\n")
+        (d / "u001.sml").write_text(
+            "structure Broken = struct val x = no_such_thing end\n")
+        (d / "u002.sml").write_text(
+            "structure U2 = struct val w = U0.v end\n")
+        assert main([str(d), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "u001" in err and "ElabError" in err
+
     def test_missing_binding_reported(self, srcdir, capsys):
         assert main([srcdir, "--print", "Main.missing"]) == 1
         assert "not found" in capsys.readouterr().err
@@ -172,14 +185,13 @@ class TestGroupPrintArgument:
 
 class TestScheduleAndServe:
     def test_ready_schedule_builds(self, srcdir, capsys):
-        assert main([srcdir, "--schedule", "ready", "--jobs", "2",
-                     "--no-link"]) == 0
+        assert main([srcdir, "--jobs", "2", "--no-link"]) == 0
         assert "2 compiled" in capsys.readouterr().out
 
     def test_ready_schedule_incremental(self, srcdir, capsys):
-        assert main([srcdir, "--schedule", "ready", "--no-link"]) == 0
+        assert main([srcdir, "--jobs", "2", "--no-link"]) == 0
         capsys.readouterr()
-        assert main([srcdir, "--schedule", "ready", "--no-link"]) == 0
+        assert main([srcdir, "--jobs", "2", "--no-link"]) == 0
         assert "0 compiled, 2 loaded" in capsys.readouterr().out
 
     def test_serve_speaks_the_wire_protocol(self, srcdir, capsys,
@@ -197,7 +209,7 @@ class TestScheduleAndServe:
         assert main(["--serve", srcdir]) == 0
         lines = capsys.readouterr().out.splitlines()
         ping, build, bye = [json.loads(l) for l in lines]
-        assert ping["result"]["schedule"] == "ready"
+        assert ping["result"]["manager"] == "cutoff"
         assert build["ok"] is True
         assert build["result"]["stats"]["compiled"] == 2
         assert bye["result"] == {"bye": True}

@@ -203,7 +203,7 @@ class TestWireFormat:
         assert rc == 0
         assert lines == [
             '{"id":"c1","ok":true,"op":"ping","result":'
-            '{"manager":"cutoff","protocol":%d,"schedule":"ready"}}'
+            '{"manager":"cutoff","protocol":%d}}'
             % PROTOCOL_VERSION
         ]
 
@@ -229,7 +229,6 @@ class TestWireFormat:
             "store_reloaded": False,
             "sources_refreshed": 3,
             "swept": [],
-            "schedule": "ready",
             "jobs": 1,
             "pool": "inline",
             "stats": {

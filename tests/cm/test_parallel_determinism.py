@@ -2,8 +2,8 @@
 
 The contract under test: **a parallel build is byte-identical to a
 serial build.**  For every workload shape x jobs count x edit kind, the
-wavefront-parallel build must produce exactly the export pids and
-exactly the on-disk store bytes (records, headers, MANIFEST.json) of
+parallel build must produce exactly the export pids and exactly the
+on-disk store bytes (records, headers, MANIFEST.json) of
 the serial build -- and the same holds when the store the build starts
 from was damaged by an injected crash, a torn write, slow IO, or two
 racing writers.  Pid intrinsicness is what makes this provable: a
@@ -61,8 +61,8 @@ def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder,
                pool="thread"):
     """One full incremental flow: clean build + save, then (optionally)
     edit + fresh session + rebuild + save.  ``jobs=0`` means the classic
-    serial loop; any other count goes through the wavefront scheduler
-    (jobs=1 runs the worker code inline -- same code path, no pool)."""
+    serial loop; any other count goes through the build pump (jobs=1
+    runs the worker code inline -- same code path, no pool)."""
 
     def run(builder):
         if jobs == 0:
@@ -132,9 +132,9 @@ class TestDeterminismMatrix:
 
 class TestParallelBuildErrorPayload:
     """A failed worker must be attributable: the raised error carries
-    the unit that died and the wave it was scheduled in."""
+    the unit that died and the exception type it died of."""
 
-    def test_error_carries_unit_and_wave(self):
+    def test_error_carries_unit_and_type(self):
         workload = generate_workload(SHAPES["fanout"](),
                                      helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
@@ -143,18 +143,38 @@ class TestParallelBuildErrorPayload:
             parallel_build(builder, jobs=4, pool="thread", faults=faults)
         err = excinfo.value
         assert err.name == "u003"
-        assert err.wave == 1  # fanout: root is wave 0, leaves wave 1
         assert err.exc_type == "InjectedCrash"
-        assert "u003 (wave 1)" in str(err)
+        assert str(err).startswith("u003: InjectedCrash: ")
 
-    def test_root_crash_is_wave_zero(self):
+    def test_root_crash_names_the_root(self):
         workload = generate_workload(SHAPES["fanout"](),
                                      helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(crash_units=frozenset({"u000"}))
         with pytest.raises(ParallelBuildError) as excinfo:
             parallel_build(builder, jobs=2, pool="thread", faults=faults)
-        assert (excinfo.value.name, excinfo.value.wave) == ("u000", 0)
+        assert excinfo.value.name == "u000"
+        # Fail-fast: the root gates everything, so nothing was applied.
+        assert builder.units == {}
+
+    def test_real_compile_error_fails_fast(self):
+        """An elaboration error, not an injected crash: raised with the
+        elaborator's exception type, never retried, and the units that
+        landed before it stay applied."""
+        workload = generate_workload(SHAPES["fanout"](),
+                                     helpers_per_unit=1)
+        workload.project.edit(
+            "u001", workload.project.source("u001")
+            + "\nstructure Broken = struct val x = no_such_thing end\n")
+        builder = CutoffBuilder(workload.project)
+        with pytest.raises(ParallelBuildError) as excinfo:
+            parallel_build(builder, jobs=2, pool="thread")
+        err = excinfo.value
+        assert err.name == "u001"
+        assert err.exc_type == "ElabError"
+        assert "no_such_thing" in err.message
+        assert "u000" in builder.units and "u001" not in builder.units
+        assert builder.store.get("u000") is not None
 
 
 class TestDeterminismUnderFaults:

@@ -325,7 +325,7 @@ class TestCheckpointResume:
         first = CutoffBuilder(workload.project,
                               store=BinStore(backend=backend))
         partial = supervised_build(first, jobs=2, pool="thread",
-                                   checkpoint_dir=bin_dir, max_waves=2)
+                                   checkpoint_dir=bin_dir, max_checkpoints=2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
         journal_path = os.path.join(bin_dir, JOURNAL_NAME)

@@ -191,7 +191,7 @@ class TestResume:
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project)
         partial = supervised_build(first, jobs=2, pool="thread",
-                                   checkpoint_dir=bin_dir, max_waves=2)
+                                   checkpoint_dir=bin_dir, max_checkpoints=2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
         journal_path = os.path.join(bin_dir, JOURNAL_NAME)
@@ -225,7 +225,7 @@ class TestResume:
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project)
         supervised_build(first, jobs=2, pool="thread",
-                         checkpoint_dir=bin_dir, max_waves=1)
+                         checkpoint_dir=bin_dir, max_checkpoints=1)
         with open(os.path.join(bin_dir, JOURNAL_NAME), "w") as f:
             f.write("{torn json")
 
@@ -303,6 +303,48 @@ class TestDegradation:
         assert not report.failed
         assert report.pool == "inline"
         assert report.degraded >= 2
+
+
+    def test_one_dead_pool_costs_one_rung(self, tmp_path):
+        """Every in-flight future of a dead pool fails; only the first
+        failure steps down the ladder, the rest follow onto the
+        replacement pool."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DyingPool:
+            """Accepts the three roots, then dies: every future it
+            handed out fails with BrokenProcessPool at once."""
+
+            def __init__(self):
+                self.futures = []
+
+            def submit(self, *args, **kwargs):
+                self.futures.append(Future())
+                if len(self.futures) == 3:
+                    for future in self.futures:
+                        future.set_exception(BrokenProcessPool("died"))
+                return self.futures[-1]
+
+            def shutdown(self, **kwargs):
+                pass
+
+        shape = layered([3, 2], seed=1)
+        serial_dir = str(tmp_path / "serial")
+        serial_reference(shape, serial_dir)
+        workload = generate_workload(shape, helpers_per_unit=1)
+        builder = CutoffBuilder(workload.project)
+        supervisor = Supervisor(
+            jobs=2, pool="process",
+            policy=SupervisePolicy(backoff_base=0.001),
+            executor_factory=lambda jobs, pool: (DyingPool(), "process"))
+        report = supervisor.build(builder)
+        assert report.degraded == 1
+        assert report.pool == "thread"
+        assert len(report.compiled) == 5
+        out_dir = str(tmp_path / "supervised")
+        builder.store.save_directory(out_dir)
+        assert store_files(out_dir) == store_files(serial_dir)
 
 
 class TestObservability:

@@ -24,8 +24,7 @@ def make_profile(seq=0, manager="cutoff", **unit_seconds):
 
 
 def make_report():
-    report = BuildReport(jobs=2, pool="thread", schedule="ready",
-                         wall_seconds=1.5,
+    report = BuildReport(jobs=2, pool="thread", wall_seconds=1.5,
                          dispatch_order=["a", "b"])
     report.add(UnitOutcome(
         name="a", action="compiled", reason="source changed",
@@ -50,7 +49,7 @@ class TestProfileFromReport:
             export_pids={"a": "aa" * 16, "b": "bb" * 16},
             group="proj", manager="cutoff")
         assert (profile.group, profile.manager) == ("proj", "cutoff")
-        assert (profile.schedule, profile.jobs) == ("ready", 2)
+        assert (profile.jobs, profile.pool) == (2, "thread")
         assert profile.dispatch_order == ["a", "b"]
         a = profile.unit("a")
         # Per-unit seconds are the full pipeline: compile + overhead.

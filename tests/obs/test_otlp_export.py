@@ -168,7 +168,6 @@ class TestCLI:
         assert validate_otlp(payload) == []
         attrs = {a["key"] for a in
                  payload["resourceSpans"][0]["resource"]["attributes"]}
-        assert {"build.group", "build.manager", "build.schedule",
-                "build.jobs"} <= attrs
+        assert {"build.group", "build.manager", "build.jobs"} <= attrs
         names = {s["name"] for s in all_spans(payload)}
         assert "run" in names and "build" in names

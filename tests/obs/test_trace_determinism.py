@@ -59,7 +59,7 @@ class TestTracedBuildsAreByteIdentical:
         tracer = Tracer()
         traced = flow(str(tmp_path / "traced"), tracer=tracer, jobs=4)
         assert traced == plain
-        assert any(s.name == "wave" for s in tracer.all_spans())
+        assert any(s.name == "worker-compile" for s in tracer.all_spans())
 
     def test_traced_serial_matches_untraced_parallel(self, tmp_path):
         serial = flow(str(tmp_path / "serial"), tracer=Tracer())

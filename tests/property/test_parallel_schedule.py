@@ -1,14 +1,9 @@
-"""Property tests for the wavefront scheduler.
+"""Property test for fail-fast parallel builds.
 
-Two claims, over arbitrary DAGs:
-
-1. ``wavefronts`` is a *valid, tight* topological partition: the waves
-   partition the graph, every unit's in-graph imports land in strictly
-   earlier waves, and no unit could have run a wave earlier.
-2. A worker crash mid-wave degrades, never corrupts: the parallel build
-   raises, what was already applied is a valid store prefix (PR-2
-   crash-safety), and a fresh serial session over the saved partial
-   store converges to exactly the clean-build pids.
+Over arbitrary DAGs, a worker crash degrades, never corrupts: the
+parallel build raises, what was already applied is a valid store
+prefix (the store's crash-safety), and a fresh serial session over the
+saved partial store converges to exactly the clean-build pids.
 """
 
 import os
@@ -21,86 +16,11 @@ from hypothesis import given, settings, strategies as st
 from repro.cm import (
     BinStore,
     CutoffBuilder,
-    DepGraph,
     ParallelBuildError,
     WorkerFaults,
     parallel_build,
-    wavefronts,
 )
-from repro.cm.depend import _topo_order
 from repro.workload import generate_workload, random_dag
-
-
-def graph_from_deps(deps_by_index):
-    """A synthetic DepGraph from shape-style deps (no sources needed)."""
-    names = [f"u{k:03d}" for k in range(len(deps_by_index))]
-    deps = {names[k]: sorted(names[d] for d in deps_by_index[k])
-            for k in range(len(names))}
-    dependents = {n: [] for n in names}
-    for name, imported in deps.items():
-        for dep in imported:
-            dependents[dep].append(name)
-    return DepGraph(deps=deps,
-                    dependents={n: sorted(d)
-                                for n, d in dependents.items()},
-                    order=_topo_order(names, deps))
-
-
-dags = st.builds(
-    random_dag,
-    n=st.integers(min_value=1, max_value=24),
-    max_deps=st.integers(min_value=1, max_value=5),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-
-
-@given(dags)
-@settings(max_examples=120, deadline=None)
-def test_wavefronts_is_a_tight_topological_partition(deps_by_index):
-    graph = graph_from_deps(deps_by_index)
-    waves = wavefronts(graph)
-
-    # Partition: every unit exactly once, waves sorted, none empty.
-    flat = [name for wave in waves for name in wave]
-    assert sorted(flat) == sorted(graph.order)
-    assert len(flat) == len(set(flat))
-    assert all(wave == sorted(wave) and wave for wave in waves)
-
-    # Topological: every import lands in a strictly earlier wave, so
-    # all units inside one wave are pairwise independent.
-    wave_of = {name: k for k, wave in enumerate(waves)
-               for name in wave}
-    for name in graph.order:
-        for dep in graph.deps[name]:
-            assert wave_of[dep] < wave_of[name]
-
-    # Tight: a unit in wave k > 0 has an import in wave k - 1 -- it
-    # could not have been scheduled any earlier.
-    for name, k in wave_of.items():
-        if k > 0:
-            assert any(wave_of[dep] == k - 1
-                       for dep in graph.deps[name])
-
-
-@given(dags)
-@settings(max_examples=60, deadline=None)
-def test_wavefronts_skip_imports_outside_the_graph(deps_by_index):
-    """Stable-library imports (not in the graph) must not gate a wave:
-    drop the first unit from the graph and every survivor that imported
-    it still schedules, one wave earlier or same."""
-    graph = graph_from_deps(deps_by_index)
-    if len(graph.order) < 2:
-        return
-    dropped = graph.order[0]
-    kept = [n for n in graph.order if n != dropped]
-    trimmed = DepGraph(
-        deps={n: graph.deps[n] for n in kept},  # still names `dropped`
-        dependents={n: [d for d in graph.dependents[n] if d != dropped]
-                    for n in kept},
-        order=kept)
-    waves = wavefronts(trimmed)
-    assert sorted(n for w in waves for n in w) == sorted(kept)
-
 
 crash_cases = st.builds(
     lambda n, seed, victim: (random_dag(n, max_deps=2, seed=seed),

@@ -84,7 +84,6 @@ def test_longest_first_dispatch_is_a_linear_extension(case):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     report = parallel_build(builder, jobs=4, pool="inline",
-                            schedule="ready",
                             offer_key=longest_first_key(seconds))
     graph = builder.last_graph
     order = report.dispatch_order
@@ -105,14 +104,14 @@ def test_longest_first_matches_name_order_store_bytes(case):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         parallel_build(builder, jobs=4, pool="thread",
-                       schedule="ready", offer_key=offer_key)
+                       offer_key=offer_key)
         builder.store.save_directory(store_dir)
         # Incremental pass too: edit the root, rebuild warm-store.
         workload.edit_interface("u000")
         builder = CutoffBuilder(workload.project,
                                 store=BinStore.load_directory(store_dir))
         parallel_build(builder, jobs=4, pool="thread",
-                       schedule="ready", offer_key=offer_key)
+                       offer_key=offer_key)
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
         files = {}

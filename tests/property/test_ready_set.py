@@ -9,8 +9,7 @@ Three claims, over arbitrary DAGs:
    extension of the dependency graph -- no unit is decided before its
    imports -- and covers every unit exactly once.
 3. On random DAGs, a ready-set build produces the same final store
-   bytes and export pids as wavefront scheduling (and hence, by PR 3's
-   matrix, as a serial build).
+   bytes and export pids as a serial build.
 """
 
 import os
@@ -133,8 +132,7 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
         deps_by_index):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = parallel_build(builder, jobs=4, pool="inline",
-                            schedule="ready")
+    report = parallel_build(builder, jobs=4, pool="inline")
     graph = builder.last_graph
     order = report.dispatch_order
     assert sorted(order) == sorted(graph.order)
@@ -147,19 +145,17 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
 
 @given(dags)
 @settings(max_examples=8, deadline=None)
-def test_ready_build_matches_wavefront_store_bytes(deps_by_index):
-    def flow(schedule, store_dir):
+def test_ready_build_matches_serial_store_bytes(deps_by_index):
+    def flow(jobs, store_dir):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        parallel_build(builder, jobs=4, pool="thread",
-                       schedule=schedule)
+        builder.build(jobs=jobs, pool="thread")
         builder.store.save_directory(store_dir)
         # Incremental pass too: edit the root, rebuild warm-store.
         workload.edit_interface("u000")
         builder = CutoffBuilder(workload.project,
                                 store=BinStore.load_directory(store_dir))
-        parallel_build(builder, jobs=4, pool="thread",
-                       schedule=schedule)
+        builder.build(jobs=jobs, pool="thread")
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
         files = {}
@@ -172,8 +168,8 @@ def test_ready_build_matches_wavefront_store_bytes(deps_by_index):
 
     base = tempfile.mkdtemp(prefix="readyprop-")
     try:
-        wave = flow("wavefront", os.path.join(base, "wave"))
-        ready = flow("ready", os.path.join(base, "ready"))
-        assert ready == wave
+        serial = flow(1, os.path.join(base, "serial"))
+        ready = flow(4, os.path.join(base, "ready"))
+        assert ready == serial
     finally:
         shutil.rmtree(base, ignore_errors=True)
