@@ -18,16 +18,12 @@ import json
 import os
 import time
 
-from repro.cm import (
-    BinStore,
-    CutoffBuilder,
-    SupervisePolicy,
-    WorkerFaults,
-    supervised_build,
-)
+from repro.cm import BinStore, CutoffBuilder, SupervisePolicy, Supervisor
 from repro.cm.faults import (
     TwoWriterInterleaver,
+    WorkerFaults,
     bounded_schedules,
+    faulty_executors,
     search_schedules,
 )
 from repro.workload import diamond, fanout, generate_workload
@@ -46,8 +42,10 @@ def supervised_wall(faults=None):
     workload = generate_workload(SHAPE, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     t0 = time.perf_counter()
-    report = supervised_build(builder, jobs=4, pool="thread",
-                              faults=faults, policy=POLICY)
+    report = Supervisor(
+        jobs=4, pool="thread", policy=POLICY,
+        executor_factory=faulty_executors(faults) if faults else None,
+    ).build(builder)
     wall = time.perf_counter() - t0
     assert not report.failed and not report.skipped
     assert len(report.compiled) == len(SHAPE)

@@ -49,18 +49,8 @@ from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.make import TimestampBuilder
 from repro.cm.manager import CutoffBuilder
 from repro.cm.smart import SmartBuilder
-from repro.cm.parallel import (
-    ParallelBuildError,
-    ReadySet,
-    WorkerFaults,
-    parallel_build,
-)
-from repro.cm.supervise import (
-    BuildJournal,
-    SupervisePolicy,
-    Supervisor,
-    supervised_build,
-)
+from repro.cm.parallel import ParallelBuildError, ReadySet
+from repro.cm.supervise import BuildJournal, SupervisePolicy, Supervisor
 from repro.cm.daemon import (
     BuildDaemon,
     DaemonError,
@@ -101,12 +91,9 @@ __all__ = [
     "SmartBuilder",
     "ParallelBuildError",
     "ReadySet",
-    "WorkerFaults",
-    "parallel_build",
     "BuildJournal",
     "SupervisePolicy",
     "Supervisor",
-    "supervised_build",
     "sweep_stale_artifacts",
     "BuildDaemon",
     "DaemonError",

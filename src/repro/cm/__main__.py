@@ -29,9 +29,9 @@ Options:
                                     or OTLP/JSON with --trace-format)
     --trace-format {chrome,otlp}    trace file format for --trace-out
                                     (default chrome)
-    --trace-sample N                without --trace/--trace-out: record
-                                    full spans for 1-in-N builds and
-                                    cheap counters for the rest
+    --trace-sample N                with --serve: record full spans for
+                                    1-in-N builds and cheap counters for
+                                    the rest (daemon ``stats`` requests)
     --jobs N                        compile up to N ready units at once
                                     on a worker pool (same store bytes
                                     as a serial build)
@@ -61,21 +61,10 @@ import argparse
 import os
 import sys
 
-from repro.cm import (
-    BinStore,
-    CutoffBuilder,
-    Project,
-    SmartBuilder,
-    StoreLockedError,
-    TimestampBuilder,
-)
+from repro.cm import BinStore, Project, StoreLockedError
+from repro.cm.backend import configured_backend
+from repro.cm.daemon import MANAGERS
 from repro.dynamic.values import format_value
-
-MANAGERS = {
-    "cutoff": CutoffBuilder,
-    "make": TimestampBuilder,
-    "smart": SmartBuilder,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,11 +131,10 @@ def main(argv: list[str] | None = None) -> int:
                              "to their culprit imports")
     parser.add_argument("--trace-sample", dest="trace_sample",
                         type=int, default=0, metavar="N",
-                        help="sampled always-on tracing: record full "
-                             "spans for 1-in-N builds (by profile "
-                             "sequence) and cheap counters otherwise; "
-                             "ignored when --trace/--trace-out force "
-                             "a full tracer")
+                        help="with --serve: sampled always-on "
+                             "tracing, full spans for 1-in-N builds "
+                             "and cheap counters otherwise (served by "
+                             "the daemon's stats request)")
     parser.add_argument("--priority", choices=["name", "longest-first"],
                         default="name",
                         help="with --jobs N > 1 or supervision: offer "
@@ -199,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(args)
     if args.srcdir is None:
         parser.error("srcdir is required unless --serve is given")
+    if args.trace_sample:
+        parser.error("--trace-sample needs --serve")
 
     if args.fsck:
         return _run_fsck(args)
@@ -215,43 +205,13 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    meter = tracer
-    if meter is None and args.trace_sample > 0:
-        meter = _sampled_meter(args)
-
-    if meter is None:
+    if tracer is None:
         rc, _builder, _report = _build_directory(args, None)
         return rc
-    with meter.span("run", cat="build", srcdir=args.srcdir):
-        rc, builder, report = _build_directory(args, meter)
-    if tracer is not None:
-        trace_rc = _emit_trace(args, tracer, builder, report)
-        return rc or trace_rc
-    return rc
-
-
-def _sampled_meter(args):
-    """The ``--trace-sample N`` meter for this batch build: a full
-    tracer when the next profile sequence number lands on the 1-in-N
-    sample grid (builds 1, N+1, 2N+1, ...), cheap counters otherwise."""
-    from repro.obs.history import BuildHistory
-    from repro.obs.sampling import CounterMeter
-
-    history = BuildHistory(os.path.join(args.srcdir, ".bin"))
-    if (history.next_seq() - 1) % args.trace_sample == 0:
-        from repro.obs.tracer import Tracer
-        return Tracer()
-    return CounterMeter()
-
-
-def _store_backend_for(args, bin_dir):
-    """The configured store backend for ``bin_dir``, or None when the
-    defaults apply (auto-detected local layout, no URL)."""
-    from repro.cm.backend import make_backend
-
-    if args.store_backend == "auto" and not args.store_url:
-        return None
-    return make_backend(args.store_backend, bin_dir, url=args.store_url)
+    with tracer.span("run", cat="build", srcdir=args.srcdir):
+        rc, builder, report = _build_directory(args, tracer)
+    trace_rc = _emit_trace(args, tracer, builder, report)
+    return rc or trace_rc
 
 
 def _build_directory(args, tracer):
@@ -259,15 +219,11 @@ def _build_directory(args, tracer):
     so trace emission can consult the ledger and dependency graph."""
     from repro.obs.meter import NULL_METER
 
-    meter = tracer if tracer is not None else NULL_METER
     bin_dir = os.path.join(args.srcdir, ".bin")
-    backend = _store_backend_for(args, bin_dir)
-    if backend is not None:
-        store = BinStore.load_directory(bin_dir, meter=meter,
-                                        backend=backend)
-    else:
-        store = (BinStore.load_directory(bin_dir, meter=meter)
-                 if os.path.isdir(bin_dir) else BinStore())
+    store = BinStore.open_directory(
+        bin_dir, configured_backend(args.store_backend, bin_dir,
+                                    url=args.store_url),
+        tracer if tracer is not None else NULL_METER)
     if not store.health.ok:
         damaged = store.health.quarantined()
         print(f"warning: quarantined {len(store.health.corrupt)} damaged "
@@ -296,23 +252,19 @@ def _build_directory(args, tracer):
         offer_key = longest_first_key(
             history.compile_seconds(args.manager))
 
-    supervised = (args.retries is not None or args.timeout is not None
-                  or args.resume)
+    policy = None
+    if args.retries is not None or args.timeout is not None \
+            or args.resume:
+        from repro.cm.supervise import SupervisePolicy
+        policy = SupervisePolicy(
+            retries=args.retries if args.retries is not None else 2,
+            timeout=args.timeout)
     try:
-        if supervised:
-            from repro.cm.supervise import SupervisePolicy
-            policy = SupervisePolicy(
-                retries=args.retries if args.retries is not None else 2,
-                timeout=args.timeout)
-            report = builder.build(jobs=max(1, args.jobs),
-                                   pool=args.pool, policy=policy,
-                                   resume=args.resume,
-                                   checkpoint_dir=bin_dir,
-                                   offer_key=offer_key)
-        else:
-            report = builder.build(jobs=max(1, args.jobs),
-                                   pool=args.pool,
-                                   offer_key=offer_key)
+        report = builder.build(
+            jobs=max(1, args.jobs), pool=args.pool, policy=policy,
+            resume=args.resume,
+            checkpoint_dir=bin_dir if policy is not None else None,
+            offer_key=offer_key)
     except Exception as err:  # ElabError, DependencyError, ParseError...
         print(f"error: {err}", file=sys.stderr)
         return 1, builder, None
@@ -373,22 +325,26 @@ def _build_directory(args, tracer):
         print(f"link error: {err}", file=sys.stderr)
         return 1, builder, report
     print(f"linked {len(exports)} units")
+    return _print_binding(args.print_path, exports), builder, report
 
-    if args.print_path:
-        try:
-            struct_name, member = args.print_path.split(".", 1)
-        except ValueError:
-            print("error: --print takes STRUCTURE.NAME", file=sys.stderr)
-            return 2, builder, report
-        for export in exports.values():
-            struct = export.structures.get(struct_name)
-            if struct is not None and member in struct.values:
-                print(f"{args.print_path} = "
-                      f"{format_value(struct.values[member])}")
-                return 0, builder, report
-        print(f"error: {args.print_path} not found", file=sys.stderr)
-        return 1, builder, report
-    return 0, builder, report
+
+def _print_binding(path, exports) -> int:
+    """``--print STRUCTURE.NAME`` over linked ``exports``; returns the
+    exit code (0 also when no path was asked for)."""
+    if not path:
+        return 0
+    try:
+        struct_name, member = path.split(".", 1)
+    except ValueError:
+        print("error: --print takes STRUCTURE.NAME", file=sys.stderr)
+        return 2
+    for export in exports.values():
+        struct = export.structures.get(struct_name)
+        if struct is not None and member in struct.values:
+            print(f"{path} = {format_value(struct.values[member])}")
+            return 0
+    print(f"error: {path} not found", file=sys.stderr)
+    return 1
 
 
 def _emit_trace(args, tracer, builder, report) -> int:
@@ -498,9 +454,10 @@ def _run_fsck(args) -> int:
         # directory, and --store-url checks the remote store (damage is
         # fetched, classified with the same taxonomy, and -- with
         # --quarantine -- healed on the server).
-        backend = _store_backend_for(args, bin_dir)
-        report = BinStore.fsck(bin_dir, quarantine=args.quarantine,
-                               backend=backend)
+        report = BinStore.fsck(
+            bin_dir, quarantine=args.quarantine,
+            backend=configured_backend(args.store_backend, bin_dir,
+                                       url=args.store_url))
         if args.json:
             print(json_mod.dumps(report.to_json(), indent=1,
                                  sort_keys=True))
@@ -568,21 +525,7 @@ def _build_group_file(args, tracer=None) -> int:
         print(f"link error: {err}", file=sys.stderr)
         return 1
     print(f"linked {len(exports)} units")
-    if args.print_path:
-        try:
-            struct_name, member = args.print_path.split(".", 1)
-        except ValueError:
-            print("error: --print takes STRUCTURE.NAME", file=sys.stderr)
-            return 2
-        for export in exports.values():
-            struct = export.structures.get(struct_name)
-            if struct is not None and member in struct.values:
-                print(f"{args.print_path} = "
-                      f"{format_value(struct.values[member])}")
-                return 0
-        print(f"error: {args.print_path} not found", file=sys.stderr)
-        return 1
-    return 0
+    return _print_binding(args.print_path, exports)
 
 
 if __name__ == "__main__":

@@ -853,3 +853,13 @@ def make_backend(kind: str, path: str, url: str | None = None,
         return ShardedBackend(path, fs=fs)
     raise StoreError(f"unknown store backend {kind!r} "
                      f"(want auto, flat, sharded or remote)")
+
+
+def configured_backend(kind: str, path: str,
+                       url: str | None = None) -> StoreBackend | None:
+    """The backend a CLI run or the daemon was configured with, or None
+    for the defaults (``auto`` with no URL): the store paths then detect
+    the local layout themselves each time they touch the directory."""
+    if kind == "auto" and not url:
+        return None
+    return make_backend(kind, path, url=url)

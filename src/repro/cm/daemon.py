@@ -31,9 +31,9 @@ all of that warm across requests:
   in ``tests/cm/test_daemon_determinism.py`` holds the daemon to this
   byte-for-byte.
 - **Supervised builds.**  Every request runs the supervised build
-  pump (:class:`~repro.cm.supervise.Supervisor`), so retries,
-  timeouts, poison quarantine, checkpoints/``--resume`` and the
-  explanation ledger all work for daemon-served builds.
+  pump (:class:`~repro.cm.supervise.Supervisor`), checkpointing into
+  the group's store, so retries, timeouts, poison quarantine, resume
+  and the explanation ledger all work for daemon-served builds.
 - **Coalescing.**  Duplicate in-flight requests -- same group, same
   manager/jobs/pool -- join the build already running and get its
   report; disjoint groups build concurrently under per-group locks.
@@ -56,9 +56,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.cm.backend import configured_backend
 from repro.cm.manager import CutoffBuilder
 from repro.cm.make import TimestampBuilder
-from repro.cm.parallel import WorkerFaults, make_executor
+from repro.cm.parallel import make_executor
 from repro.cm.project import Project
 from repro.cm.report import BuildReport
 from repro.cm.smart import SmartBuilder
@@ -183,8 +184,6 @@ class BuildDaemon:
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
                  pool: str = "thread",
                  policy: SupervisePolicy | None = None, meter=None,
-                 checkpoint: bool = True,
-                 faults: WorkerFaults | None = None,
                  build_hook=None, store_backend: str = "auto",
                  store_url: str | None = None,
                  priority: str = "name", trace_sample: int = 0):
@@ -209,10 +208,7 @@ class BuildDaemon:
             # request's data source).
             from repro.obs.sampling import SamplingMeter
             meter = SamplingMeter(sample=trace_sample)
-        self.trace_sample = trace_sample
         self.meter = meter if meter is not None else NULL_METER
-        self.checkpoint = checkpoint
-        self.faults = faults
         self.build_hook = build_hook
         self._lock = threading.Lock()
         self._states: dict[str, _GroupState] = {}
@@ -225,16 +221,14 @@ class BuildDaemon:
     # -- the request path -------------------------------------------------
 
     def request(self, srcdir: str, manager: str | None = None,
-                jobs: int | None = None, pool: str | None = None,
-                faults: WorkerFaults | None = None) -> DaemonReply:
+                jobs: int | None = None,
+                pool: str | None = None) -> DaemonReply:
         """Bring ``srcdir`` up to date; returns this request's reply.
 
         A request identical in (group, manager, jobs, pool) to one
         already building *joins* it: no second compile, the joiner
         blocks until the leader finishes and shares its report
-        (``reply.coalesced`` is True).  Fault-injected requests
-        (``faults`` given) never join and are never joined -- fault
-        plans are per-build test instrumentation.
+        (``reply.coalesced`` is True).
         """
         if self._closed:
             raise DaemonError("daemon is shut down")
@@ -251,15 +245,12 @@ class BuildDaemon:
         with self._lock:
             self._request_seq += 1
             request_id = self._request_seq
-            if faults is None:
-                theirs = self._inflight.get(key)
-                if theirs is not None:
-                    theirs.joiners += 1
-                    theirs.joined.set()
-                else:
-                    mine = self._inflight[key] = _Inflight()
+            theirs = self._inflight.get(key)
+            if theirs is not None:
+                theirs.joiners += 1
+                theirs.joined.set()
             else:
-                mine = _Inflight()  # private: never joinable
+                mine = self._inflight[key] = _Inflight()
         if self.meter.enabled:
             self.meter.counter("daemon.requests")
 
@@ -283,15 +274,14 @@ class BuildDaemon:
                 self.build_hook(key, mine)
             with state.lock:
                 report, reloaded, refreshed, swept = self._build(
-                    state, manager, jobs, pool, faults)
+                    state, manager, jobs, pool)
             mine.report = report
         except BaseException as err:
             mine.error = err
             raise
         finally:
             with self._lock:
-                if self._inflight.get(key) is mine:
-                    del self._inflight[key]
+                del self._inflight[key]
             mine.done.set()
         wall = time.perf_counter() - t0
         if self.meter.enabled:
@@ -389,16 +379,11 @@ class BuildDaemon:
         return state
 
     def _backend_for(self, state: _GroupState):
-        """The group's configured store backend, created lazily; None
-        when the defaults apply (auto-detected local layout, no URL) so
-        the classic load/save paths run untouched."""
-        if state.backend is not None:
-            return state.backend
-        if self.store_backend == "auto" and not self.store_url:
-            return None
-        from repro.cm.backend import make_backend
-        state.backend = make_backend(self.store_backend, state.bin_dir,
-                                     url=self.store_url)
+        """The group's configured store backend, created lazily (see
+        :func:`~repro.cm.backend.configured_backend`)."""
+        if state.backend is None:
+            state.backend = configured_backend(
+                self.store_backend, state.bin_dir, url=self.store_url)
         return state.backend
 
     def _open(self, state: _GroupState) -> None:
@@ -410,15 +395,8 @@ class BuildDaemon:
             self.meter.event("daemon-sweep", cat="daemon",
                              group=state.srcdir,
                              swept=list(state.swept))
-        if backend is not None:
-            state.store = BinStore.load_directory(state.bin_dir,
-                                                  backend=backend)
-        elif os.path.isdir(state.bin_dir):
-            state.store = BinStore.load_directory(state.bin_dir)
-        else:
-            state.store = BinStore()
-        if self.meter is not NULL_METER:
-            state.store.meter = self.meter
+        state.store = BinStore.open_directory(state.bin_dir, backend,
+                                              self.meter)
         state.store_sig = BinStore.disk_signature(state.bin_dir,
                                                   backend=backend)
         # Profile IO rides the store's fs seam, so fault injection on
@@ -475,15 +453,8 @@ class BuildDaemon:
         sig = BinStore.disk_signature(state.bin_dir, backend=backend)
         if sig == state.store_sig:
             return False
-        if backend is not None:
-            state.store = BinStore.load_directory(state.bin_dir,
-                                                  backend=backend)
-        elif os.path.isdir(state.bin_dir):
-            state.store = BinStore.load_directory(state.bin_dir)
-        else:
-            state.store = BinStore()
-        if self.meter is not NULL_METER:
-            state.store.meter = self.meter
+        state.store = BinStore.open_directory(state.bin_dir, backend,
+                                              self.meter)
         for builder in state.builders.values():
             builder.store = state.store
             builder.health = state.store.health
@@ -495,7 +466,7 @@ class BuildDaemon:
     # -- one build --------------------------------------------------------
 
     def _build(self, state: _GroupState, manager: str, jobs: int,
-               pool: str, faults: WorkerFaults | None):
+               pool: str):
         swept: list[str] = []
         if not state.opened:
             self._open(state)
@@ -516,10 +487,8 @@ class BuildDaemon:
                     state.history.compile_seconds(manager)
             offer_key = longest_first_key(state.seconds[manager])
         supervisor = Supervisor(
-            jobs=jobs, pool=pool,
-            faults=faults if faults is not None else self.faults,
-            policy=self.policy,
-            checkpoint_dir=state.bin_dir if self.checkpoint else None,
+            jobs=jobs, pool=pool, policy=self.policy,
+            checkpoint_dir=state.bin_dir,
             executor_factory=self._executor_factory,
             keep_executor=True, offer_key=offer_key)
         report = supervisor.build(builder)

@@ -43,6 +43,12 @@ a dead cache server stays dead).  Truncation and garbling mangle the
 serialized frame, so the frame codec's own CRC is what must catch them,
 exactly as on a real wire.
 
+Build *workers* are faulted at the executor, not the task:
+:func:`faulty_executors` gives :class:`~repro.cm.supervise.Supervisor`
+pools that run each compile under a :class:`WorkerFaults` plan (crash,
+stall or poison, per unit and attempt).  The plan travels in each
+submit call, so it works on process pools too.
+
 For damage *at rest* (a disk that lies, an editor that truncated a
 file), the module also provides post-hoc corruptors -- truncate,
 bit-flip, delete, garbage-header -- plus helpers to locate a named
@@ -59,7 +65,10 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
+
+from repro.cm import parallel
 
 
 class InjectedCrash(Exception):
@@ -681,6 +690,87 @@ class FaultyTransport:
         close = getattr(self.inner, "close", None)
         if close is not None:
             close()
+
+
+# -- the worker seam -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WorkerFaults:
+    """Deterministic fault plan for a pooled build's workers.
+
+    A worker compiling a unit in ``crash_units`` dies with
+    :class:`InjectedCrash`; one compiling a unit in ``slow_units``
+    stalls for ``delay`` seconds first (slow-IO shape: the work
+    completes late, it does not fail).  Both fire only while the
+    task's attempt number is below ``crash_attempts``/``slow_attempts``,
+    so retries are deterministic; units in ``poison_units`` crash on
+    *every* attempt.  Mount a plan with :func:`faulty_executors`.
+    """
+
+    crash_units: frozenset = frozenset()
+    slow_units: frozenset = frozenset()
+    delay: float = 0.0
+    crash_attempts: int = 1
+    slow_attempts: int = 1
+    poison_units: frozenset = frozenset()
+
+
+def _faulty_compile(plan: WorkerFaults, fn, task):
+    """Run one compile task under ``plan``, inside the worker: stall,
+    come back as an :class:`InjectedCrash` error result, or run
+    ``fn(task)``.  Module-level, so process pools can pickle it."""
+    started = time.perf_counter()
+    if task.name in plan.slow_units and task.attempt < plan.slow_attempts:
+        time.sleep(plan.delay)
+    if task.name in plan.poison_units or (
+            task.name in plan.crash_units
+            and task.attempt < plan.crash_attempts):
+        return parallel.CompileResult(
+            task.name,
+            error=(InjectedCrash.__name__,
+                   f"worker killed compiling {task.name} "
+                   f"(attempt {task.attempt})"),
+            started=started, ended=time.perf_counter(),
+            worker=parallel.worker_label(), attempt=task.attempt)
+    result = fn(task)
+    result.started = started  # the stall occupied the worker too
+    return result
+
+
+class FaultyExecutor(Executor):
+    """Wraps a build executor so every task it runs obeys a
+    :class:`WorkerFaults` plan.  Futures are the wrapped executor's
+    own, so the pump's timeouts and pool-death handling see the real
+    pool."""
+
+    def __init__(self, executor: Executor, plan: WorkerFaults):
+        self.executor = executor
+        self.plan = plan
+
+    def submit(self, fn, task):
+        return self.executor.submit(_faulty_compile, self.plan, fn, task)
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+def faulty_executors(plan: WorkerFaults):
+    """An ``executor_factory`` for
+    :class:`~repro.cm.supervise.Supervisor` that wraps whatever
+    :func:`repro.cm.parallel.make_executor` returns (looked up at call
+    time) in a :class:`FaultyExecutor`.
+
+    The plan covers only the pool this factory made: when that pool
+    dies, the supervisor's degradation ladder builds the next tier
+    itself, without the plan."""
+
+    def factory(jobs: int, pool: str):
+        executor, kind = parallel.make_executor(jobs, pool)
+        return FaultyExecutor(executor, plan), kind
+
+    return factory
 
 
 # -- post-hoc corruptors (damage at rest) --------------------------------

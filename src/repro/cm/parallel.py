@@ -29,10 +29,10 @@ in ``tests/cm/test_parallel_determinism.py`` checks this byte-for-byte,
 under fault injection.
 
 :func:`make_executor` picks the worker tier -- a process pool, a thread
-pool, or :class:`InlineExecutor`, which runs each task in the caller --
-and :func:`parallel_build` is the fail-fast entry point over the pump.
-:class:`WorkerFaults` is the deterministic fault seam used by the
-crash tests.
+pool, or :class:`InlineExecutor`, which runs each task in the caller.
+:func:`compile_task` is the only function the pump ships to a worker;
+the crash tests inject faults by wrapping the executor
+(:func:`repro.cm.faults.faulty_executors`), never the task.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.cm.depend import DepGraph
-from repro.cm.report import BuildReport, UnitOutcome
+from repro.cm.report import UnitOutcome
 from repro.units.pipeline import compile_unit, load_unit
 from repro.units.unit import PhaseTimes
 
@@ -64,33 +64,6 @@ class ParallelBuildError(Exception):
         self.name = name
         self.exc_type = exc_type
         self.message = message
-
-
-@dataclass(frozen=True)
-class WorkerFaults:
-    """Deterministic fault plan for parallel builds (test seam).
-
-    A worker compiling a unit in ``crash_units`` dies with
-    :class:`~repro.cm.faults.InjectedCrash`; one compiling a unit in
-    ``slow_units`` stalls for ``delay`` seconds first (slow-IO shape:
-    the work completes late, it does not fail).
-
-    Faults are *attempt-aware* so the supervisor's retries can be
-    exercised deterministically: a crash/stall fires only while the
-    task's attempt number is below ``crash_attempts``/``slow_attempts``
-    (the defaults reproduce the original always-fire behaviour under
-    the unsupervised single-attempt build).  Units in ``poison_units``
-    crash on *every* attempt -- the retry-budget-exhausted shape.  The
-    attempt number rides inside the :class:`CompileTask` itself, so the
-    plan works unchanged on process pools (no shared mutable state).
-    """
-
-    crash_units: frozenset = frozenset()
-    slow_units: frozenset = frozenset()
-    delay: float = 0.0
-    crash_attempts: int = 1
-    slow_attempts: int = 1
-    poison_units: frozenset = frozenset()
 
 
 # -- ready-set schedule --------------------------------------------------
@@ -204,10 +177,9 @@ class CompileTask:
     source: str
     imports: tuple[str, ...]  # direct import names, dependency order
     closure: tuple[ClosureUnit, ...]  # transitive imports, topo order
-    faults: WorkerFaults | None = None
-    #: Which attempt this dispatch is (0 = first try); consulted by the
-    #: attempt-aware fault plan, echoed into the result for staleness
-    #: checks by the supervisor.
+    #: Which attempt this dispatch is (0 = first try); echoed into the
+    #: result and the ``worker-compile`` span, and read by the
+    #: attempt-aware fault plans of :mod:`repro.cm.faults`.
     attempt: int = 0
 
 
@@ -235,6 +207,11 @@ class CompileResult:
 _tls = threading.local()
 
 
+def worker_label() -> str:
+    """The calling worker's track name, ``"w<pid>/<thread ident>"``."""
+    return f"w{os.getpid()}/{threading.get_ident()}"
+
+
 def _worker_state():
     if getattr(_tls, "session", None) is None:
         from repro.units.session import Session
@@ -247,26 +224,12 @@ def _worker_state():
 def compile_task(task: CompileTask) -> CompileResult:
     """Compile one unit in a hermetic worker session.
 
-    Never raises: failures (including injected ones) come back as
-    ``result.error`` so a process pool and a thread pool report them
-    the same way.
+    Never raises: failures come back as ``result.error`` so a process
+    pool and a thread pool report them the same way.
     """
     started = time.perf_counter()
-    worker = f"w{os.getpid()}/{threading.get_ident()}"
+    worker = worker_label()
     try:
-        if task.faults is not None:
-            plan = task.faults
-            if (task.name in plan.slow_units
-                    and task.attempt < plan.slow_attempts):
-                time.sleep(plan.delay)
-            if task.name in plan.poison_units or (
-                    task.name in plan.crash_units
-                    and task.attempt < plan.crash_attempts):
-                from repro.cm.faults import InjectedCrash
-
-                raise InjectedCrash(
-                    f"worker killed compiling {task.name} "
-                    f"(attempt {task.attempt})")
         session, cache = _worker_state()
         live = {}
         for dep in task.closure:
@@ -343,25 +306,7 @@ def make_executor(jobs: int, pool: str = "process"):
     raise ValueError(f"unknown pool kind {pool!r}")
 
 
-def parallel_build(builder, jobs: int = 2, pool: str = "process",
-                   faults: WorkerFaults | None = None,
-                   offer_key=None) -> BuildReport:
-    """Bring ``builder``'s project up to date on a worker pool,
-    fail-fast: the first failed compile cancels queued work and raises
-    :class:`ParallelBuildError`, after every already-landed result was
-    fully applied (the in-memory store then holds a valid prefix of the
-    build).  ``offer_key`` reorders the ready set's offers, e.g.
-    :func:`repro.obs.history.longest_first_key`; store bytes are
-    identical for every key.  See :class:`repro.cm.supervise.Supervisor`
-    for the pump itself."""
-    from repro.cm.supervise import Supervisor
-
-    return Supervisor(jobs=jobs, pool=pool, faults=faults,
-                      offer_key=offer_key).run(builder)
-
-
 def _make_task(builder, graph: DepGraph, name: str,
-               faults: WorkerFaults | None,
                attempt: int = 0) -> CompileTask:
     """Package one unit's compile: its source plus the dehydrated
     transitive import closure (stable-library units included)."""
@@ -378,7 +323,7 @@ def _make_task(builder, graph: DepGraph, name: str,
     )
     return CompileTask(name=name, source=builder.project.source(name),
                        imports=tuple(graph.deps[name]), closure=closure,
-                       faults=faults, attempt=attempt)
+                       attempt=attempt)
 
 
 def _import_closure(builder, roots: list[str]) -> list[str]:

@@ -508,6 +508,19 @@ class BinStore:
             return store
 
     @classmethod
+    def open_directory(cls, path: str,
+                       backend: StoreBackend | None = None,
+                       meter: BuildMeter = NULL_METER) -> "BinStore":
+        """The store a build starts from: loaded through ``backend``
+        when one is configured, else from the directory at ``path`` if
+        it exists, else empty.  ``meter`` stays attached either way."""
+        if backend is None and not os.path.isdir(path):
+            store = cls()
+            store.meter = meter
+            return store
+        return cls.load_directory(path, meter=meter, backend=backend)
+
+    @classmethod
     def _load_directory(cls, path: str, fs: FileSystem | None,
                         lock_timeout: float, meter: BuildMeter,
                         quarantine: bool = False,

@@ -9,10 +9,11 @@ are hermetic and results are applied only after their providers, so
 the store is byte-identical to a serial build's for every jobs count,
 pool kind and completion order.  Tasks always go through an executor;
 the ``jobs <= 1`` tier is :class:`~repro.cm.parallel.InlineExecutor`,
-which runs them at submit time.
+which runs them at submit time.  A pooled build is configured in
+:meth:`repro.cm.base.BaseBuilder.build` (CLI, library) or by
+constructing a :class:`Supervisor` (daemon, tests).
 
-Without a policy the pump is **fail-fast**
-(:func:`repro.cm.parallel.parallel_build`, ``--jobs N``): the first
+Without a policy the pump is **fail-fast** (``--jobs N``): the first
 failed compile cancels queued work and raises
 :class:`~repro.cm.parallel.ParallelBuildError`, keeping what was
 already applied.  With a :class:`SupervisePolicy` it treats failure as
@@ -72,7 +73,6 @@ from repro.cm.parallel import (
     CompileResult,
     ParallelBuildError,
     ReadySet,
-    WorkerFaults,
     _apply_result,
     _make_task,
     compile_task,
@@ -188,13 +188,13 @@ class Supervisor:
     ``executor_factory`` has :func:`~repro.cm.parallel.make_executor`'s
     signature; the default is resolved from :mod:`repro.cm.parallel` at
     build time, so instrumentation that rebinds that function sees
-    every pool start.  ``max_checkpoints`` stops the build after N
-    checkpoints -- the deterministic stand-in for ``kill -9`` in the
-    resume tests.
+    every pool start.  It is also the fault seam: the crash tests pass
+    :func:`repro.cm.faults.faulty_executors`.  ``max_checkpoints``
+    stops the build after N checkpoints -- the deterministic stand-in
+    for ``kill -9`` in the resume tests.
     """
 
     def __init__(self, jobs: int = 2, pool: str = "process",
-                 faults: WorkerFaults | None = None,
                  policy: SupervisePolicy | None = None,
                  resume: bool = False, checkpoint_dir: str | None = None,
                  max_checkpoints: int | None = None,
@@ -203,7 +203,6 @@ class Supervisor:
                  offer_key=None):
         self.jobs = jobs
         self.pool = pool
-        self.faults = faults
         self.policy = policy
         self.resume = resume
         self.checkpoint_dir = checkpoint_dir
@@ -232,9 +231,10 @@ class Supervisor:
 
     def build(self, builder) -> BuildReport:
         """Bring ``builder``'s project up to date: the entry point of
-        the daemon and :func:`supervised_build`.  ``BaseBuilder.build``
-        calls :meth:`run` instead, so the two public build methods never
-        nest and instrumentation wrapping both sees one build each."""
+        the daemon and of callers that configure the pump themselves.
+        ``BaseBuilder.build`` calls :meth:`run` instead, so the two
+        public build methods never nest and instrumentation wrapping
+        both sees one build each."""
         return self.run(builder)
 
     def run(self, builder) -> BuildReport:
@@ -344,8 +344,7 @@ class Supervisor:
             finish(name)
 
         def launch(name: str, attempt: int, reason: str) -> None:
-            task = _make_task(builder, graph, name, self.faults,
-                              attempt=attempt)
+            task = _make_task(builder, graph, name, attempt=attempt)
             while True:
                 executor = self.executor
                 try:
@@ -559,28 +558,3 @@ class Supervisor:
             builder.health.notes.append(
                 "checkpoint journal write failed; resume will fall "
                 "back to the store alone")
-
-
-def supervised_build(builder, jobs: int = 2, pool: str = "process",
-                     faults: WorkerFaults | None = None,
-                     policy: SupervisePolicy | None = None,
-                     resume: bool = False,
-                     checkpoint_dir: str | None = None,
-                     max_checkpoints: int | None = None,
-                     executor_factory=None,
-                     offer_key=None) -> BuildReport:
-    """Bring ``builder``'s project up to date under supervision
-    (``policy`` defaults to :class:`SupervisePolicy`'s defaults): the
-    fault-tolerant sibling of :func:`repro.cm.parallel.parallel_build`
-    -- same pump, same byte-identical results, but worker failures
-    retry with backoff, hung workers time out and reschedule, poison
-    units take down only their dependents, and (with a
-    ``checkpoint_dir``) the build is resumable after a kill.
-    """
-    supervisor = Supervisor(
-        jobs=jobs, pool=pool, faults=faults,
-        policy=policy if policy is not None else SupervisePolicy(),
-        resume=resume, checkpoint_dir=checkpoint_dir,
-        max_checkpoints=max_checkpoints,
-        executor_factory=executor_factory, offer_key=offer_key)
-    return supervisor.build(builder)

@@ -230,3 +230,12 @@ class TestScheduleAndServe:
     def test_no_srcdir_without_serve_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_trace_sample_without_serve_is_a_usage_error(self, srcdir,
+                                                         capsys):
+        """Sampling feeds the daemon's ``stats`` request; a batch build
+        has no reader for it, so the flag is refused."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([srcdir, "--trace-sample", "2"])
+        assert excinfo.value.code == 2
+        assert "--serve" in capsys.readouterr().err

@@ -10,11 +10,11 @@ despite everything the daemon does differently: persistent sessions,
 incremental mtime-based source refresh, ready-set dispatch instead of
 wave barriers, supervision, per-request checkpoints.
 
-The crash-mid-request variant drives a request through a poisoned
-worker and checks the degradation contract: the store is left a valid,
-fsck-clean prefix (PR-2 crash-safety), the report names the casualties
-(PR-6 supervision), and the next clean request converges to the exact
-batch bytes.
+The crash-mid-request variant drives a request through a unit that
+fails to compile and checks the degradation contract: the store is left
+a valid, fsck-clean prefix (the store's crash safety), the report names
+the casualties (supervision), and the next clean request converges to
+the exact batch bytes.
 """
 
 import os
@@ -29,7 +29,6 @@ from repro.cm import (
     SmartBuilder,
     SupervisePolicy,
     TimestampBuilder,
-    WorkerFaults,
 )
 from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload
@@ -210,33 +209,50 @@ class TestDaemonMatrix:
         assert not reply.report.compiled
 
 
+def request_broken(daemon, srcdir, unit):
+    """Serve one request while ``unit`` fails to compile (an unbound
+    identifier appended to its source), then restore the source."""
+    path = os.path.join(srcdir, unit + ".sml")
+    with open(path, encoding="utf-8") as fh:
+        original = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(original + "\nstructure Broken = "
+                 "struct val x = no_such_thing end\n")
+    try:
+        return daemon.request(srcdir)
+    finally:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(original)
+
+
 class TestCrashMidRequest:
     def test_poisoned_request_degrades_then_converges(
             self, tmp_path, tmp_path_factory):
-        """A request through a poisoned worker degrades to the PR-2 /
-        PR-6 guarantees -- valid store prefix, named casualties -- and
-        the next clean request converges to exact batch bytes."""
+        """A request through a unit that fails to compile degrades to
+        the crash-safety and supervision guarantees -- valid store
+        prefix, named casualties -- and the next request, over the
+        fixed source, converges to exact batch bytes."""
         srcdir = str(tmp_path / "served")
         workload = generate_workload(SHAPES["fanout"](),
                                      helpers_per_unit=1)
         write_tree(srcdir, workload.project)
         daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
         try:
-            broken = daemon.request(
-                srcdir, faults=WorkerFaults(
-                    poison_units=frozenset({"u003"})))
-            # Degraded, not corrupted: the poisoned unit failed, its
-            # dependents were skipped, everything else built.
+            broken = request_broken(daemon, srcdir, "u003")
+            # Degraded, not corrupted: the failing unit failed, its
+            # dependents were skipped, everything else built.  A
+            # compile error is not retryable.
             assert broken.report.failed == ["u003"]
-            assert "u006" in broken.report.skipped  # the fanout top
+            assert broken.report.skipped == ["u006"]  # the fanout top
+            assert broken.report.retries == 0
             bin_dir = os.path.join(srcdir, ".bin")
             assert BinStore.fsck(bin_dir).ok
             loaded = BinStore.load_directory(bin_dir)
             assert loaded.health.ok
             assert "u003" not in loaded.names()
 
-            # The fault plan was per-request: the next clean request
-            # finishes the build and matches batch byte-for-byte.
+            # The source is fixed again: the next request finishes the
+            # build and matches batch byte-for-byte.
             fixed = daemon.request(srcdir)
             assert not fixed.report.failed and not fixed.report.skipped
         finally:
@@ -254,9 +270,7 @@ class TestCrashMidRequest:
         write_tree(srcdir, workload.project)
         daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
         try:
-            broken = daemon.request(
-                srcdir, faults=WorkerFaults(
-                    poison_units=frozenset({"u002"})))
+            broken = request_broken(daemon, srcdir, "u002")
             assert broken.report.failed
             journal = os.path.join(srcdir, ".bin", JOURNAL_NAME)
             assert os.path.exists(journal)

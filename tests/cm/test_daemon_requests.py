@@ -19,11 +19,7 @@ import json
 import os
 import threading
 
-from repro.cm import (
-    BuildDaemon,
-    SupervisePolicy,
-    WorkerFaults,
-)
+from repro.cm import BuildDaemon, SupervisePolicy
 from repro.cm.daemon import PROTOCOL_VERSION, reply_to_wire, serve, wire_encode
 from repro.obs import Tracer, request_rollup
 from repro.workload import generate_workload
@@ -94,53 +90,6 @@ class TestCoalescing:
         rollup = request_rollup(tracer)
         assert rollup["requests"] == 2
         assert rollup["coalesced"] == 1
-
-    def test_fault_injected_requests_never_coalesce(self, tmp_path):
-        """Fault plans are per-build instrumentation: a request carrying
-        one must not join (or be joined by) another build, even when a
-        same-key build is already in flight."""
-        srcdir = str(tmp_path / "grp")
-        make_group(srcdir)
-        tracer = Tracer()
-        inflights = []
-
-        def hook(key, inflight):
-            inflights.append(inflight)
-            if len(inflights) == 1:
-                # The first leader parks; only a *second leader*
-                # reaching this hook releases it -- a joiner never
-                # would (it sets the event on the shared inflight, and
-                # the faulty request's inflight is private).
-                inflight.joined.wait(timeout=10.0)
-            else:
-                inflights[0].joined.set()
-
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                             meter=tracer, build_hook=hook)
-        replies = []
-        errors = []
-
-        def client(faults):
-            try:
-                replies.append(daemon.request(srcdir, faults=faults))
-            except BaseException as err:
-                errors.append(err)
-
-        try:
-            plain = threading.Thread(target=client, args=(None,))
-            faulty = threading.Thread(
-                target=client, args=(WorkerFaults(),))
-            plain.start()
-            faulty.start()
-            plain.join(timeout=30.0)
-            faulty.join(timeout=30.0)
-        finally:
-            daemon.shutdown()
-        assert not errors
-        assert len(inflights) == 2, "faulty request coalesced"
-        assert [r.coalesced for r in replies] == [False, False]
-        assert tracer.counters["daemon.builds"] == 2
-        assert "daemon.coalesced" not in tracer.counters
 
 
 class TestDisjointGroups:

@@ -143,7 +143,7 @@ class TestCheckpointUnderDiskFull:
     def test_supervised_checkpoint_survives_enospc(self, tmp_path):
         """A full disk during a supervised build's per-wave checkpoint
         costs resumability, never the build."""
-        from repro.cm import supervised_build
+        from repro.cm import SupervisePolicy, Supervisor
         from repro.workload import generate_workload
 
         bin_dir = str(tmp_path / "bin")
@@ -151,8 +151,9 @@ class TestCheckpointUnderDiskFull:
         fs = FaultyFS(FaultPlan(enospc_at_write=2))
         builder = CutoffBuilder(workload.project,
                                 store=BinStore(fs=fs))
-        report = supervised_build(builder, jobs=2, pool="thread",
-                                  checkpoint_dir=bin_dir)
+        report = Supervisor(jobs=2, pool="thread",
+                            policy=SupervisePolicy(),
+                            checkpoint_dir=bin_dir).build(builder)
         assert not report.failed and not report.skipped
         assert len(report.compiled) == 3
         assert any("checkpoint" in note

@@ -21,11 +21,17 @@ from repro.cm import (
     CutoffBuilder,
     ParallelBuildError,
     SmartBuilder,
+    Supervisor,
     TimestampBuilder,
-    WorkerFaults,
-    parallel_build,
 )
-from repro.cm.faults import FaultPlan, FaultyFS, InjectedCrash, SlowFS
+from repro.cm.faults import (
+    FaultPlan,
+    FaultyFS,
+    InjectedCrash,
+    SlowFS,
+    WorkerFaults,
+    faulty_executors,
+)
 from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
@@ -67,8 +73,8 @@ def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder,
     def run(builder):
         if jobs == 0:
             return builder.build()
-        return parallel_build(builder, jobs=jobs,
-                              pool=pool if jobs > 1 else "inline")
+        return Supervisor(jobs=jobs, pool=pool if jobs > 1
+                          else "inline").build(builder)
 
     workload = generate_workload(SHAPES[shape](), helpers_per_unit=1)
     builder = cls(workload.project)
@@ -140,7 +146,9 @@ class TestParallelBuildErrorPayload:
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(crash_units=frozenset({"u003"}))
         with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build(builder, jobs=4, pool="thread", faults=faults)
+            Supervisor(jobs=4, pool="thread",
+                       executor_factory=faulty_executors(faults)
+                       ).build(builder)
         err = excinfo.value
         assert err.name == "u003"
         assert err.exc_type == "InjectedCrash"
@@ -152,7 +160,9 @@ class TestParallelBuildErrorPayload:
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(crash_units=frozenset({"u000"}))
         with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build(builder, jobs=2, pool="thread", faults=faults)
+            Supervisor(jobs=2, pool="thread",
+                       executor_factory=faulty_executors(faults)
+                       ).build(builder)
         assert excinfo.value.name == "u000"
         # Fail-fast: the root gates everything, so nothing was applied.
         assert builder.units == {}
@@ -168,7 +178,7 @@ class TestParallelBuildErrorPayload:
             + "\nstructure Broken = struct val x = no_such_thing end\n")
         builder = CutoffBuilder(workload.project)
         with pytest.raises(ParallelBuildError) as excinfo:
-            parallel_build(builder, jobs=2, pool="thread")
+            Supervisor(jobs=2, pool="thread").build(builder)
         err = excinfo.value
         assert err.name == "u001"
         assert err.exc_type == "ElabError"
@@ -216,7 +226,7 @@ class TestDeterminismUnderFaults:
 
         par = CutoffBuilder(workload.project,
                             store=BinStore.load_directory(par_dir))
-        parallel_build(par, jobs=4, pool="thread")
+        Supervisor(jobs=4, pool="thread").build(par)
         par.store.save_directory(par_dir)
 
         assert ({n: u.export_pid for n, u in par.units.items()}
@@ -236,13 +246,13 @@ class TestDeterminismUnderFaults:
         slow_fs = SlowFS(write_delay=0.001)
         builder = CutoffBuilder(workload.project,
                                 store=BinStore(fs=slow_fs))
-        parallel_build(builder, jobs=4, pool="thread")
+        Supervisor(jobs=4, pool="thread").build(builder)
         builder.store.save_directory(slow_dir)
         workload.edit_comment("u001")
         builder = CutoffBuilder(
             workload.project,
             store=BinStore.load_directory(slow_dir, fs=slow_fs))
-        parallel_build(builder, jobs=4, pool="thread")
+        Supervisor(jobs=4, pool="thread").build(builder)
         builder.store.save_directory(slow_dir)
 
         assert slow_fs.op_log  # the latency really was injected
@@ -281,7 +291,7 @@ class TestDeterminismUnderFaults:
         serial.store.save_directory(serial_dir)
         par = CutoffBuilder(workload_b.project,
                             store=BinStore.load_directory(par_dir))
-        parallel_build(par, jobs=4, pool="thread")
+        Supervisor(jobs=4, pool="thread").build(par)
         par.store.save_directory(par_dir)
 
         assert ({n: u.export_pid for n, u in par.units.items()}

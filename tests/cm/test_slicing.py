@@ -15,8 +15,8 @@ from repro.cm import (
     BinStore,
     CutoffBuilder,
     SmartBuilder,
+    Supervisor,
     TimestampBuilder,
-    parallel_build,
 )
 from repro.cm.store import (
     HEADER_SUFFIX,
@@ -247,7 +247,7 @@ class TestSlicedParallelDeterminism:
         if jobs == 0:
             b.build()
         else:
-            parallel_build(b, jobs=jobs, pool="thread")
+            Supervisor(jobs=jobs, pool="thread").build(b)
         b.store.save_directory(store_dir)
         w.edit_binding_interface(4)
         b2 = SmartBuilder(w.project,
@@ -255,7 +255,7 @@ class TestSlicedParallelDeterminism:
         if jobs == 0:
             report = b2.build()
         else:
-            report = parallel_build(b2, jobs=jobs, pool="thread")
+            report = Supervisor(jobs=jobs, pool="thread").build(b2)
         assert report.compiled == sorted(["iface"] + w.users_of(4))
         b2.store.save_directory(store_dir)
 

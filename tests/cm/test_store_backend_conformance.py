@@ -312,7 +312,7 @@ class TestCheckpointResume:
         """PR 6's checkpoints and ``--resume`` must work against any
         backend: the journal lives client-side (the cache dir, for
         remote) while checkpointed records route through the backend."""
-        from repro.cm import supervised_build
+        from repro.cm import SupervisePolicy, Supervisor
         from repro.cm.store import JOURNAL_NAME
         from repro.workload import generate_workload, layered
 
@@ -324,8 +324,10 @@ class TestCheckpointResume:
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project,
                               store=BinStore(backend=backend))
-        partial = supervised_build(first, jobs=2, pool="thread",
-                                   checkpoint_dir=bin_dir, max_checkpoints=2)
+        partial = Supervisor(jobs=2, pool="thread",
+                             policy=SupervisePolicy(),
+                             checkpoint_dir=bin_dir,
+                             max_checkpoints=2).build(first)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
         journal_path = os.path.join(bin_dir, JOURNAL_NAME)
@@ -339,8 +341,9 @@ class TestCheckpointResume:
         store = BinStore.load_directory(bin_dir, backend=backend2)
         assert store.health.ok, store.health.render_text()
         second = CutoffBuilder(workload2.project, store=store)
-        report = supervised_build(second, jobs=2, pool="thread",
-                                  resume=True, checkpoint_dir=bin_dir)
+        report = Supervisor(jobs=2, pool="thread",
+                            policy=SupervisePolicy(), resume=True,
+                            checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
         assert finished.isdisjoint(report.compiled)
         assert set(report.loaded) == finished

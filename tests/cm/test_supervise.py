@@ -21,9 +21,8 @@ from repro.cm import (
     CutoffBuilder,
     SupervisePolicy,
     Supervisor,
-    WorkerFaults,
-    supervised_build,
 )
+from repro.cm.faults import WorkerFaults, faulty_executors
 from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.obs.tracer import Tracer
 from repro.workload import generate_workload
@@ -73,10 +72,11 @@ class TestFaultsConverge:
         faults = WorkerFaults(crash_units=frozenset({"u005"}),
                               slow_units=frozenset({"u007"}),
                               delay=5.0)
-        report = supervised_build(
-            builder, jobs=4, pool="thread", faults=faults,
+        report = Supervisor(
+            jobs=4, pool="thread",
             policy=SupervisePolicy(retries=2, backoff_base=0.001,
-                                   timeout=0.25))
+                                   timeout=0.25),
+            executor_factory=faulty_executors(faults)).build(builder)
         assert len(report.compiled) == 40
         assert not report.failed and not report.skipped
         assert report.retries >= 2  # the crash and the timeout
@@ -96,10 +96,33 @@ class TestFaultsConverge:
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(
             crash_units=frozenset({"u000", "u004", "u008"}))
-        report = supervised_build(builder, jobs=2, pool="thread",
-                                  faults=faults, policy=FAST)
+        report = Supervisor(
+            jobs=2, pool="thread", policy=FAST,
+            executor_factory=faulty_executors(faults)).build(builder)
         assert not report.failed and not report.skipped
         assert report.retries == 3
+
+        out_dir = str(tmp_path / "supervised")
+        builder.store.save_directory(out_dir)
+        assert store_files(out_dir) == store_files(serial_dir)
+
+    def test_fault_plan_on_a_process_pool(self, tmp_path):
+        """The plan travels in every submit call, so it must pickle: a
+        crash and a stall on real worker processes still converge to
+        the serial bytes."""
+        shape = layered([3, 3, 3], seed=7)
+        serial_dir = str(tmp_path / "serial")
+        serial_reference(shape, serial_dir)
+
+        workload = generate_workload(shape, helpers_per_unit=1)
+        builder = CutoffBuilder(workload.project)
+        faults = WorkerFaults(crash_units=frozenset({"u004"}),
+                              slow_units=frozenset({"u001"}), delay=0.05)
+        report = Supervisor(
+            jobs=2, pool="process", policy=FAST,
+            executor_factory=faulty_executors(faults)).build(builder)
+        assert report.pool == "process"
+        assert report.retries == 1
 
         out_dir = str(tmp_path / "supervised")
         builder.store.save_directory(out_dir)
@@ -109,10 +132,10 @@ class TestFaultsConverge:
         """jobs=1 (inline, no pool) still runs the retry machinery."""
         workload = generate_workload(fanout(3), helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        report = supervised_build(
-            builder, jobs=1, faults=WorkerFaults(
-                crash_units=frozenset({"u002"})),
-            policy=FAST)
+        report = Supervisor(
+            jobs=1, policy=FAST,
+            executor_factory=faulty_executors(WorkerFaults(
+                crash_units=frozenset({"u002"})))).build(builder)
         assert not report.failed
         assert report.retries == 1
         assert report.pool == "inline"
@@ -124,10 +147,11 @@ class TestPoisonAndSkip:
     def build_with_poison(self, meter=None):
         workload = generate_workload(self.SHAPE, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project, meter=meter)
-        report = supervised_build(
-            builder, jobs=2, pool="thread",
-            faults=WorkerFaults(poison_units=frozenset({"u001"})),
-            policy=SupervisePolicy(retries=1, backoff_base=0.001))
+        report = Supervisor(
+            jobs=2, pool="thread",
+            policy=SupervisePolicy(retries=1, backoff_base=0.001),
+            executor_factory=faulty_executors(WorkerFaults(
+                poison_units=frozenset({"u001"})))).build(builder)
         return builder, report
 
     def test_poison_unit_skips_only_its_dependents(self):
@@ -174,8 +198,8 @@ class TestPoisonAndSkip:
             "u001",
             "structure Broken = struct val x = no_such_thing end")
         builder = CutoffBuilder(workload.project)
-        report = supervised_build(builder, jobs=2, pool="thread",
-                                  policy=FAST)
+        report = Supervisor(jobs=2, pool="thread",
+                            policy=FAST).build(builder)
         assert report.failed == ["u001"]
         assert report.retries == 0
         decision = builder.ledger.get("u001")
@@ -190,8 +214,10 @@ class TestResume:
         # Session 1: "killed" after checkpointing two of three waves.
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project)
-        partial = supervised_build(first, jobs=2, pool="thread",
-                                   checkpoint_dir=bin_dir, max_checkpoints=2)
+        partial = Supervisor(jobs=2, pool="thread",
+                             policy=SupervisePolicy(),
+                             checkpoint_dir=bin_dir,
+                             max_checkpoints=2).build(first)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
         journal_path = os.path.join(bin_dir, JOURNAL_NAME)
@@ -205,8 +231,9 @@ class TestResume:
         store = BinStore.load_directory(bin_dir)
         assert store.health.ok
         second = CutoffBuilder(workload2.project, store=store)
-        report = supervised_build(second, jobs=2, pool="thread",
-                                  resume=True, checkpoint_dir=bin_dir)
+        report = Supervisor(jobs=2, pool="thread",
+                            policy=SupervisePolicy(), resume=True,
+                            checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
         assert finished.isdisjoint(report.compiled)
         assert set(report.loaded) == finished
@@ -224,16 +251,18 @@ class TestResume:
         shape = layered([2, 2], seed=3)
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project)
-        supervised_build(first, jobs=2, pool="thread",
-                         checkpoint_dir=bin_dir, max_checkpoints=1)
+        Supervisor(jobs=2, pool="thread", policy=SupervisePolicy(),
+                   checkpoint_dir=bin_dir,
+                   max_checkpoints=1).build(first)
         with open(os.path.join(bin_dir, JOURNAL_NAME), "w") as f:
             f.write("{torn json")
 
         workload2 = generate_workload(shape, helpers_per_unit=1)
         store = BinStore.load_directory(bin_dir)
         second = CutoffBuilder(workload2.project, store=store)
-        report = supervised_build(second, jobs=2, pool="thread",
-                                  resume=True, checkpoint_dir=bin_dir)
+        report = Supervisor(jobs=2, pool="thread",
+                            policy=SupervisePolicy(), resume=True,
+                            checkpoint_dir=bin_dir).build(second)
         assert not report.failed
         # No journal evidence -> resumed count stays 0, but the store
         # still spares the finished wave a recompile.
@@ -355,10 +384,11 @@ class TestObservability:
         faults = WorkerFaults(crash_units=frozenset({"u002"}),
                               slow_units=frozenset({"u003"}),
                               delay=5.0)
-        report = supervised_build(
-            builder, jobs=3, pool="thread", faults=faults,
+        report = Supervisor(
+            jobs=3, pool="thread",
             policy=SupervisePolicy(retries=2, backoff_base=0.001,
-                                   timeout=0.25))
+                                   timeout=0.25),
+            executor_factory=faulty_executors(faults)).build(builder)
         assert not report.failed
         retry_events = tracer.events_named("retry")
         assert {e.args["unit"] for e in retry_events} \
@@ -373,10 +403,10 @@ class TestObservability:
         tracer = Tracer()
         workload = generate_workload([[], [0]], helpers_per_unit=1)
         builder = CutoffBuilder(workload.project, meter=tracer)
-        report = supervised_build(
-            builder, jobs=2, pool="thread",
-            faults=WorkerFaults(poison_units=frozenset({"u000"})),
-            policy=FAST)
+        report = Supervisor(
+            jobs=2, pool="thread", policy=FAST,
+            executor_factory=faulty_executors(WorkerFaults(
+                poison_units=frozenset({"u000"})))).build(builder)
         assert report.failed == ["u000"]
         assert [e.args["unit"] for e in tracer.events_named("poison")] \
             == ["u000"]

@@ -7,7 +7,7 @@ it never feeds it.
 
 import os
 
-from repro.cm import BinStore, CutoffBuilder, parallel_build
+from repro.cm import BinStore, CutoffBuilder, Supervisor
 from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.obs import Tracer
 from repro.workload import generate_workload
@@ -30,7 +30,7 @@ def flow(store_dir, tracer=None, jobs=0):
 
     def run(builder):
         if jobs:
-            return parallel_build(builder, jobs=jobs, pool="thread")
+            return Supervisor(jobs=jobs, pool="thread").build(builder)
         return builder.build()
 
     builder = CutoffBuilder(workload.project, meter=tracer)

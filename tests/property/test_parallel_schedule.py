@@ -17,9 +17,9 @@ from repro.cm import (
     BinStore,
     CutoffBuilder,
     ParallelBuildError,
-    WorkerFaults,
-    parallel_build,
+    Supervisor,
 )
+from repro.cm.faults import WorkerFaults, faulty_executors
 from repro.workload import generate_workload, random_dag
 
 crash_cases = st.builds(
@@ -46,8 +46,10 @@ def test_worker_crash_mid_wave_degrades_to_crash_safety(case):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     with pytest.raises(ParallelBuildError) as excinfo:
-        parallel_build(builder, jobs=4, pool="inline",
-                       faults=WorkerFaults(crash_units={victim}))
+        Supervisor(jobs=4, pool="inline",
+                   executor_factory=faulty_executors(
+                       WorkerFaults(crash_units={victim}))
+                   ).build(builder)
     assert excinfo.value.name == victim
 
     base = tempfile.mkdtemp(prefix="crashwave-")

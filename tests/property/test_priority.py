@@ -21,7 +21,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cm import BinStore, CutoffBuilder, ReadySet, parallel_build
+from repro.cm import BinStore, CutoffBuilder, ReadySet, Supervisor
 from repro.obs.history import longest_first_key
 from repro.workload import generate_workload, random_dag
 
@@ -83,8 +83,9 @@ def test_longest_first_dispatch_is_a_linear_extension(case):
     deps_by_index, seconds = case
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = parallel_build(builder, jobs=4, pool="inline",
-                            offer_key=longest_first_key(seconds))
+    report = Supervisor(jobs=4, pool="inline",
+                        offer_key=longest_first_key(seconds)
+                        ).build(builder)
     graph = builder.last_graph
     order = report.dispatch_order
     assert sorted(order) == sorted(graph.order)
@@ -103,15 +104,15 @@ def test_longest_first_matches_name_order_store_bytes(case):
     def flow(offer_key, store_dir):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        parallel_build(builder, jobs=4, pool="thread",
-                       offer_key=offer_key)
+        Supervisor(jobs=4, pool="thread",
+                   offer_key=offer_key).build(builder)
         builder.store.save_directory(store_dir)
         # Incremental pass too: edit the root, rebuild warm-store.
         workload.edit_interface("u000")
         builder = CutoffBuilder(workload.project,
                                 store=BinStore.load_directory(store_dir))
-        parallel_build(builder, jobs=4, pool="thread",
-                       offer_key=offer_key)
+        Supervisor(jobs=4, pool="thread",
+                   offer_key=offer_key).build(builder)
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
         files = {}

@@ -23,7 +23,7 @@ from repro.cm import (
     CutoffBuilder,
     DepGraph,
     ReadySet,
-    parallel_build,
+    Supervisor,
 )
 from repro.cm.depend import _topo_order
 from repro.workload import generate_workload, random_dag
@@ -132,7 +132,7 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
         deps_by_index):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = parallel_build(builder, jobs=4, pool="inline")
+    report = Supervisor(jobs=4, pool="inline").build(builder)
     graph = builder.last_graph
     order = report.dispatch_order
     assert sorted(order) == sorted(graph.order)

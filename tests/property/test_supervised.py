@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cm import (
     CutoffBuilder,
     SupervisePolicy,
-    WorkerFaults,
-    supervised_build,
+    Supervisor,
 )
+from repro.cm.faults import WorkerFaults, faulty_executors
 from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload, random_dag
 
@@ -85,11 +85,11 @@ def test_crash_faults_cost_retries_never_bytes(case):
 
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        report = supervised_build(
-            builder, jobs=2, pool="thread",
-            faults=WorkerFaults(crash_units={victim},
-                                crash_attempts=attempts),
-            policy=FAST)
+        report = Supervisor(
+            jobs=2, pool="thread", policy=FAST,
+            executor_factory=faulty_executors(WorkerFaults(
+                crash_units={victim}, crash_attempts=attempts))
+        ).build(builder)
 
         assert not report.failed and not report.skipped
         assert sorted(report.compiled) == sorted(builder.units)
@@ -115,10 +115,10 @@ def test_poison_skips_exactly_the_dependent_cone(case):
 
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = supervised_build(
-        builder, jobs=2, pool="inline",
-        faults=WorkerFaults(poison_units=frozenset({victim})),
-        policy=FAST)
+    report = Supervisor(
+        jobs=2, pool="inline", policy=FAST,
+        executor_factory=faulty_executors(WorkerFaults(
+            poison_units=frozenset({victim})))).build(builder)
 
     assert report.failed == [victim]
     assert sorted(report.skipped) == sorted(cone)
