@@ -3,9 +3,10 @@
 The context wraps the project and an already-built
 :class:`~repro.cm.depend.DepGraph` and memoizes everything rules need:
 
-- parsed declarations come straight from ``graph.parsed`` (populated by
-  :func:`repro.cm.depend.analyze`, possibly from the builder's
-  dependency cache) -- the analyzer never re-parses a unit;
+- parsed declarations come straight from ``graph.parsed``: what
+  :func:`repro.cm.depend.analyze` parsed is reused, and a unit whose
+  dependency summary came from a bin header is parsed on first read --
+  the analyzer parses each unit at most once;
 - token streams are lexed lazily, once per unit, purely to attach
   line/col spans to names (lexing is not parsing and is an order of
   magnitude cheaper);

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 from repro.lang import ast
 from repro.lang.freevars import (MODULE_NAMESPACES, Mentions,
-                                 defined_module_names,
-                                 module_level_mentions)
+                                 binding_key, defined_module_names,
+                                 module_level_mentions, split_binding_key)
 
 
 @dataclass(frozen=True)
@@ -284,19 +284,6 @@ class _Scanner:
 
 
 # -- use/def sets --------------------------------------------------------
-
-
-def binding_key(ns: str, name: str) -> str:
-    """The canonical ``"ns:name"`` spelling of a module-level binding --
-    the key format of ``DepGraph.uses``, of bin-record ``binding_pids``
-    / ``used_bindings``, and of the ledger's binding checks."""
-    return f"{ns}:{name}"
-
-
-def split_binding_key(key: str) -> tuple[str, str]:
-    """Inverse of :func:`binding_key`."""
-    ns, _, name = key.partition(":")
-    return ns, name
 
 
 def uses_from_mentions(mentions: Mentions, providers: dict[str, str],

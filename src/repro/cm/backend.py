@@ -47,7 +47,9 @@ from repro.pids.crc128 import crc128_hex
 #: On-disk header format version; bump when the pickle registry or the
 #: record layout changes incompatibly.  Unsupported records are skipped
 #: at load (treated as cache misses).  v4 added the interface-slicing
-#: fields ``binding_pids`` / ``used_bindings``.
+#: fields ``binding_pids`` / ``used_bindings``.  The optional
+#: ``dep_summary`` field needs no bump: a reader that predates it
+#: ignores it, and a record without it loads (its unit is parsed).
 FORMAT_VERSION = 4
 #: Versions the store still reads.  v3 records predate slicing; they
 #: load with empty slice fields, so the smart builder degrades to

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from repro.cm.depend import DepGraph, analyze
+from repro.cm.depend import DepGraph, analyze, memo_summary
 from repro.cm.project import Project
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import BinRecord, BinStore
@@ -51,7 +51,9 @@ class BaseBuilder:
         self.restrict = restrict
         self.visible = visible
         #: Dependency-analysis memo, keyed by unit and source text (§9:
-        #: the IRM caches per-file dependency information).
+        #: the IRM caches per-file dependency information).  It seeds
+        #: each new record's dependency summary, which later sessions
+        #: read back instead of parsing.
         self._dep_cache: dict = {}
         #: Stable-library archives pending load, and the module-provider
         #: map of every stable unit already loaded.
@@ -119,7 +121,8 @@ class BaseBuilder:
     def analyze(self) -> DepGraph:
         graph = analyze(self.project, restrict=self.restrict,
                         visible=self.visible, cache=self._dep_cache,
-                        extra_providers=self._stable_providers)
+                        extra_providers=self._stable_providers,
+                        store=self.store)
         self.last_graph = graph
         return graph
 
@@ -357,6 +360,8 @@ class BaseBuilder:
             payload=unit.payload,
             built_at=self.project.clock,
             binding_pids=dict(unit.binding_pids),
+            dep_summary=memo_summary(self._dep_cache, name,
+                                     self.project.source(name)),
         )
 
     def load(self, name: str, record: BinRecord,

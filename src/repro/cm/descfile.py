@@ -93,7 +93,7 @@ def load_group_file(path: str, project: Project | None = None,
         return state, project
 
     _loading[path] = "in-progress"
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         name, members, imports = parse_desc(f.read(), origin=path)
 
     base_dir = os.path.dirname(path)
@@ -110,7 +110,7 @@ def load_group_file(path: str, project: Project | None = None,
             raise DescFileError(
                 f"{path}: member {member} does not exist")
         unit_name = os.path.splitext(os.path.basename(member))[0]
-        with open(member_path) as f:
+        with open(member_path, encoding="utf-8") as f:
             source = f.read()
         if unit_name in project:
             if project.source(unit_name) != source:

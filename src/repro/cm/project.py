@@ -4,7 +4,9 @@ Sources live in memory with a *logical clock* standing in for file
 mtimes; every add/edit advances the clock, making timestamp-based build
 decisions deterministic and testable (no real-filesystem mtime
 granularity games).  :meth:`Project.from_directory` loads ``.sml`` files
-from disk for the runnable examples.
+from disk for the runnable examples.  Sources are read as UTF-8 whatever
+the locale, as the build daemon reads them: source digests key bin
+records, so every front end must decode a file the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ class Project:
         project = cls()
         for entry in sorted(os.listdir(path)):
             if entry.endswith(suffix):
-                with open(os.path.join(path, entry)) as f:
+                with open(os.path.join(path, entry),
+                          encoding="utf-8") as f:
                     project.add(entry[: -len(suffix)], f.read())
         return project
 

@@ -1,8 +1,9 @@
 """The bin-file store: persistent compilation results.
 
 A :class:`BinRecord` is one bin file: header (name, source digest, export
-pid, import pid list, logical build time, builder-specific extras) plus
-the dehydrated payload.  :class:`BinStore` is the store; it survives
+pid, import pid list, logical build time, slice pids, the source's
+dependency summary, builder-specific extras) plus the dehydrated
+payload.  :class:`BinStore` is the store; it survives
 "sessions" (builder instances), which is the whole point -- cross-session
 reuse is what dehydration buys.
 
@@ -77,6 +78,7 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
 )
 from repro.cm.backend import lock_owner as _lock_owner  # noqa: F401
 from repro.cm.backend import record_stem as _record_stem
+from repro.cm.depend import DepSummary
 from repro.cm.faults import REAL_FS, FileSystem
 from repro.obs.meter import NULL_METER, BuildMeter
 from repro.pids.crc128 import CRC128, crc128_hex
@@ -216,6 +218,10 @@ class BinRecord:
     #: provider unit -> {"ns:name": the provider's binding pid then}.
     #: An empty pid means the provider had no slice data at the time.
     used_bindings: dict = field(default_factory=dict)
+    #: The dependency summary of the source this record was compiled
+    #: from; None on records written before summaries were stored,
+    #: whose units a new session parses.
+    dep_summary: DepSummary | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -295,7 +301,9 @@ class BinStore:
 
     # -- disk persistence ---------------------------------------------------
 
-    def _header_for(self, record: BinRecord) -> dict:
+    def _header_bytes(self, record: BinRecord) -> bytes:
+        """A record's header as written: compact JSON (any spelling
+        loads, since the record digest is over a canonical form)."""
         header = {
             "format": FORMAT_VERSION,
             "name": record.name,
@@ -308,8 +316,10 @@ class BinStore:
             "extra": record.extra,
             "payload_crc": crc128_hex(record.payload),
         }
+        if record.dep_summary is not None:
+            header["dep_summary"] = record.dep_summary.to_json()
         header["record_digest"] = _record_digest(header, record.payload)
-        return header
+        return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     def _backend_for(self, path: str) -> StoreBackend:
         """The backend a save/checkpoint aimed at ``path`` should use:
@@ -384,8 +394,7 @@ class BinStore:
             for name in sorted(dirty):
                 record = self._records[name]
                 stem = escape_name(name)
-                header_bytes = json.dumps(
-                    self._header_for(record), indent=1).encode("utf-8")
+                header_bytes = self._header_bytes(record)
                 backend.put(stem, header_bytes, record.payload)
                 stats.records_written += 1
                 stats.bytes_written += len(record.payload) + len(header_bytes)
@@ -438,8 +447,7 @@ class BinStore:
         for name in sorted(dirty):
             record = self._records[name]
             stem = escape_name(name)
-            header_bytes = json.dumps(
-                self._header_for(record), indent=1).encode("utf-8")
+            header_bytes = self._header_bytes(record)
             rlock = backend.record_lock(stem, lock_timeout)
             rlock.acquire(required=True)
             try:
@@ -745,6 +753,15 @@ class BinStore:
                        "used_bindings is not a {provider: {key: pid}} "
                        "table")
             return None
+        # Absent on records written before summaries were stored.
+        dep_summary = None
+        if "dep_summary" in header:
+            try:
+                dep_summary = DepSummary.from_json(header["dep_summary"])
+            except ValueError as err:
+                report.add(name, "malformed-header", header_file,
+                           f"dep_summary: {err}")
+                return None
 
         self._records[name] = BinRecord(
             name=name,
@@ -755,6 +772,7 @@ class BinStore:
             built_at=header["built_at"],
             binding_pids=binding_pids,
             used_bindings=used_bindings,
+            dep_summary=dep_summary,
             extra=header.get("extra", {}),
         )
         return name

@@ -30,6 +30,20 @@ from repro.lang import ast
 MODULE_NAMESPACES = ("structures", "signatures", "functors")
 
 
+def binding_key(ns: str, name: str) -> str:
+    """The canonical ``"ns:name"`` spelling of a module-level binding --
+    the key format of ``DepGraph.uses``, of bin-record ``binding_pids``
+    / ``used_bindings`` / ``dep_summary``, and of the ledger's binding
+    checks."""
+    return f"{ns}:{name}"
+
+
+def split_binding_key(key: str) -> tuple[str, str]:
+    """Inverse of :func:`binding_key`."""
+    ns, _, name = key.partition(":")
+    return ns, name
+
+
 @dataclass
 class Mentions:
     """Names mentioned per namespace."""

@@ -67,7 +67,7 @@ def binding_pids(
     """Per-binding intrinsic pids: the interface *slice* hashes.
 
     One pid per exported module-level binding, keyed ``"ns:name"``
-    (the :func:`repro.analysis.scopes.binding_key` format).  Each is a
+    (the :func:`repro.lang.freevars.binding_key` format).  Each is a
     CRC-128 over just that binding's canonical (alpha-converted,
     line-normalized) dehydration, so a binding's pid moves exactly when
     *its* interface slice changes -- edits to sibling bindings are

@@ -1,10 +1,17 @@
 """The command-line build driver (python -m repro.cm)."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cm.__main__ import main
+from repro.units.pipeline import source_digest
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 @pytest.fixture
@@ -239,3 +246,34 @@ class TestScheduleAndServe:
             main([srcdir, "--trace-sample", "2"])
         assert excinfo.value.code == 2
         assert "--serve" in capsys.readouterr().err
+
+
+class TestSourceEncoding:
+    """The batch front end reads sources as UTF-8 whatever the locale,
+    as the daemon does: source digests key bin records and their
+    dependency summaries, so both must decode a file the same way."""
+
+    NON_ASCII = "(* caf\u00e9 *)\nstructure A = struct val x = 20 end\n"
+
+    @pytest.mark.parametrize("target", ["dir", "group"])
+    def test_non_ascii_source_builds_under_the_c_locale(self, tmp_path,
+                                                        target):
+        proj = tmp_path / "proj"
+        proj.mkdir()
+        (proj / "a.sml").write_text(self.NON_ASCII, encoding="utf-8")
+        (proj / "b.sml").write_text(
+            "structure B = struct val y = A.x + 22 end\n")
+        (proj / "all.cm").write_text(
+            "group all\nmembers\n  a.sml\n  b.sml\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+        built = str(proj if target == "dir" else proj / "all.cm")
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cm", built, "--print", "B.y"],
+            env=env, capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+        assert b"B.y = 42" in run.stdout
+        if target == "dir":
+            with open(proj / ".bin" / "a.bin.json", encoding="utf-8") as f:
+                header = json.load(f)
+            assert header["source_digest"] == source_digest(self.NON_ASCII)
