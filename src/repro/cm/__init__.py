@@ -50,7 +50,7 @@ from repro.cm.make import TimestampBuilder
 from repro.cm.manager import CutoffBuilder
 from repro.cm.smart import SmartBuilder
 from repro.cm.parallel import ParallelBuildError, ReadySet
-from repro.cm.supervise import BuildJournal, SupervisePolicy, Supervisor
+from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.cm.daemon import (
     BuildDaemon,
     DaemonError,
@@ -91,7 +91,6 @@ __all__ = [
     "SmartBuilder",
     "ParallelBuildError",
     "ReadySet",
-    "BuildJournal",
     "SupervisePolicy",
     "Supervisor",
     "sweep_stale_artifacts",

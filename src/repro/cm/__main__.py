@@ -35,18 +35,12 @@ Options:
     --jobs N                        compile up to N ready units at once
                                     on a worker pool (same store bytes
                                     as a serial build)
-    --priority {name,longest-first} with --jobs N > 1 or supervision:
-                                    offer ready units by name, or
-                                    longest compile first using recorded
-                                    build profiles (same store bytes
-                                    either way)
     --retries N                     supervised build: retry transient
                                     worker failures up to N times per unit
-    --timeout SECONDS               supervised build: per-attempt wall
-                                    clock once a worker starts it; hung
-                                    workers are rescheduled
-    --resume                        continue a killed build from the bin
-                                    store + journal checkpoint
+    --timeout SECONDS               with --jobs N > 1: supervised build,
+                                    per-attempt wall clock once a worker
+                                    starts it; hung workers are
+                                    rescheduled
     --quarantine                    with --fsck: move damaged record files
                                     aside into .bin/quarantine/
     --serve                         run as a resident build daemon:
@@ -135,14 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                              "tracing, full spans for 1-in-N builds "
                              "and cheap counters otherwise (served by "
                              "the daemon's stats request)")
-    parser.add_argument("--priority", choices=["name", "longest-first"],
-                        default="name",
-                        help="with --jobs N > 1 or supervision: offer "
-                             "ready units by name order (default) or "
-                             "longest compile first, using per-unit "
-                             "times from "
-                             "recorded build profiles; store bytes are "
-                             "identical either way")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="supervise the build: retry transient "
                              "worker failures up to N times per unit "
@@ -150,14 +136,10 @@ def main(argv: list[str] | None = None) -> int:
                              "units skip only their dependents")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="supervise the build: per-attempt wall "
-                             "clock; a hung worker is abandoned and "
-                             "its unit rescheduled")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue a previously killed supervised "
-                             "build from the bin store and its "
-                             "BUILD_JOURNAL.json (completed units are "
-                             "not recompiled)")
+                        help="with --jobs N > 1: supervise the build "
+                             "with a per-attempt wall clock; a hung "
+                             "worker is abandoned and its unit "
+                             "rescheduled")
     parser.add_argument("--quarantine", action="store_true",
                         help="with --fsck: move damaged record files "
                              "aside into .bin/quarantine/ so the next "
@@ -189,6 +171,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("srcdir is required unless --serve is given")
     if args.trace_sample:
         parser.error("--trace-sample needs --serve")
+    if args.timeout is not None and args.jobs <= 1:
+        # The inline tier runs each compile at submit time, so no
+        # deadline could ever fire.
+        parser.error("--timeout needs --jobs N > 1")
 
     if args.fsck:
         return _run_fsck(args)
@@ -237,24 +223,14 @@ def _build_directory(args, tracer):
         return 2, None, None
     builder = MANAGERS[args.manager](project, store=store, meter=tracer)
 
-    # Build history: the prior profile is the --explain-diff baseline
-    # and feeds --priority longest-first; this build's profile is
-    # recorded after a successful store save.
-    from repro.obs.history import (
-        BuildHistory,
-        longest_first_key,
-        profile_from_report,
-    )
+    # Build history: the prior profile is the --explain-diff baseline;
+    # this build's profile is recorded after a successful store save.
+    from repro.obs.history import BuildHistory, profile_from_report
     history = BuildHistory(bin_dir, fs=store.fs)
     prior_profile = history.latest(args.manager)
-    offer_key = None
-    if args.priority == "longest-first":
-        offer_key = longest_first_key(
-            history.compile_seconds(args.manager))
 
     policy = None
-    if args.retries is not None or args.timeout is not None \
-            or args.resume:
+    if args.retries is not None or args.timeout is not None:
         from repro.cm.supervise import SupervisePolicy
         policy = SupervisePolicy(
             retries=args.retries if args.retries is not None else 2,
@@ -262,9 +238,7 @@ def _build_directory(args, tracer):
     try:
         report = builder.build(
             jobs=max(1, args.jobs), pool=args.pool, policy=policy,
-            resume=args.resume,
-            checkpoint_dir=bin_dir if policy is not None else None,
-            offer_key=offer_key)
+            checkpoint_dir=bin_dir if policy is not None else None)
     except Exception as err:  # ElabError, DependencyError, ParseError...
         print(f"error: {err}", file=sys.stderr)
         return 1, builder, None
@@ -429,7 +403,6 @@ def _run_serve(args) -> int:
                          pool=args.pool,
                          store_backend=args.store_backend,
                          store_url=args.store_url,
-                         priority=args.priority,
                          trace_sample=max(0, args.trace_sample))
     default_group = args.srcdir if args.srcdir \
         and os.path.isdir(args.srcdir) else None

@@ -64,9 +64,6 @@ MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "store.lock"
 #: Per-record lock files (merge saves): ``<stem>.rlock``.
 RECORD_LOCK_SUFFIX = ".rlock"
-#: The supervised-build resume journal (see :mod:`repro.cm.supervise`);
-#: rides in the store directory but is not a record.
-JOURNAL_NAME = "BUILD_JOURNAL.json"
 #: Where damaged record files are moved aside (``quarantine=True``).
 QUARANTINE_DIR = "quarantine"
 #: The sharded layout's record subdirectory.
@@ -78,7 +75,7 @@ CACHE_INDEX_NAME = "CACHE_INDEX.json"
 #: Store-directory entries that are never record files and are left
 #: alone by listing and pruning.
 _SKIP_ENTRIES = frozenset({
-    MANIFEST_NAME, LOCK_NAME, JOURNAL_NAME, QUARANTINE_DIR,
+    MANIFEST_NAME, LOCK_NAME, QUARANTINE_DIR,
     CACHE_INDEX_NAME,
 })
 
@@ -322,10 +319,9 @@ class StoreBackend:
 
     - ``kind``: ``"flat"`` / ``"sharded"`` / ``"remote"``;
     - ``fs``: the *local* filesystem seam (the remote backend's is its
-      cache's) -- journals and checkpoints ride through it;
+      cache's) -- checkpoints ride through it;
     - ``root``: the local anchor directory (store dir, or the remote
-      backend's cache dir): the journal, the resume checkpoint and the
-      store lock live here;
+      backend's cache dir): the store lock lives here;
     - ``key``: the backend's identity for "is this save going where the
       load came from" bookkeeping;
     - ``label``: what health reports print as the store's location;
@@ -423,9 +419,8 @@ class StoreBackend:
         raise NotImplementedError
 
     def sweep_stale(self) -> list[str]:
-        """Sweep a killed prior run's debris: stale resume journals and
-        dead record locks (see
-        :func:`repro.cm.store.sweep_stale_artifacts`)."""
+        """Sweep a killed prior run's debris: record locks whose owner
+        is dead (see :func:`repro.cm.store.sweep_stale_artifacts`)."""
         raise NotImplementedError
 
     def ensure_quarantine_dir(self) -> str | None:
@@ -684,10 +679,7 @@ class DirectoryBackend(StoreBackend):
         for entry in entries:
             full = os.path.join(self.root, entry)
             try:
-                if entry in (JOURNAL_NAME, JOURNAL_NAME + TMP_SUFFIX):
-                    fs.remove(full)
-                    swept.append(entry)
-                elif entry.endswith(RECORD_LOCK_SUFFIX):
+                if entry.endswith(RECORD_LOCK_SUFFIX):
                     owner = lock_owner(fs, full)
                     if owner is None or not fs.pid_alive(owner):
                         fs.remove(full)
@@ -761,8 +753,8 @@ class DirectoryBackend(StoreBackend):
 
 class ShardedBackend(DirectoryBackend):
     """Record pairs under ``shards/<hh>/`` where ``hh`` is
-    :func:`shard_of` the record key.  Manifest, locks, journal and
-    quarantine stay at the root, so checkpoints, resume and fsck work
+    :func:`shard_of` the record key.  Manifest, store lock and
+    quarantine stay at the root, so checkpoints and fsck work
     unchanged; only pair placement (and therefore directory fan-out)
     differs from the flat layout."""
 

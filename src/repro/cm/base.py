@@ -65,8 +65,7 @@ class BaseBuilder:
     # -- the build loop -----------------------------------------------------
 
     def build(self, jobs: int = 1, pool: str = "process", policy=None,
-              resume: bool = False, checkpoint_dir: str | None = None,
-              offer_key=None) -> BuildReport:
+              checkpoint_dir: str | None = None) -> BuildReport:
         """Bring every unit up to date; returns what was done.
 
         With ``jobs == 1`` and no supervision this is the serial loop
@@ -75,28 +74,24 @@ class BaseBuilder:
         each unit is decided the moment its last import lands and its
         compile runs on a ``jobs``-worker ``pool``; the resulting
         statenv, bin store contents and export pids are byte-identical
-        to a serial build.  ``offer_key`` reorders the ready set's
-        offers, e.g. longest-prior-compile-first from a build profile
-        (:func:`repro.obs.history.longest_first_key`) -- a pure
-        scheduling hint, same bytes for every key.
+        to a serial build.
 
         Without supervision the first failed compile raises
         :class:`~repro.cm.parallel.ParallelBuildError`.  A ``policy``
-        (or ``resume`` / ``checkpoint_dir``, which imply the default
-        one) supervises instead: worker failures retry with backoff,
-        hung workers time out and reschedule, poison units skip only
-        their dependents, and with a ``checkpoint_dir`` the build
-        checkpoints at quiet points and can ``resume`` after a kill.
+        (or a ``checkpoint_dir``, which implies the default one)
+        supervises instead: worker failures retry with backoff, hung
+        workers time out and reschedule, poison units skip only their
+        dependents, and with a ``checkpoint_dir`` the store is saved
+        there at quiet points, so a killed build's rerun over that
+        store loads every unit that finished.
         """
-        supervised = (policy is not None or resume
-                      or checkpoint_dir is not None)
+        supervised = policy is not None or checkpoint_dir is not None
         if jobs != 1 or supervised:
             from repro.cm.supervise import SupervisePolicy, Supervisor
             if supervised and policy is None:
                 policy = SupervisePolicy()
             return Supervisor(jobs=jobs, pool=pool, policy=policy,
-                              resume=resume, checkpoint_dir=checkpoint_dir,
-                              offer_key=offer_key).run(self)
+                              checkpoint_dir=checkpoint_dir).run(self)
         meter = self.meter
         t0 = time.perf_counter()
         report = BuildReport()

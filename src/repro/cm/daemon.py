@@ -32,15 +32,15 @@ all of that warm across requests:
   byte-for-byte.
 - **Supervised builds.**  Every request runs the supervised build
   pump (:class:`~repro.cm.supervise.Supervisor`), checkpointing into
-  the group's store, so retries, timeouts, poison quarantine, resume
-  and the explanation ledger all work for daemon-served builds.
+  the group's store, so retries, timeouts, poison quarantine,
+  checkpoints and the explanation ledger all work for daemon-served
+  builds.
 - **Coalescing.**  Duplicate in-flight requests -- same group, same
   manager/jobs/pool -- join the build already running and get its
   report; disjoint groups build concurrently under per-group locks.
 - **Startup sweep.**  First contact with a group's store sweeps a
-  killed prior run's debris (stale ``BUILD_JOURNAL.json``, orphaned
-  ``.rlock``s with dead owners) via
-  :func:`repro.cm.store.sweep_stale_artifacts`.
+  killed prior run's debris (orphaned ``.rlock``s with dead owners)
+  via :func:`repro.cm.store.sweep_stale_artifacts`.
 
 The stdio front end (``python -m repro.cm --serve``) speaks
 newline-delimited JSON, one request object in, one ``sort_keys``
@@ -66,11 +66,7 @@ from repro.cm.smart import SmartBuilder
 from repro.cm.store import BinStore, sweep_stale_artifacts
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
-from repro.obs.history import (
-    BuildHistory,
-    longest_first_key,
-    profile_from_report,
-)
+from repro.obs.history import BuildHistory, profile_from_report
 from repro.obs.meter import NULL_METER
 
 #: The manager table the CLI and the daemon share.
@@ -155,16 +151,12 @@ class _GroupState:
     swept: list = field(default_factory=list)
     #: the group's build-profile ring buffer (created on first open).
     history: BuildHistory | None = None
-    #: manager name -> the latest recorded profile (kept warm so the
-    #: priority key and explain-diff never re-read disk per request).
+    #: manager name -> the latest recorded profile (kept warm so
+    #: explain-diff never re-reads disk per request).
     profiles: dict = field(default_factory=dict)
     #: manager name -> the profile *before* the latest build -- what
     #: ``explain-diff`` compares the latest ledger against.
     prior_profiles: dict = field(default_factory=dict)
-    #: manager name -> per-unit compile seconds merged across profiles
-    #: (the longest-first priority's input), loaded from disk once per
-    #: manager and updated in memory after every build.
-    seconds: dict = field(default_factory=dict)
 
 
 class BuildDaemon:
@@ -185,22 +177,15 @@ class BuildDaemon:
                  pool: str = "thread",
                  policy: SupervisePolicy | None = None, meter=None,
                  build_hook=None, store_backend: str = "auto",
-                 store_url: str | None = None,
-                 priority: str = "name", trace_sample: int = 0):
+                 store_url: str | None = None, trace_sample: int = 0):
         if manager not in MANAGERS:
             raise DaemonError(f"unknown manager {manager!r} "
                               f"(want one of {sorted(MANAGERS)})")
-        if priority not in ("name", "longest-first"):
-            raise DaemonError(f"unknown priority {priority!r} "
-                              f"(want 'name' or 'longest-first')")
         self.manager = manager
         self.jobs = max(1, jobs)
         self.pool = pool
         self.store_backend = store_backend
         self.store_url = store_url
-        #: Ready-set offer order: plain sorted names, or longest prior
-        #: compile time first from the group's build history.
-        self.priority = priority
         self.policy = policy if policy is not None else SupervisePolicy()
         if meter is None and trace_sample > 0:
             # Sampled always-on tracing: full spans 1-in-N builds,
@@ -286,6 +271,11 @@ class BuildDaemon:
         wall = time.perf_counter() - t0
         if self.meter.enabled:
             self.meter.counter("daemon.builds")
+            # The worker-seconds this build had to fill: the ``stats``
+            # occupancy's denominator, whatever jobs each request ran
+            # with.
+            self.meter.counter("daemon.capacity_seconds",
+                               jobs * report.wall_seconds)
             self.meter.complete_span(
                 "daemon-request", t0, time.perf_counter(), cat="daemon",
                 track="daemon", group=state.srcdir, manager=manager,
@@ -349,10 +339,9 @@ class BuildDaemon:
         if total:
             out["hit_rate"] = round((loaded + cached) / total, 6)
         busy = spans.get("worker-compile", {}).get("seconds", 0.0)
-        wall = spans.get("build", {}).get("seconds", 0.0)
-        if wall > 0:
-            out["occupancy"] = round(
-                min(1.0, busy / (self.jobs * wall)), 6)
+        capacity = counters.get("daemon.capacity_seconds", 0)
+        if capacity > 0:
+            out["occupancy"] = round(min(1.0, busy / capacity), 6)
         out["telemetry"] = data
         return out
 
@@ -478,19 +467,11 @@ class BuildDaemon:
             builder = MANAGERS[manager](state.project, store=state.store,
                                         meter=self.meter)
             state.builders[manager] = builder
-        offer_key = None
-        if self.priority == "longest-first":
-            if manager not in state.seconds:
-                # One disk read per (group, manager) lifetime; kept
-                # warm (and updated) in memory after every build.
-                state.seconds[manager] = \
-                    state.history.compile_seconds(manager)
-            offer_key = longest_first_key(state.seconds[manager])
         supervisor = Supervisor(
             jobs=jobs, pool=pool, policy=self.policy,
             checkpoint_dir=state.bin_dir,
             executor_factory=self._executor_factory,
-            keep_executor=True, offer_key=offer_key)
+            keep_executor=True)
         report = supervisor.build(builder)
         builder.store.save_directory(state.bin_dir)
         state.store_sig = BinStore.disk_signature(
@@ -507,8 +488,7 @@ class BuildDaemon:
                         builder, report) -> None:
         """Persist this build's profile and roll the warm history
         state forward: the previously-latest profile becomes the
-        ``explain-diff`` baseline, the new one feeds the next
-        longest-first priority key.  Best effort -- profile IO never
+        ``explain-diff`` baseline.  Best effort -- profile IO never
         fails a build."""
         prior = state.profiles.get(manager)
         if prior is None and manager not in state.profiles:
@@ -521,8 +501,6 @@ class BuildDaemon:
             group=state.srcdir, manager=manager)
         state.history.record(profile)
         state.profiles[manager] = profile
-        state.seconds.setdefault(manager, {}).update(
-            profile.compile_seconds())
 
     def _executor_factory(self, jobs: int, pool: str):
         """Warm-pool seam handed to the supervisor: reuse a cached

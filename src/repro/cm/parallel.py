@@ -6,7 +6,9 @@ statenvs of the units it imports.  A unit can therefore compile the
 moment its last in-graph import has landed, concurrently with every
 other unit in that position: :class:`ReadySet` tracks which units have
 reached it, and the one build pump in :mod:`repro.cm.supervise` drains
-it onto a worker pool.
+it onto a worker pool in sorted name order.  Any offer order gives the
+same store bytes (point 2 below); sorted names also make the dispatch
+order itself reproducible.
 
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
@@ -86,18 +88,10 @@ class ReadySet:
     settled" -- compiled, loaded, cached, failed or skipped all count,
     which is how the supervisor propagates poison through the ready set
     without deadlocking.
-
-    ``key`` overrides the offer order *within* the ready units (e.g.
-    :func:`repro.obs.history.longest_first_key`: longest prior compile
-    time first).  The order is pure scheduling: any offer order yields
-    a linear extension, and record bytes are intrinsic per unit, so
-    every key produces byte-identical stores
-    (``tests/property/test_priority.py`` holds it to that).
     """
 
-    def __init__(self, graph: DepGraph, key=None):
+    def __init__(self, graph: DepGraph):
         self._graph = graph
-        self._key = key
         in_graph = set(graph.order)
         #: unit -> number of in-graph imports not yet completed.
         self._waiting: dict[str, int] = {
@@ -105,26 +99,18 @@ class ReadySet:
                       if dep in in_graph)
             for name in graph.order
         }
-        self._ready: list[str] = self._sorted(
+        self._ready: list[str] = sorted(
             name for name, gates in self._waiting.items() if gates == 0)
-        self._offered: set[str] = set()
         self._done: set[str] = set()
 
-    def _sorted(self, names) -> list[str]:
-        return sorted(names, key=self._key) if self._key is not None \
-            else sorted(names)
-
     def take(self) -> list[str]:
-        """Drain the currently ready units (offer order; offered
-        once)."""
+        """Drain the currently ready units (sorted; offered once)."""
         out, self._ready = self._ready, []
-        self._offered.update(out)
         return out
 
     def complete(self, name: str) -> list[str]:
-        """Retire ``name``; returns the units this made ready (offer
-        order).  The newly ready units also join the next
-        :meth:`take`."""
+        """Retire ``name``; returns the units this made ready (sorted).
+        The newly ready units also join the next :meth:`take`."""
         if name in self._done:
             return []
         self._done.add(name)
@@ -136,12 +122,9 @@ class ReadySet:
             self._waiting[dependent] = gates - 1
             if gates - 1 == 0:
                 released.append(dependent)
-        released = self._sorted(released)
-        self._ready = self._sorted(self._ready + released)
+        released.sort()
+        self._ready = sorted(self._ready + released)
         return released
-
-    def has_ready(self) -> bool:
-        return bool(self._ready)
 
     def outstanding(self) -> int:
         """Units not yet completed."""

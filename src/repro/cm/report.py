@@ -49,13 +49,11 @@ class BuildReport:
     #: ledger the builder kept while deciding this pass).
     ledger: ExplanationLedger | None = None
     #: Supervision telemetry (all zero for unsupervised builds): how
-    #: many attempts were retried, how many timed out, how often the
-    #: pool degraded (process -> thread -> inline), and how many units
-    #: a ``--resume`` pass reused from the journal without recompiling.
+    #: many attempts were retried, how many timed out, and how often
+    #: the pool degraded (process -> thread -> inline).
     retries: int = 0
     timeouts: int = 0
     degraded: int = 0
-    resumed: int = 0
 
     @property
     def failed(self) -> list[str]:
@@ -119,7 +117,7 @@ class BuildReport:
             units = self._by_action(key)
             if units:
                 out[key] = len(units)
-        for key in ("retries", "timeouts", "degraded", "resumed"):
+        for key in ("retries", "timeouts", "degraded"):
             value = getattr(self, key)
             if value:
                 out[key] = value

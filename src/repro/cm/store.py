@@ -52,7 +52,6 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
     COMPAT_FORMATS,
     FORMAT_VERSION,
     HEADER_SUFFIX,
-    JOURNAL_NAME,
     LOCK_NAME,
     MANIFEST_NAME,
     PAYLOAD_SUFFIX,
@@ -799,9 +798,9 @@ class BinStore:
         touched the store since the first was taken; the build daemon
         takes one after each save and reloads the store only when the
         on-disk signature has moved (another process built, fsck
-        quarantined something, a test reached in).  Locks, journals,
-        tmp files and quarantine debris are excluded -- they come and
-        go without changing the records clients would load."""
+        quarantined something, a test reached in).  Locks, tmp files
+        and quarantine debris are excluded -- they come and go without
+        changing the records clients would load."""
         if backend is None:
             backend = detect_dir_backend(path, fs=fs)
         return backend.signature()
@@ -812,18 +811,12 @@ def sweep_stale_artifacts(path: str,
                           backend: StoreBackend | None = None) -> list[str]:
     """Sweep a killed prior run's debris out of a store.
 
-    Two kinds of leftovers survive a ``kill -9`` mid-build and would
-    otherwise haunt a long-lived daemon forever:
-
-    - a stale ``BUILD_JOURNAL.json``: a build that *completes* clears
-      its journal, so one found lying around at daemon startup is a
-      torn checkpoint from a killed run.  The store itself is already
-      consistent (checkpoint saves are atomic per record), so the
-      journal has nothing left to resume and only makes a later
-      ``--resume`` trust counts from a build that no longer exists;
-    - orphaned ``.rlock`` record locks whose owner pid is dead or
-      unreadable: merge-savers skip records someone else holds, so a
-      dead owner's lock would permanently shadow its record.
+    A ``kill -9`` mid-save can leave ``.rlock`` record locks whose
+    owner pid is dead or unreadable.  Merge-savers skip records someone
+    else holds, so a dead owner's lock would permanently shadow its
+    record in a long-lived daemon.  Nothing else needs sweeping: a
+    checkpoint is one store save, atomic per record, so the records a
+    killed build left are consistent and the next build loads them.
 
     Live locks (owner pid still running) are left alone.  Best effort:
     an unreadable directory sweeps nothing, a failed remove skips that

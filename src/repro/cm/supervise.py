@@ -34,12 +34,11 @@ an *event to schedule around*:
   *poisoned*: it is recorded as ``failed``, its dependents are
   ``skipped`` (ledger cause ``poison-import``, naming the culprit), and
   every independent subgraph builds to completion.
-- **Resume.**  With a ``checkpoint_dir``, the store is saved and a
-  :class:`BuildJournal` of completed units written at every quiet
-  point, so a killed build's next run (``resume=True``) reuses
-  everything that finished -- the crash-safe store carries the
-  artifacts, the journal proves which units completed and feeds the
-  report's ``resumed`` count.
+- **Checkpoints.**  With a ``checkpoint_dir``, the store is saved at
+  every quiet point.  A killed build's next run over the same store
+  loads every unit that finished: the crash-safe store's records are
+  the whole resume state (export pids are intrinsic, §5), so a rerun
+  of the same command is the resume.
 
 In both modes a dying pool degrades process -> thread -> inline instead
 of aborting, one rung per dead pool.
@@ -59,8 +58,6 @@ still produces byte-identical store contents to a clean serial build
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -68,7 +65,6 @@ from dataclasses import dataclass
 
 from repro.cm import parallel
 from repro.cm.depend import DepGraph
-from repro.cm.faults import FileSystem
 from repro.cm.parallel import (
     CompileResult,
     ParallelBuildError,
@@ -79,7 +75,7 @@ from repro.cm.parallel import (
     make_executor,
 )
 from repro.cm.report import BuildReport, UnitOutcome
-from repro.cm.store import JOURNAL_NAME, TMP_SUFFIX, StoreError
+from repro.cm.store import StoreError
 from repro.obs.ledger import explain_skip
 from repro.obs.meter import NULL_METER
 
@@ -117,62 +113,6 @@ class SupervisePolicy:
     retryable: tuple = DEFAULT_RETRYABLE
 
 
-class BuildJournal:
-    """The resume journal: which units a (possibly killed) supervised
-    build completed, and with what export pid.
-
-    Rides as ``BUILD_JOURNAL.json`` inside the checkpoint/store
-    directory (the store's load/prune paths know to leave it alone).
-    All IO is best-effort through the store's ``FileSystem`` seam: a
-    journal that cannot be written costs resumability, never the build.
-    """
-
-    def __init__(self, directory: str, fs: FileSystem):
-        self.directory = directory
-        self.fs = fs
-        self.path = os.path.join(directory, JOURNAL_NAME)
-        self.completed: dict[str, str] = {}  # unit name -> export pid
-
-    @classmethod
-    def load(cls, directory: str, fs: FileSystem) -> "BuildJournal":
-        """Read a prior run's journal; damage or absence = empty."""
-        journal = cls(directory, fs)
-        try:
-            data = json.loads(fs.read_bytes(journal.path).decode("utf-8"))
-            completed = data["completed"]
-            if data.get("format") == 1 and isinstance(completed, dict):
-                journal.completed = {
-                    str(k): str(v) for k, v in completed.items()}
-        except Exception:
-            pass  # no journal / torn journal: resume from the store alone
-        return journal
-
-    def mark(self, names, store) -> None:
-        for name in names:
-            record = store.get(name)
-            self.completed[name] = (record.export_pid
-                                    if record is not None else "")
-
-    def write(self) -> bool:
-        """Persist atomically (tmp + rename); False on failure."""
-        payload = json.dumps(
-            {"format": 1, "completed": dict(sorted(self.completed.items()))},
-            indent=1, sort_keys=True).encode("utf-8")
-        try:
-            self.fs.write_bytes(self.path + TMP_SUFFIX, payload)
-            self.fs.replace(self.path + TMP_SUFFIX, self.path)
-            return True
-        except OSError:
-            return False
-
-    def clear(self) -> None:
-        """Remove the journal (the build completed; nothing to resume)."""
-        try:
-            self.fs.remove(self.path)
-        except OSError:
-            pass
-
-
 #: How often the pump looks for queued attempts that started running
 #: (only while a timeout is set and such attempts exist).
 _POLL_SECONDS = 0.05
@@ -196,22 +136,16 @@ class Supervisor:
 
     def __init__(self, jobs: int = 2, pool: str = "process",
                  policy: SupervisePolicy | None = None,
-                 resume: bool = False, checkpoint_dir: str | None = None,
+                 checkpoint_dir: str | None = None,
                  max_checkpoints: int | None = None,
                  executor_factory=None,
-                 keep_executor: bool = False,
-                 offer_key=None):
+                 keep_executor: bool = False):
         self.jobs = jobs
         self.pool = pool
         self.policy = policy
-        self.resume = resume
         self.checkpoint_dir = checkpoint_dir
         self.max_checkpoints = max_checkpoints
         self.executor_factory = executor_factory
-        #: Ready-set offer order override (e.g. longest-first from a
-        #: build profile); None keeps sorted name order.  Scheduling
-        #: only -- store bytes are identical for every key.
-        self.offer_key = offer_key
         #: When True the executor outlives the build -- the daemon's
         #: warm-pool seam (:mod:`repro.cm.daemon` hands a cached
         #: executor in via ``executor_factory`` and shuts it down at
@@ -226,7 +160,6 @@ class Supervisor:
         self.dead: dict[str, str] = {}
         self.retry_spent = 0
         self.report = BuildReport(jobs=jobs)
-        self.journal: BuildJournal | None = None
         self.meter = NULL_METER
 
     def build(self, builder) -> BuildReport:
@@ -253,13 +186,9 @@ class Supervisor:
             self.executor, self.using = factory(self.jobs, self.pool)
             report.pool = self.using
             bsp.set(pool=self.using, units=len(graph.order))
-            if self.checkpoint_dir is not None:
-                self.journal = (BuildJournal.load if self.resume
-                                else BuildJournal)(self.checkpoint_dir,
-                                                   builder.store.fs)
             first = len(report.outcomes)
             try:
-                killed = self._pump(builder, graph)
+                self._pump(builder, graph)
                 report.wall_seconds = time.perf_counter() - t0
                 # Report in the serial loop's order, not completion
                 # order: the same build always reads the same.
@@ -271,15 +200,12 @@ class Supervisor:
                     # Cancels queued work (a fail-fast abort or a
                     # simulated kill) and joins the workers.
                     self.executor.shutdown(wait=True, cancel_futures=True)
-            if self.journal is not None and not killed \
-                    and not report.failed and not report.skipped:
-                self.journal.clear()
             bsp.set(retries=report.retries, timeouts=report.timeouts,
                     degraded=report.degraded, failed=len(report.failed),
-                    skipped=len(report.skipped), resumed=report.resumed)
+                    skipped=len(report.skipped))
         builder._finish_report(report)
         if meter.enabled:
-            for key in ("retries", "timeouts", "degraded", "resumed"):
+            for key in ("retries", "timeouts", "degraded"):
                 value = getattr(report, key)
                 if value:
                     meter.counter(f"supervise.{key}", value)
@@ -287,7 +213,7 @@ class Supervisor:
 
     # -- the pump ---------------------------------------------------------
 
-    def _pump(self, builder, graph: DepGraph) -> bool:
+    def _pump(self, builder, graph: DepGraph) -> None:
         """Admit, dispatch and settle until every unit's fate is known.
 
         The scheduling state is small: ``admit_queue`` holds units the
@@ -305,17 +231,17 @@ class Supervisor:
 
         Checkpointing happens at *quiet points*: whenever the admit
         queue drains and at least one unit finished since the last
-        checkpoint.  Returns True when the ``max_checkpoints`` kill
-        seam fired.
+        checkpoint.  The ``max_checkpoints`` kill seam stops the pump
+        right after a checkpoint.
         """
         meter = self.meter
         policy = self.policy
         report = self.report
-        ready = ReadySet(graph, key=self.offer_key)
+        ready = ReadySet(graph)
         admit_queue: deque[str] = deque(ready.take())
         active: dict[str, tuple] = {}
         pending: list[tuple] = []  # (launch_at, name, attempt, reason)
-        done: list[str] = []  # finished since the last checkpoint
+        done = False  # a unit finished since the last checkpoint
         checkpoints = 0
         timed = policy is not None and policy.timeout is not None
 
@@ -323,6 +249,7 @@ class Supervisor:
             admit_queue.extend(ready.complete(name))
 
         def admit(name: str) -> None:
+            nonlocal done
             report.dispatch_order.append(name)
             culprit = self._poisoned_import(graph, name)
             if culprit is not None:
@@ -337,10 +264,8 @@ class Supervisor:
                                 seq=len(report.dispatch_order))
                 launch(name, 0, reason)
                 return
-            if outcome.action != "compiled":
-                self._count_resumed(name)
             report.add(outcome)
-            done.append(name)
+            done = True
             finish(name)
 
         def launch(name: str, attempt: int, reason: str) -> None:
@@ -376,6 +301,7 @@ class Supervisor:
 
         def settle(name: str, attempt: int, reason: str,
                    result: CompileResult) -> None:
+            nonlocal done
             if meter.enabled and result.worker:
                 # Occupancy: when and where the worker actually ran,
                 # on its own track (perf_counter is host-wide, so
@@ -388,7 +314,7 @@ class Supervisor:
                 with meter.span("apply", cat="unit", unit=name):
                     report.add(_apply_result(builder, graph, name,
                                              reason, result))
-                done.append(name)
+                done = True
                 finish(name)
                 return
             exc_type, message = result.error
@@ -420,14 +346,14 @@ class Supervisor:
             while admit_queue:
                 admit(admit_queue.popleft())
             if done and self.checkpoint_dir is not None:
-                self._checkpoint(builder, done)
-                done.clear()
+                self._checkpoint(builder)
+                done = False
                 checkpoints += 1
                 if self.max_checkpoints is not None \
                         and checkpoints >= self.max_checkpoints:
-                    return True  # simulated kill (test seam)
+                    return  # simulated kill (test seam)
             if not active and not pending:
-                return False
+                return
             now = time.perf_counter()
             due = [item for item in pending if item[0] <= now]
             if due:
@@ -484,11 +410,6 @@ class Supervisor:
                 return self.dead[dep]
         return None
 
-    def _count_resumed(self, name: str) -> None:
-        if self.resume and self.journal is not None \
-                and name in self.journal.completed:
-            self.report.resumed += 1
-
     # -- casualties -------------------------------------------------------
 
     def _poison(self, builder, name: str, exc_type: str, message: str,
@@ -541,9 +462,9 @@ class Supervisor:
 
     # -- checkpointing ----------------------------------------------------
 
-    def _checkpoint(self, builder, done: list[str]) -> None:
-        """Persist a quiet point: store save + journal update.  Best
-        effort -- a full disk costs resumability, never the build."""
+    def _checkpoint(self, builder) -> None:
+        """Persist a quiet point: one store save.  Best effort -- a
+        full disk costs resumability, never the build."""
         try:
             builder.store.save_directory(self.checkpoint_dir)
         except StoreError as err:
@@ -552,9 +473,3 @@ class Supervisor:
             if self.meter.enabled:
                 self.meter.event("checkpoint-failed", cat="supervise",
                                  kind=type(err).__name__)
-            return
-        self.journal.mark(done, builder.store)
-        if not self.journal.write():
-            builder.health.notes.append(
-                "checkpoint journal write failed; resume will fall "
-                "back to the store alone")

@@ -50,7 +50,6 @@ from repro.obs.history import (
     BuildHistory,
     BuildProfile,
     UnitProfile,
-    longest_first_key,
     profile_from_report,
 )
 from repro.obs.diff import ProfileDiff, UnitDiff, diff_against_profile
@@ -77,7 +76,6 @@ __all__ = [
     "BuildHistory",
     "BuildProfile",
     "UnitProfile",
-    "longest_first_key",
     "profile_from_report",
     "ProfileDiff",
     "UnitDiff",

@@ -1,20 +1,13 @@
-"""Build history: compact per-build profiles, persisted and fed back.
+"""Build history: compact per-build profiles, persisted.
 
-PR 4's tracer and ledger observe *one* build and are gone when the
+The tracer and ledger observe *one* build and are gone when the
 process exits.  This module gives every build a durable, compact
 record -- a :class:`BuildProfile` -- and a :class:`BuildHistory` ring
 buffer of them under ``<bin_dir>/profiles/``, so the *next* build can
-act on what the last one measured:
-
-- ``--explain-diff`` (:mod:`repro.obs.diff`) structurally compares
-  today's :class:`~repro.obs.ledger.ExplanationLedger` against the
-  prior profile: "why did this unit rebuild today but not yesterday".
-- ``--priority longest-first`` (:func:`longest_first_key`) orders the
-  ready set's offers by the prior profile's per-unit compile seconds
-  (longest-processing-time-first, the classic list-scheduling
-  heuristic), which raises worker occupancy on imbalanced graphs
-  without changing a single store byte -- record bytes are intrinsic
-  per unit, so dispatch order is observability, not semantics.
+explain itself against the last one: ``--explain-diff``
+(:mod:`repro.obs.diff`) structurally compares today's
+:class:`~repro.obs.ledger.ExplanationLedger` against the prior
+profile -- "why did this unit rebuild today but not yesterday".
 
 A profile captures what the report and ledger already knew at the end
 of a build: per-unit wall seconds and actions, the typed decision
@@ -142,11 +135,6 @@ class BuildProfile:
 
     def unit(self, name: str) -> UnitProfile | None:
         return self.units.get(name)
-
-    def compile_seconds(self) -> dict[str, float]:
-        """Per-unit seconds for units this build actually compiled."""
-        return {u.name: u.seconds for u in self.units.values()
-                if u.action == "compiled"}
 
     def to_json(self) -> dict:
         return {
@@ -336,34 +324,3 @@ class BuildHistory:
             if manager is None or profile.manager == manager:
                 return profile
         return None
-
-    def compile_seconds(self, manager: str | None = None,
-                        depth: int = 4) -> dict[str, float]:
-        """Per-unit compile seconds merged across recent profiles,
-        newest measurement winning.  ``depth`` bounds how far back the
-        merge looks, so one incremental build (which compiles almost
-        nothing) does not erase the timings a full build measured."""
-        merged: dict[str, float] = {}
-        recent = self.profiles(manager)[-depth:]
-        for profile in recent:  # oldest first: newest overwrites
-            merged.update(profile.compile_seconds())
-        return merged
-
-
-def longest_first_key(seconds: dict[str, float]):
-    """A ready-set offer key: longest prior compile time first, name
-    order breaking ties and ranking unknown units (which get the
-    profile median, the neutral guess).  Returns None when there is no
-    history at all -- the caller then keeps plain sorted-name order.
-    """
-    if not seconds:
-        return None
-    ordered = sorted(seconds.values())
-    mid = len(ordered) // 2
-    median = (ordered[mid] if len(ordered) % 2
-              else (ordered[mid - 1] + ordered[mid]) / 2.0)
-
-    def key(name: str):
-        return (-seconds.get(name, median), name)
-
-    return key

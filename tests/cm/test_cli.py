@@ -7,8 +7,12 @@ import sys
 
 import pytest
 
+from repro.cm import CutoffBuilder, Project, SupervisePolicy, Supervisor
 from repro.cm.__main__ import main
+from repro.cm.store import LOCK_NAME
 from repro.units.pipeline import source_digest
+from repro.workload import generate_workload
+from repro.workload.shapes import chain
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -144,13 +148,66 @@ class TestSupervisedCli:
         assert "Main.answer = 42" in out
         assert "2 jobs" in out
 
-    def test_resume_flag_reuses_the_store(self, srcdir, capsys):
-        assert main([srcdir, "--no-link"]) == 0
-        capsys.readouterr()
-        assert main([srcdir, "--resume", "--pool", "thread",
-                     "--no-link"]) == 0
+    @staticmethod
+    def chain_tree(directory):
+        workload = generate_workload(chain(3), helpers_per_unit=1)
+        os.makedirs(directory)
+        for name in workload.project.names():
+            with open(os.path.join(directory, name + ".sml"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(workload.project.source(name))
+        return sorted(workload.project.names())
+
+    @staticmethod
+    def store_files(srcdir):
+        """The bin records and manifest (profiles and locks aside)."""
+        bin_dir = os.path.join(srcdir, ".bin")
+        out = {}
+        for entry in sorted(os.listdir(bin_dir)):
+            path = os.path.join(bin_dir, entry)
+            if entry != LOCK_NAME and os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    out[entry] = fh.read()
+        return out
+
+    def test_killed_build_resumes_on_a_plain_rerun(self, tmp_path,
+                                                   capsys):
+        """A supervised build killed after its first checkpoint leaves
+        the finished units in .bin; the next CLI run loads them and
+        compiles only the rest, ending with a clean build's bytes."""
+        srcdir = str(tmp_path / "killed")
+        names = self.chain_tree(srcdir)
+        killed = Supervisor(
+            jobs=2, pool="thread", policy=SupervisePolicy(),
+            checkpoint_dir=os.path.join(srcdir, ".bin"),
+            max_checkpoints=1).build(
+                CutoffBuilder(Project.from_directory(srcdir)))
+        finished = set(killed.compiled)
+        assert 0 < len(finished) < len(names)
+
+        command = ["--jobs", "2", "--pool", "thread", "--no-link"]
+        assert main([srcdir, *command]) == 0
         out = capsys.readouterr().out
-        assert "0 compiled, 2 loaded" in out
+        for name in names:
+            action = "loaded" if name in finished else "compiled"
+            assert f"[{action:>8}] {name}" in out
+
+        clean = str(tmp_path / "clean")
+        self.chain_tree(clean)
+        assert main([clean, *command]) == 0
+        assert self.store_files(srcdir) == self.store_files(clean)
+
+    def test_timeout_needs_jobs(self, srcdir, capsys):
+        """The inline tier runs each compile at submit time, so a
+        deadline could never fire: --timeout without --jobs N > 1 is
+        refused instead of ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([srcdir, "--timeout", "5", "--no-link"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert main([srcdir, "--timeout", "5", "--jobs", "2",
+                     "--pool", "thread", "--no-link"]) == 0
+        assert "2 compiled" in capsys.readouterr().out
 
     def test_failed_unit_reports_incomplete(self, srcdir, capsys):
         # An elaboration error is deterministic: never retried, the

@@ -30,7 +30,7 @@ from repro.cm import (
     SupervisePolicy,
     TimestampBuilder,
 )
-from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
+from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
 
@@ -260,22 +260,3 @@ class TestCrashMidRequest:
         want_pids, want_files = batch_reference("fanout", "clean",
                                                 tmp_path_factory)
         assert store_files(bin_dir) == want_files
-
-    def test_failed_request_leaves_resumable_journal(self, tmp_path):
-        """A request with casualties keeps its checkpoint journal (the
-        resume contract); the next successful request clears it."""
-        srcdir = str(tmp_path / "served")
-        workload = generate_workload(SHAPES["chain"](),
-                                     helpers_per_unit=1)
-        write_tree(srcdir, workload.project)
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
-        try:
-            broken = request_broken(daemon, srcdir, "u002")
-            assert broken.report.failed
-            journal = os.path.join(srcdir, ".bin", JOURNAL_NAME)
-            assert os.path.exists(journal)
-            fixed = daemon.request(srcdir)
-            assert not fixed.report.failed
-            assert not os.path.exists(journal)
-        finally:
-            daemon.shutdown()

@@ -19,11 +19,13 @@ import json
 import os
 import threading
 
+import pytest
+
 from repro.cm import BuildDaemon, SupervisePolicy
 from repro.cm.daemon import PROTOCOL_VERSION, reply_to_wire, serve, wire_encode
 from repro.obs import Tracer, request_rollup
 from repro.workload import generate_workload
-from repro.workload.shapes import chain, diamond
+from repro.workload.shapes import chain, diamond, fanout
 
 POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
 
@@ -348,6 +350,28 @@ class TestTelemetryOps:
         assert sorted(os.listdir(profile_dir)) == \
             ["BUILD_PROFILE-1.json", "BUILD_PROFILE-2.json"]
 
+    def test_stats_occupancy_counts_each_requests_jobs(self, tmp_path):
+        """Occupancy is worker-busy seconds over the worker-seconds the
+        builds had -- each build's own jobs times its wall time, not
+        the daemon's default jobs."""
+        wide_dir = str(tmp_path / "wide")
+        narrow_dir = str(tmp_path / "narrow")
+        make_group(wide_dir, fanout(4))
+        make_group(narrow_dir, fanout(4))
+        daemon = BuildDaemon(jobs=1, pool="thread", policy=POLICY,
+                             trace_sample=1)
+        try:
+            wide = daemon.request(wide_dir, jobs=2)
+            narrow = daemon.request(narrow_dir)
+            stats = daemon.stats()
+        finally:
+            daemon.shutdown()
+        busy = stats["telemetry"]["spans"]["worker-compile"]["seconds"]
+        capacity = (2 * wide.report.wall_seconds
+                    + 1 * narrow.report.wall_seconds)
+        assert stats["occupancy"] == pytest.approx(busy / capacity,
+                                                   rel=0.01)
+
     def test_explain_diff_before_any_build_is_an_error(self, tmp_path):
         srcdir = str(tmp_path / "grp")
         make_group(srcdir, chain(3))
@@ -359,38 +383,3 @@ class TestTelemetryOps:
         response = json.loads(out.getvalue())
         assert response["ok"] is False
         assert response["error"]["type"] == "DaemonError"
-
-    def test_longest_first_priority_daemon_builds_identically(
-            self, tmp_path):
-        """A longest-first daemon produces the same pids as a
-        name-order one -- priority is scheduling, not semantics."""
-        a_dir = str(tmp_path / "a")
-        b_dir = str(tmp_path / "b")
-        make_group(a_dir, chain(3))
-        make_group(b_dir, chain(3))
-        named = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
-        keyed = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                            priority="longest-first")
-
-        def pids(daemon, srcdir):
-            try:
-                # Twice: the second build has a profile to draw on.
-                daemon.request(srcdir)
-                reply = daemon.request(srcdir)
-            finally:
-                daemon.shutdown()
-            state = daemon._states[os.path.abspath(srcdir)]
-            builder = state.builders["cutoff"]
-            assert sorted(reply.report.dispatch_order) == \
-                ["u000", "u001", "u002"]
-            return {n: u.export_pid for n, u in builder.units.items()}
-
-        assert pids(named, a_dir) == pids(keyed, b_dir)
-
-    def test_unknown_priority_is_rejected(self):
-        try:
-            BuildDaemon(priority="shortest-first")
-        except Exception as err:
-            assert "priority" in str(err)
-        else:
-            raise AssertionError("bad priority accepted")

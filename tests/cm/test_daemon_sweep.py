@@ -1,12 +1,10 @@
 """Startup sweep: a killed prior run must not haunt the daemon.
 
-A ``kill -9`` mid-build can leave two kinds of debris in a store
-directory: a torn ``BUILD_JOURNAL.json`` checkpoint (the build that
-wrote it no longer exists, so there is nothing to resume) and orphaned
-``.rlock`` record locks whose owner pid is dead (merge-savers skip
-locked records, so a dead owner's lock would shadow its record
-forever).  :func:`repro.cm.store.sweep_stale_artifacts` removes both on
-the daemon's first contact with a group; live locks are left alone.
+A ``kill -9`` mid-build can leave orphaned ``.rlock`` record locks in
+a store directory whose owner pid is dead (merge-savers skip locked
+records, so a dead owner's lock would shadow its record forever).
+:func:`repro.cm.store.sweep_stale_artifacts` removes them on the
+daemon's first contact with a group; live locks are left alone.
 """
 
 import json
@@ -22,7 +20,6 @@ from repro.cm import (
     SupervisePolicy,
     sweep_stale_artifacts,
 )
-from repro.cm.store import JOURNAL_NAME
 from repro.workload import generate_workload
 from repro.workload.shapes import chain
 
@@ -31,9 +28,9 @@ POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
 
 def seeded_group(srcdir):
     """A built source tree whose store is then littered with debris
-    from a (simulated) killed run: torn journal, torn journal tmp, an
-    orphaned dead-owner lock, an unreadable lock, and one *live* lock
-    that must survive the sweep."""
+    from a (simulated) killed run: an orphaned dead-owner lock, an
+    unreadable lock, and one *live* lock that must survive the
+    sweep."""
     workload = generate_workload(chain(3), helpers_per_unit=1)
     os.makedirs(srcdir)
     for name in workload.project.names():
@@ -48,10 +45,6 @@ def seeded_group(srcdir):
     # The debris.  A really-dead pid: a child that has already exited.
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
-    with open(os.path.join(bin_dir, JOURNAL_NAME), "w") as fh:
-        fh.write('{"torn": ')  # truncated mid-write
-    with open(os.path.join(bin_dir, JOURNAL_NAME + ".tmp"), "w") as fh:
-        fh.write("{}")
     with open(os.path.join(bin_dir, "u000.rlock"), "w") as fh:
         fh.write(json.dumps({"pid": child.pid}))
     with open(os.path.join(bin_dir, "u001.rlock"), "w") as fh:
@@ -64,11 +57,8 @@ def seeded_group(srcdir):
 def test_sweep_function_removes_exactly_the_debris(tmp_path):
     _workload, bin_dir = seeded_group(str(tmp_path / "grp"))
     swept = sweep_stale_artifacts(bin_dir)
-    assert sorted(swept) == [JOURNAL_NAME, JOURNAL_NAME + ".tmp",
-                             "u000.rlock", "u001.rlock"]
+    assert sorted(swept) == ["u000.rlock", "u001.rlock"]
     left = sorted(os.listdir(bin_dir))
-    assert JOURNAL_NAME not in left
-    assert JOURNAL_NAME + ".tmp" not in left
     assert "u000.rlock" not in left and "u001.rlock" not in left
     assert "zzz.rlock" in left  # live owner: untouched
     # Idempotent (the live lock is not debris), and harmless on
@@ -77,7 +67,7 @@ def test_sweep_function_removes_exactly_the_debris(tmp_path):
     assert sweep_stale_artifacts(str(tmp_path / "nope")) == []
 
 
-def test_daemon_first_contact_sweeps_torn_journal_and_orphans(tmp_path):
+def test_daemon_first_contact_sweeps_orphaned_locks(tmp_path):
     srcdir = str(tmp_path / "grp")
     workload, bin_dir = seeded_group(srcdir)
     daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
@@ -86,15 +76,11 @@ def test_daemon_first_contact_sweeps_torn_journal_and_orphans(tmp_path):
         second = daemon.request(srcdir)
     finally:
         daemon.shutdown()
-    assert sorted(first.swept) == [JOURNAL_NAME, JOURNAL_NAME + ".tmp",
-                                   "u000.rlock", "u001.rlock"]
-    # The swept journal was NOT treated as a resume checkpoint: the
-    # warm store served every unit (all loaded, none recompiled).
+    assert sorted(first.swept) == ["u000.rlock", "u001.rlock"]
+    # The store served every unit (all loaded, none recompiled).
     assert not first.report.compiled
-    assert not first.report.resumed
     assert len(first.report.loaded) == len(workload.project)
     # Sweep happens once, on first contact.
     assert second.swept == []
-    assert not os.path.exists(os.path.join(bin_dir, JOURNAL_NAME))
     assert os.path.exists(os.path.join(bin_dir, "zzz.rlock"))
     assert BinStore.fsck(bin_dir).ok

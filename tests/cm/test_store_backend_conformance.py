@@ -309,11 +309,10 @@ class TestTwoWriters:
 
 class TestCheckpointResume:
     def test_killed_build_resumes_through_any_backend(self, store_harness):
-        """PR 6's checkpoints and ``--resume`` must work against any
-        backend: the journal lives client-side (the cache dir, for
-        remote) while checkpointed records route through the backend."""
+        """Checkpoints route through any backend, so a killed build's
+        rerun over a fresh backend on the same storage loads every
+        unit that finished."""
         from repro.cm import SupervisePolicy, Supervisor
-        from repro.cm.store import JOURNAL_NAME
         from repro.workload import generate_workload, layered
 
         shape = layered([3, 3, 3], seed=1)
@@ -330,25 +329,34 @@ class TestCheckpointResume:
                              max_checkpoints=2).build(first)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
-        journal_path = os.path.join(bin_dir, JOURNAL_NAME)
-        assert os.path.exists(journal_path)
 
-        # Session 2: resume through a fresh backend over the same
-        # storage.  Completed units load, only the missing wave
-        # compiles, and the journal clears on completion.
+        # Session 2: the same build through a fresh backend over the
+        # same storage.  Completed units load and only the missing
+        # wave compiles.
         backend2 = store_harness.backend()
         workload2 = generate_workload(shape, helpers_per_unit=1)
         store = BinStore.load_directory(bin_dir, backend=backend2)
         assert store.health.ok, store.health.render_text()
         second = CutoffBuilder(workload2.project, store=store)
         report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(), resume=True,
+                            policy=SupervisePolicy(),
                             checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
-        assert finished.isdisjoint(report.compiled)
         assert set(report.loaded) == finished
-        assert report.resumed == len(finished)
-        assert not os.path.exists(journal_path)
+        assert set(report.compiled) == \
+            set(workload2.project.names()) - finished
+
+        # A fresh client reads back a clean serial build's records.
+        serial = CutoffBuilder(
+            generate_workload(shape, helpers_per_unit=1).project)
+        serial.build()
+        fresh = store_harness.backend(fresh_cache=True)
+        loaded = BinStore.load_directory(fresh.root, backend=fresh)
+        assert loaded.names() == serial.store.names()
+        for name in serial.store.names():
+            want = serial.store.get(name)
+            assert loaded.get(name).payload == want.payload, name
+            assert loaded.get(name).export_pid == want.export_pid, name
 
 
 class TestFsckAndQuarantine:

@@ -5,7 +5,7 @@ failure.**  A supervised ``--jobs N`` build with injected worker
 crashes and hangs must converge to byte-identical store contents to a
 clean serial build; a poison unit (fails every attempt) must take down
 only its dependents while independent subgraphs finish; a killed build
-must finish under ``--resume`` without recompiling completed units;
+must finish on a rerun without recompiling completed units;
 and every retry, timeout, degradation and skip must surface in the
 ledger and the tracer.
 """
@@ -17,13 +17,12 @@ import pytest
 
 from repro.cm import (
     BinStore,
-    BuildJournal,
     CutoffBuilder,
     SupervisePolicy,
     Supervisor,
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
-from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
+from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.obs.tracer import Tracer
 from repro.workload import generate_workload
 from repro.workload.shapes import fanout, layered
@@ -33,12 +32,11 @@ FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
 
 
 def store_files(store_dir):
-    """Every store file's bytes; locks and the journal excluded (both
-    are transient bookkeeping, not build artifacts)."""
+    """Every store file's bytes; locks excluded (transient
+    bookkeeping, not build artifacts)."""
     out = {}
     for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry == JOURNAL_NAME \
-                or entry.endswith(RECORD_LOCK_SUFFIX):
+        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
             continue
         path = os.path.join(store_dir, entry)
         if os.path.isdir(path):
@@ -220,65 +218,27 @@ class TestResume:
                              max_checkpoints=2).build(first)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
-        journal_path = os.path.join(bin_dir, JOURNAL_NAME)
-        assert os.path.exists(journal_path)
-        journal = json.loads(open(journal_path).read())
-        assert set(journal["completed"]) == finished
 
-        # Session 2: resume.  Completed units load from the
-        # checkpointed store; only the missing wave compiles.
+        # Session 2: the same build again.  The checkpointed store
+        # alone spares every finished unit a recompile; only the
+        # missing wave compiles.
         workload2 = generate_workload(shape, helpers_per_unit=1)
         store = BinStore.load_directory(bin_dir)
         assert store.health.ok
+        assert set(store.names()) == finished
         second = CutoffBuilder(workload2.project, store=store)
         report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(), resume=True,
+                            policy=SupervisePolicy(),
                             checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
-        assert finished.isdisjoint(report.compiled)
         assert set(report.loaded) == finished
-        assert report.resumed == len(finished)
-        # The journal is gone once the build completes...
-        assert not os.path.exists(journal_path)
+        assert set(report.compiled) == \
+            set(workload2.project.names()) - finished
 
         # ...and the result is byte-identical to a clean serial build.
         serial_dir = str(tmp_path / "serial")
         serial_reference(shape, serial_dir)
         assert store_files(bin_dir) == store_files(serial_dir)
-
-    def test_journal_damage_degrades_to_store_only_resume(self, tmp_path):
-        bin_dir = str(tmp_path / "bin")
-        shape = layered([2, 2], seed=3)
-        workload = generate_workload(shape, helpers_per_unit=1)
-        first = CutoffBuilder(workload.project)
-        Supervisor(jobs=2, pool="thread", policy=SupervisePolicy(),
-                   checkpoint_dir=bin_dir,
-                   max_checkpoints=1).build(first)
-        with open(os.path.join(bin_dir, JOURNAL_NAME), "w") as f:
-            f.write("{torn json")
-
-        workload2 = generate_workload(shape, helpers_per_unit=1)
-        store = BinStore.load_directory(bin_dir)
-        second = CutoffBuilder(workload2.project, store=store)
-        report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(), resume=True,
-                            checkpoint_dir=bin_dir).build(second)
-        assert not report.failed
-        # No journal evidence -> resumed count stays 0, but the store
-        # still spares the finished wave a recompile.
-        assert report.resumed == 0
-        assert report.loaded  # wave 0 came from the store
-
-    def test_journal_roundtrip(self, tmp_path):
-        from repro.cm.faults import REAL_FS
-
-        journal = BuildJournal(str(tmp_path), REAL_FS)
-        journal.completed = {"a": "pid1", "b": "pid2"}
-        assert journal.write()
-        loaded = BuildJournal.load(str(tmp_path), REAL_FS)
-        assert loaded.completed == {"a": "pid1", "b": "pid2"}
-        journal.clear()
-        assert BuildJournal.load(str(tmp_path), REAL_FS).completed == {}
 
 
 class TestDegradation:

@@ -1,4 +1,4 @@
-"""Build history: the profile ring buffer and its scheduling feedback."""
+"""Build history: profiles and their ring buffer."""
 
 import json
 import os
@@ -8,7 +8,6 @@ from repro.obs.history import (
     BuildHistory,
     BuildProfile,
     UnitProfile,
-    longest_first_key,
     profile_from_report,
 )
 from repro.obs.ledger import BuildDecision, ExplanationLedger
@@ -110,7 +109,6 @@ class TestRingBuffer:
         history = BuildHistory(str(tmp_path))
         assert history.profiles() == []
         assert history.latest() is None
-        assert history.compile_seconds() == {}
         assert history.next_seq() == 1
 
     def test_latest_filters_by_manager(self, tmp_path):
@@ -120,37 +118,3 @@ class TestRingBuffer:
         assert history.latest("cutoff").units["x"].seconds == 1.0
         assert history.latest("make").units["x"].seconds == 2.0
         assert history.latest("smart") is None
-
-
-class TestCompileSeconds:
-    def test_newest_measurement_wins(self, tmp_path):
-        history = BuildHistory(str(tmp_path))
-        history.record(make_profile(a=5.0, b=1.0))
-        history.record(make_profile(a=2.0))  # incremental: only a
-        merged = history.compile_seconds()
-        assert merged == {"a": 2.0, "b": 1.0}
-
-    def test_depth_bounds_the_merge(self, tmp_path):
-        history = BuildHistory(str(tmp_path))
-        history.record(make_profile(old=9.0))
-        for _ in range(4):
-            history.record(make_profile(a=1.0))
-        assert "old" not in history.compile_seconds(depth=4)
-        assert "old" in history.compile_seconds(depth=5)
-
-
-class TestLongestFirstKey:
-    def test_orders_longest_first_with_name_ties(self):
-        key = longest_first_key({"slow": 5.0, "fast": 1.0, "mid": 3.0})
-        names = sorted(["fast", "mid", "slow"], key=key)
-        assert names == ["slow", "mid", "fast"]
-
-    def test_unknown_units_rank_at_the_median(self):
-        key = longest_first_key({"slow": 5.0, "mid": 3.0, "fast": 1.0})
-        # median is 3.0: unknown sorts with "mid", after "slow",
-        # before "fast"; ties break by name.
-        names = sorted(["fast", "slow", "aaa-new"], key=key)
-        assert names == ["slow", "aaa-new", "fast"]
-
-    def test_no_history_means_no_key(self):
-        assert longest_first_key({}) is None

@@ -21,7 +21,7 @@ from repro.cm import (
     Supervisor,
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
-from repro.cm.store import JOURNAL_NAME, LOCK_NAME, RECORD_LOCK_SUFFIX
+from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload, random_dag
 
 FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
@@ -34,8 +34,7 @@ def store_files(path):
         full = os.path.join(path, entry)
         if not os.path.isfile(full):
             continue
-        if entry in (LOCK_NAME, JOURNAL_NAME) or \
-                entry.endswith(RECORD_LOCK_SUFFIX):
+        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
             continue
         with open(full, "rb") as f:
             out[entry] = f.read()
