@@ -47,15 +47,17 @@ from repro.pids.crc128 import crc128_hex
 #: On-disk header format version; bump when the pickle registry or the
 #: record layout changes incompatibly.  Unsupported records are skipped
 #: at load (treated as cache misses).  v4 added the interface-slicing
-#: fields ``binding_pids`` / ``used_bindings``.  The optional
-#: ``dep_summary`` field needs no bump: a reader that predates it
-#: ignores it, and a record without it loads (its unit is parsed).
-FORMAT_VERSION = 4
-#: Versions the store still reads.  v3 records predate slicing; they
-#: load with empty slice fields, so the smart builder degrades to
-#: whole-pid cutoff for them.  Saves always write
-#: :data:`FORMAT_VERSION`.
-COMPAT_FORMATS = (3, 4)
+#: fields ``binding_pids`` / ``used_bindings``.  v5 hashes source
+#: digests, ``payload_digest`` (formerly the CRC-128 ``payload_crc``)
+#: and ``record_digest`` with BLAKE2b-128, and the record digest covers
+#: the header alone.  The optional ``dep_summary`` field needs no bump:
+#: a reader that predates it ignores it, and a record without it loads
+#: (its unit is parsed).
+FORMAT_VERSION = 5
+#: Versions the store reads.  Only the current one: a record of an
+#: older format (v3, v4) is a stale-format miss that recompiles once,
+#: and the save that follows writes it as :data:`FORMAT_VERSION`.
+COMPAT_FORMATS = (5,)
 
 HEADER_SUFFIX = ".bin.json"
 PAYLOAD_SUFFIX = ".bin"
@@ -326,10 +328,14 @@ class StoreBackend:
       load came from" bookkeeping;
     - ``label``: what health reports print as the store's location;
     - ``notes``: informational messages (e.g. "remote store offline")
-      the store drains into its health report.
+      the store drains into its health report;
+    - ``shared``: other clients build into the same store, so a record
+      this client's project lacks may be theirs and a build never
+      removes it.
     """
 
     kind = "?"
+    shared = False
 
     # -- lifecycle --------------------------------------------------------
 

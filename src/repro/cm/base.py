@@ -15,6 +15,10 @@ from repro.units.pipeline import compile_unit, load_unit, source_digest
 from repro.units.session import Session
 from repro.units.unit import CompiledUnit, DynExport
 
+#: The reason a load that fell back to compiling gives for a damaged
+#: payload (as opposed to a stale one).
+UNREADABLE = "bin file unreadable"
+
 
 class BaseBuilder:
     """A builder = project + bin store + session + live units.
@@ -174,7 +178,7 @@ class BaseBuilder:
                                            f"stable unit unreadable: "
                                            f"{err}"))
                     continue
-                self.units[stable.name] = unit
+                self.install(stable.name, unit)
                 self.stable_names.add(stable.name)
                 self._stable_order.append(stable.name)
                 for module_name in stable.provides:
@@ -224,10 +228,12 @@ class BaseBuilder:
                              action=action) as sp:
             outcome = self.load(name, record, imports)
             if outcome.action == "compiled":
-                # The load degraded to a recompile (unreadable
-                # payload): the ledger must say so.
-                self.explain(name, "compile", outcome.reason, None,
-                             imports)
+                # The load degraded to a recompile: the ledger must say
+                # so.  An unreadable payload is damage (no usable
+                # record); one bound to a superseded interface is stale.
+                damaged = outcome.reason == UNREADABLE
+                self.explain(name, "compile", outcome.reason,
+                             None if damaged else record, imports)
             sp.set(action=outcome.action, reason=outcome.reason)
         if outcome.action == "compiled":
             self.on_compiled(name, graph)
@@ -306,7 +312,7 @@ class BaseBuilder:
         mentions, pinned to the provider's *current* binding pids
         (providers were processed earlier in dependency order, so their
         records are fresh here).  An empty pid marks a provider with no
-        slice data (e.g. loaded from a pre-slicing record); the smart
+        slice data (e.g. a stable-library unit); the smart
         builder treats those conservatively.  Iteration is sorted so
         the header bytes are identical across serial and parallel
         builds.  Overrides should call ``super().on_compiled(...)`` to
@@ -330,8 +336,49 @@ class BaseBuilder:
     def _begin_build(self) -> None:
         """Hook run at the start of every build pass.  Overrides must
         call ``super()._begin_build()``: the explanation ledger is
-        per-pass."""
+        per-pass, and live units the build must not trust are dropped
+        here."""
         self.ledger = ExplanationLedger()
+        self._drop_dead_units()
+
+    def _drop_dead_units(self) -> None:
+        """Drop every live unit the project no longer has, and every
+        live unit bound to a provider version that is no longer live,
+        transitively, retiring their pids.
+
+        A build that retires a provider's pid replaces the units bound
+        to it, except where their recompile failed or never ran (a
+        failed or aborted build), or their provider's source is gone.
+        Such a unit still reaches the retired objects: kept live, it
+        would read as ``cached`` once the provider's pid comes back,
+        and the next unit compiled against it would dehydrate a
+        dangling reference.  Dropped, it reloads from its record
+        against the live objects, or recompiles.
+
+        A removed unit's store record goes too (the next save prunes
+        the files), except in a shared store: another client's project
+        may still have that unit, and server-side GC is an operator
+        action (see ``RemoteBackend.prune``).  Stable-library units
+        have no source and stay."""
+        def removed(name: str) -> bool:
+            return name not in self.project and name not in self.stable_names
+
+        def dead(name: str, unit: CompiledUnit) -> bool:
+            return removed(name) or any(
+                dep not in self.units or self.units[dep].export_pid != pid
+                for dep, pid in unit.imports)
+
+        if self.store.backend is None or not self.store.backend.shared:
+            for name in self.store.names():
+                if removed(name):
+                    self.store.remove(name)
+        while True:
+            doomed = [name for name, unit in self.units.items()
+                      if dead(name, unit)]
+            if not doomed:
+                return
+            for name in doomed:
+                self.session.retire(self.units.pop(name).export_pid)
 
     # -- shared actions --------------------------------------------------
 
@@ -342,9 +389,21 @@ class BaseBuilder:
                             meter=self.meter)
         previous = self.store.get(name)
         pid_changed = previous is None or previous.export_pid != unit.export_pid
-        self.units[name] = unit
+        self.install(name, unit)
         self.store.put(self.make_record(name, unit))
         return UnitOutcome(name, "compiled", reason, pid_changed, unit.times)
+
+    def install(self, name: str, unit: CompiledUnit) -> None:
+        """Make ``unit`` the live unit for ``name``.  When it replaces a
+        unit with a different pid, the old pid is retired from the
+        session: every unit whose interface reaches the old objects
+        hashes that pid, so it too is replaced later in this build (or,
+        if its recompile fails, dropped when the next build starts),
+        and nothing dehydrates against the retired interface."""
+        previous = self.units.get(name)
+        self.units[name] = unit
+        if previous is not None and previous.export_pid != unit.export_pid:
+            self.session.retire(previous.export_pid)
 
     def make_record(self, name: str, unit: CompiledUnit) -> BinRecord:
         return BinRecord(
@@ -361,20 +420,29 @@ class BaseBuilder:
 
     def load(self, name: str, record: BinRecord,
              imports: list[CompiledUnit]) -> UnitOutcome:
-        from repro.pickle import UnpickleError
+        from repro.pickle import UnpickleError, UnresolvedStubError
 
         try:
             unit = load_unit(name, record.export_pid, imports,
                              record.payload, self.session,
                              record.source_digest, meter=self.meter,
                              binding_pids=record.binding_pids)
+        except UnresolvedStubError as err:
+            # The payload passed its digest check, so a pid the session
+            # does not know is an interface this record was compiled
+            # against that is no longer live: a stale record, not damage.
+            provider = next((n for n, pid in record.imports
+                             if pid == err.pid), f"pid {err.pid}")
+            return self.compile(name, imports,
+                                f"bin file uses a superseded interface "
+                                f"of {provider}")
         except UnpickleError as err:
-            # A stale-format or corrupt bin file is a cache miss, not a
-            # build failure -- but it is damage the checksums should
-            # have caught earlier, so put it on the health report too.
+            # A corrupt bin file is a cache miss, not a build failure --
+            # but it is damage the checksums should have caught
+            # earlier, so put it on the health report too.
             self.health.add(name, "rehydrate-failed", detail=str(err))
-            return self.compile(name, imports, "bin file unreadable")
-        self.units[name] = unit
+            return self.compile(name, imports, UNREADABLE)
+        self.install(name, unit)
         return UnitOutcome(name, "loaded", "bin file current", False,
                            unit.times)
 

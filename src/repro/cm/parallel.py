@@ -137,10 +137,14 @@ class ReadySet:
 # -- the worker ----------------------------------------------------------
 #
 # Workers are hermetic: each carries its own Session and a cache of
-# rehydrated units keyed by (name, pid), so later tasks do not re-pay
-# rehydration.  State is thread-local, which covers both pool kinds: a
-# process-pool worker is a single thread, a thread-pool worker must not
-# share a session (stamp registries are not thread-safe) with siblings.
+# rehydrated units, at most one per unit name, so later tasks do not
+# re-pay rehydration.  The worker session registers exactly the cached
+# units' pids plus the basis: a cached unit superseded by a task's
+# closure is evicted and its pid retired, and a unit the worker compiles
+# is retired once its result is built.  State is thread-local, which
+# covers both pool kinds: a process-pool worker is a single thread, a
+# thread-pool worker must not share a session (stamp registries are not
+# thread-safe) with siblings.
 
 
 @dataclass(frozen=True)
@@ -216,27 +220,51 @@ def compile_task(task: CompileTask) -> CompileResult:
         session, cache = _worker_state()
         live = {}
         for dep in task.closure:
-            unit = cache.get((dep.name, dep.pid))
-            if unit is None:
+            unit = cache.get(dep.name)
+            if unit is None or unit.export_pid != dep.pid:
+                if unit is not None:
+                    _evict(session, cache, dep.name)
                 unit = load_unit(dep.name, dep.pid,
                                  [live[d] for d in dep.deps],
                                  dep.payload, session, dep.source_digest)
-                cache[(dep.name, dep.pid)] = unit
+                cache[dep.name] = unit
             live[dep.name] = unit
         imports = [live[d] for d in task.imports]
         unit = compile_unit(task.name, task.source, imports, session)
-        return CompileResult(task.name, unit.export_pid, unit.payload,
-                             unit.source_digest, unit.times,
-                             binding_pids=unit.binding_pids,
-                             started=started,
-                             ended=time.perf_counter(), worker=worker,
-                             attempt=task.attempt)
+        result = CompileResult(task.name, unit.export_pid, unit.payload,
+                               unit.source_digest, unit.times,
+                               binding_pids=unit.binding_pids,
+                               started=started,
+                               ended=time.perf_counter(), worker=worker,
+                               attempt=task.attempt)
+        session.retire(unit.export_pid)
+        cached = cache.get(task.name)
+        if cached is not None and cached.export_pid == unit.export_pid:
+            # Same interface as the cached copy: point the pid back at
+            # the objects the cache (and its dependents) were built on.
+            session.register_exports(cached.export_pid,
+                                     cached.export_index)
+        return result
     except Exception as err:
         return CompileResult(task.name,
                              error=(type(err).__name__, str(err)),
                              started=started,
                              ended=time.perf_counter(), worker=worker,
                              attempt=task.attempt)
+
+
+def _evict(session, cache: dict, name: str) -> None:
+    """Drop the superseded cached unit ``name`` and every cached unit
+    rehydrated against it, retiring their pids.  The cache lists each
+    unit after its imports (a unit is cached only once its imports are,
+    and an evicted import takes its dependents with it), so one pass in
+    insertion order finds every dependent."""
+    doomed = {name}
+    for other, unit in cache.items():
+        if any(dep in doomed for dep, _pid in unit.imports):
+            doomed.add(other)
+    for other in doomed:
+        session.retire(cache.pop(other).export_pid)
 
 
 def _probe() -> int:
@@ -344,7 +372,7 @@ def _apply_result(builder, graph: DepGraph, name: str, reason: str,
     previous = builder.store.get(name)
     pid_changed = (previous is None
                    or previous.export_pid != result.export_pid)
-    builder.units[name] = unit
+    builder.install(name, unit)
     builder.store.put(builder.make_record(name, unit))
     builder.on_compiled(name, graph)
     return UnitOutcome(name, "compiled", reason, pid_changed,

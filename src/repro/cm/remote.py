@@ -34,7 +34,10 @@ some other client compiled.  This module supplies the three pieces:
   build.
 - *Racing writers* with separate caches converge through the server:
   record puts are atomic per request and the manifest merge is a single
-  server-side read-modify-write, so PR 3's merge-save union holds.
+  server-side read-modify-write, so the merge-save union holds.  A
+  build never removes a record its project lacks (the backend is
+  ``shared``): it may be another client's, and server-side GC is an
+  operator action.
 
 Eviction safety: between ``begin_save``/``end_save`` every record the
 save writes is pinned -- the LRU can never evict a record dirty in the
@@ -70,6 +73,7 @@ from repro.cm.faults import (
     TransportError,
     TransportTimeout,
 )
+from repro.digest import content_digest
 from repro.pids.crc128 import crc128_hex
 
 #: Frame magic: "repro bin store, framing v1".
@@ -428,6 +432,7 @@ class RemoteBackend(StoreBackend):
     """
 
     kind = "remote"
+    shared = True
 
     def __init__(self, url: str, cache_dir: str, transport,
                  fs: FileSystem | None = None,
@@ -606,7 +611,7 @@ class RemoteBackend(StoreBackend):
     def _verify_pair(self, header: bytes,
                      payload: bytes) -> tuple[bool, str | None]:
         """Is a fetched pair internally consistent (parsable header
-        whose checksum matches the payload)?  Returns
+        whose payload digest matches the payload)?  Returns
         ``(ok, unit name)``; damaged pairs are served raw, not
         cached."""
         try:
@@ -614,7 +619,7 @@ class RemoteBackend(StoreBackend):
             if not isinstance(parsed, dict):
                 return False, None
             name = parsed.get("name")
-            if crc128_hex(payload) != parsed.get("payload_crc"):
+            if content_digest(payload) != parsed.get("payload_digest"):
                 return False, name if isinstance(name, str) else None
             return True, name if isinstance(name, str) else None
         except (ValueError, UnicodeDecodeError):

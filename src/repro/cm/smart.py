@@ -20,8 +20,8 @@ The slice checks only run for imports whose whole-interface pid moved:
 an import with a stable pid has, by construction, no changed bindings.
 That makes the sliced builder's reuse a superset of cutoff's -- it can
 never recompile more -- and it degrades gracefully: a record with no
-slice data (a pre-slicing v3 bin, or a provider without binding pids)
-falls back to the conservative whole-pid answer.
+slice data (a provider without binding pids, such as a stable-library
+unit) falls back to the conservative whole-pid answer.
 
 Strictly fewer recompilations than cutoff (benchmark T2 and
 ``benchmarks/test_bench_slicing.py`` quantify the gap), at the cost of
@@ -55,7 +55,11 @@ class SmartBuilder(BaseBuilder):
             # Slices stable: reuse, but by *rehydrating* against the
             # new import interfaces -- a cached live unit would still
             # carry the old import pids and statenvs, which the linker
-            # rightly rejects.  Rehydration rebinds by name.
+            # rightly rejects.  Stubs resolve by (pid, index), not by
+            # name, so this works only for a record with no stub into
+            # the changed provider.  One that has such a stub names the
+            # superseded pid, which the session has retired; the load
+            # then fails and ``load`` recompiles the unit as stale.
             return "load", ""
         if self.is_live_and_current(name, record):
             return "cached", ""

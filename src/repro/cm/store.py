@@ -14,13 +14,16 @@ directory, or a remote server fronted by a local cache -- see
 is engineered so that *no* damage can cost more than a recompile, and
 every kind of damage is detected and named:
 
-- **Integrity.** Every header carries a CRC-128 of its payload plus a
-  whole-record digest over the canonical header and the payload (the
-  same CRC machinery that produces pids, ``repro.pids.crc128``).  A load
-  verifies both; any mismatch, torn write, orphaned header/payload or
+- **Integrity.** Every header carries a digest of its payload plus a
+  whole-record digest over the canonical header, which includes the
+  payload digest.  Both are BLAKE2b-128
+  (:func:`repro.digest.content_digest`), and a save or a load hashes
+  each payload once; pids keep the paper's CRC-128.  A load verifies
+  both digests; any mismatch, torn write, orphaned header/payload or
   unparsable JSON becomes a typed :class:`CorruptRecord` in the store's
   :class:`StoreHealthReport` and the unit silently degrades to a cache
-  miss.  ``load_directory`` never raises on damage.
+  miss.  Records of another format version are reported stale and
+  recompile once.  ``load_directory`` never raises on damage.
 - **Atomicity.** Records are written payload-first via tmp-file +
   ``os.replace`` under a pid-stamped lock file (stale locks -- dead
   owner or torn content -- are detected and broken).  A crash between
@@ -79,8 +82,8 @@ from repro.cm.backend import lock_owner as _lock_owner  # noqa: F401
 from repro.cm.backend import record_stem as _record_stem
 from repro.cm.depend import DepSummary
 from repro.cm.faults import REAL_FS, FileSystem
+from repro.digest import content_digest
 from repro.obs.meter import NULL_METER, BuildMeter
-from repro.pids.crc128 import CRC128, crc128_hex
 
 #: Damage kinds whose on-disk files quarantine-aside may move (the
 #: rest either have no files -- ``missing-record`` -- or describe the
@@ -93,7 +96,8 @@ _QUARANTINABLE_KINDS = frozenset({
 
 #: Header fields a loadable record must carry.
 _REQUIRED_FIELDS = ("name", "source_digest", "export_pid", "imports",
-                    "built_at", "payload_crc", "record_digest")
+                    "built_at", "binding_pids", "used_bindings",
+                    "payload_digest", "record_digest")
 
 
 # -- health reporting ----------------------------------------------------
@@ -209,9 +213,9 @@ class BinRecord:
     imports: list[tuple[str, str]]
     payload: bytes
     built_at: int = 0  # logical clock at build time (make-level data)
-    #: Per-exported-binding intrinsic pids ("ns:name" -> pid).  Empty on
-    #: records loaded from pre-slicing (v3) stores: "no slice info ->
-    #: fall back to whole-pid cutoff".
+    #: Per-exported-binding intrinsic pids ("ns:name" -> pid).  Empty
+    #: when the unit has no slice data (a stable-library provider):
+    #: "no slice info -> fall back to whole-pid cutoff".
     binding_pids: dict = field(default_factory=dict)
     #: What this unit used of each import when it was compiled:
     #: provider unit -> {"ns:name": the provider's binding pid then}.
@@ -224,14 +228,15 @@ class BinRecord:
     extra: dict = field(default_factory=dict)
 
 
-def _record_digest(header: dict, payload: bytes) -> str:
-    """The whole-record digest: CRC-128 over the canonical JSON of the
-    header (minus the digest fields themselves) plus the payload."""
-    core = {k: v for k, v in header.items()
-            if k not in ("payload_crc", "record_digest")}
+def _record_digest(header: dict) -> str:
+    """The whole-record digest: BLAKE2b-128 over the canonical JSON of
+    the header minus ``record_digest`` itself.  The header holds the
+    payload digest, so this covers the payload without hashing it a
+    second time."""
+    core = {k: v for k, v in header.items() if k != "record_digest"}
     canon = json.dumps(core, sort_keys=True,
                        separators=(",", ":")).encode("utf-8")
-    return CRC128().update(canon).update(payload).hexdigest()
+    return content_digest(canon)
 
 
 class BinStore:
@@ -313,11 +318,11 @@ class BinStore:
             "binding_pids": record.binding_pids,
             "used_bindings": record.used_bindings,
             "extra": record.extra,
-            "payload_crc": crc128_hex(record.payload),
+            "payload_digest": content_digest(record.payload),
         }
         if record.dep_summary is not None:
             header["dep_summary"] = record.dep_summary.to_json()
-        header["record_digest"] = _record_digest(header, record.payload)
+        header["record_digest"] = _record_digest(header)
         return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     def _backend_for(self, path: str) -> StoreBackend:
@@ -720,11 +725,11 @@ class BinStore:
         except OSError as err:
             report.add(name, "io-error", payload_file, str(err))
             return None
-        if crc128_hex(payload) != header["payload_crc"]:
+        if content_digest(payload) != header["payload_digest"]:
             report.add(name, "payload-checksum-mismatch", payload_file,
-                       "payload bytes do not match the header's checksum")
+                       "payload bytes do not match the header's digest")
             return None
-        if _record_digest(header, payload) != header["record_digest"]:
+        if _record_digest(header) != header["record_digest"]:
             report.add(name, "record-digest-mismatch", header_file,
                        "whole-record digest mismatch (header tampered "
                        "or torn)")
@@ -737,14 +742,12 @@ class BinStore:
             report.add(name, "malformed-header", header_file,
                        "imports is not a list of (name, pid) pairs")
             return None
-        # Slice fields: absent on v3 records (load empty -> whole-pid
-        # cutoff); when present they must be well-formed.
-        binding_pids = header.get("binding_pids", {})
+        binding_pids = header["binding_pids"]
         if not _is_str_table(binding_pids):
             report.add(name, "malformed-header", header_file,
                        "binding_pids is not a {key: pid} table")
             return None
-        used_bindings = header.get("used_bindings", {})
+        used_bindings = header["used_bindings"]
         if not (isinstance(used_bindings, dict)
                 and all(isinstance(k, str) and _is_str_table(v)
                         for k, v in used_bindings.items())):

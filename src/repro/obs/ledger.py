@@ -84,8 +84,9 @@ class BindingCheck:
     ``binding`` is the ``"ns:name"`` key; ``old_pid`` is the binding's
     pid recorded when this unit was compiled, ``new_pid`` the
     provider's current one.  An empty pid on either side means slice
-    data was missing (a pre-slicing record), in which case the check is
-    inconclusive and the builder must fall back to whole-pid cutoff.
+    data was missing (a stable-library provider), in which case the
+    check is inconclusive and the builder must fall back to whole-pid
+    cutoff.
     """
 
     provider: str

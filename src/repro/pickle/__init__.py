@@ -22,6 +22,7 @@ from repro.pickle.pickler import (
     Pickler,
     UnpickleError,
     Unpickler,
+    UnresolvedStubError,
     dehydrate,
     rehydrate,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "UnpickleError",
     "Pickler",
     "Unpickler",
+    "UnresolvedStubError",
     "dehydrate",
     "rehydrate",
 ]

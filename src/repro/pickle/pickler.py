@@ -82,6 +82,19 @@ class UnpickleError(Exception):
     context, corrupt stream)."""
 
 
+class UnresolvedStubError(UnpickleError):
+    """A stub names a ``(pid, index)`` the session does not hold.
+
+    The stream itself decoded fine up to the stub, so for a payload that
+    passed its digest check this means the unit was compiled against an
+    interface that is no longer live (superseded, or not loaded in this
+    session): a stale record, not damage."""
+
+    def __init__(self, pid: str, message: str):
+        super().__init__(message)
+        self.pid = pid
+
+
 def _write_varint(out: bytearray, value: int) -> None:
     assert value >= 0
     while True:
@@ -448,9 +461,10 @@ class Unpickler:
         try:
             obj = self._resolve(pid, index)
         except KeyError:
-            self._fail(
+            raise UnresolvedStubError(
+                pid,
                 f"unresolved external reference: unit {pid} export "
-                f"#{index} is not in the context")
+                f"#{index} is not in the context") from None
         self._memo[memo_slot] = obj
         return obj
 

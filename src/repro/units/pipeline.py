@@ -13,8 +13,8 @@ from repro.dynamic.evaluate import eval_decs
 from repro.lang.parser import parse_program
 from repro.elab.topdec import elaborate_decs
 from repro.obs.meter import NULL_METER, BuildMeter
+from repro.digest import content_digest
 from repro.pickle.pickler import Unpickler, Pickler, context_chain_ids
-from repro.pids.crc128 import crc128_hex
 from repro.pids.intrinsic import binding_pids, intrinsic_pid
 from repro.units.session import Session
 from repro.units.unit import CompiledUnit, DynExport, PhaseTimes
@@ -115,7 +115,7 @@ def load_unit(
     The unit's imports must already be live (compiled or loaded) so the
     rehydrater can resolve stubs through the session registry.
     ``binding_pids`` carries the record's per-binding slice pids onto
-    the live unit (empty for pre-slicing records); rehydration never
+    the live unit (empty for stable-library units); rehydration never
     recomputes them.
     """
     times = PhaseTimes()
@@ -171,4 +171,4 @@ def execute_unit(
 
 def source_digest(source: str) -> str:
     """Digest of the raw source text (make-level currency check)."""
-    return crc128_hex(source.encode("utf-8"))
+    return content_digest(source.encode("utf-8"))

@@ -62,8 +62,8 @@ class CompiledUnit:
     owned_stamp_ids: frozenset[int] = frozenset()
     #: Per-exported-binding intrinsic pids ("ns:name" -> pid), computed
     #: at compile time (:func:`repro.pids.intrinsic.binding_pids`) and
-    #: carried through bin records; empty for units rehydrated from
-    #: pre-slicing (v3) records.
+    #: carried through bin records; empty for stable-library units,
+    #: whose archives carry none.
     binding_pids: dict[str, str] = field(default_factory=dict)
 
     def import_pid_of(self, name: str) -> str | None:

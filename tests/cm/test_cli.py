@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from repro.cm import CutoffBuilder, Project, SupervisePolicy, Supervisor
+from repro.cm import (
+    BinStore,
+    CutoffBuilder,
+    Project,
+    SupervisePolicy,
+    Supervisor,
+)
 from repro.cm.__main__ import main
 from repro.cm.store import LOCK_NAME
 from repro.units.pipeline import source_digest
@@ -93,6 +99,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1 compiled, 1 loaded" in out
         assert "Main.answer = 30" in out
+
+
+    def test_deleted_source_drops_its_record(self, srcdir, capsys):
+        assert main([srcdir, "--no-link"]) == 0
+        os.remove(os.path.join(srcdir, "main.sml"))
+        assert main([srcdir, "--no-link"]) == 0
+        assert "0 compiled, 1 loaded" in capsys.readouterr().out
+        bin_dir = os.path.join(srcdir, ".bin")
+        with open(os.path.join(bin_dir, "MANIFEST.json")) as f:
+            assert list(json.load(f)["records"].values()) == ["base"]
+        assert not [e for e in os.listdir(bin_dir)
+                    if e.startswith("main.")]
+        health = BinStore.fsck(bin_dir)
+        assert health.ok and health.loaded == ["base"]
 
 
 class TestCmFiles:

@@ -21,7 +21,8 @@ import threading
 
 import pytest
 
-from repro.cm import BuildDaemon, SupervisePolicy
+from repro.basis import BASIS_PID
+from repro.cm import BinStore, BuildDaemon, SupervisePolicy
 from repro.cm.daemon import PROTOCOL_VERSION, reply_to_wire, serve, wire_encode
 from repro.obs import Tracer, request_rollup
 from repro.workload import generate_workload
@@ -138,6 +139,32 @@ class TestDisjointGroups:
                 for e in os.listdir(os.path.join(srcdir, ".bin"))
                 if e.endswith(".bin.json"))
             assert headers == sorted(workload.project.names())
+
+
+class TestDeletedSources:
+    def test_first_request_after_a_deletion_prunes_the_unit(self,
+                                                             tmp_path):
+        srcdir = str(tmp_path / "grp")
+        make_group(srcdir)
+        bin_dir = os.path.join(srcdir, ".bin")
+        daemon = BuildDaemon()
+        try:
+            daemon.request(srcdir)
+            builder = daemon._state_for(srcdir).builders["cutoff"]
+            gone = builder.units["u005"].export_pid
+            os.remove(os.path.join(srcdir, "u005.sml"))
+            reply = daemon.request(srcdir)
+        finally:
+            daemon.shutdown()
+        assert reply.report.compiled == []
+        assert "u005" not in builder.units
+        assert gone not in builder.session.pids()
+        assert builder.session.pids() == (
+            {u.export_pid for u in builder.units.values()} | {BASIS_PID})
+        store = BinStore.load_directory(bin_dir)
+        assert store.health.ok and "u005" not in store.names()
+        assert not [e for e in os.listdir(bin_dir)
+                    if e.startswith("u005.")]
 
 
 class TestWireFormat:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cm import BinStore, CutoffBuilder, Project, analyze, depend
 from repro.cm.__main__ import main
-from repro.cm.faults import header_path, payload_path
+from repro.cm.faults import header_path
 from repro.cm.store import _record_digest
 
 SOURCES = {
@@ -90,8 +90,7 @@ def rewrite_header(bin_dir, name, change, resign=True):
         header = json.load(f)
     change(header)
     if resign:
-        with open(payload_path(bin_dir, name), "rb") as f:
-            header["record_digest"] = _record_digest(header, f.read())
+        header["record_digest"] = _record_digest(header)
     with open(path, "w") as f:
         json.dump(header, f)
 

@@ -217,3 +217,57 @@ class TestFaultsDoNotPoisonTheServer:
         assert sorted(report.loaded) == sorted(SOURCES)
         for name, pid in clean_pids.items():
             assert builder.units[name].export_pid == pid
+
+
+class TestWarmLocalCache:
+    def test_second_session_is_served_from_the_local_cache(self, server,
+                                                          tmp_path):
+        """Fetched pairs whose payload digest checks out are cached, so
+        the next session over the same cache fetches nothing."""
+        cache_dir = str(tmp_path / "client")
+        first = RemoteBackend(URL, cache_dir, LoopbackTransport(server))
+        store = BinStore.load_directory(cache_dir, backend=first)
+        assert first.remote_fetches == len(SOURCES)
+        builder = CutoffBuilder(Project.from_sources(SOURCES), store=store)
+        assert builder.build().compiled == []
+
+        second = RemoteBackend(URL, cache_dir, LoopbackTransport(server))
+        store = BinStore.load_directory(cache_dir, backend=second)
+        assert store.health.ok and len(store) == len(SOURCES)
+        assert second.cache_hits == len(SOURCES)
+        assert second.remote_fetches == 0
+
+
+class TestSharedStore:
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_a_smaller_project_leaves_other_clients_records(
+            self, server, tmp_path, merge):
+        """Client B's project lacks ``app``.  Its build and save must
+        leave ``app`` on the shared server (server-side GC is an
+        operator action), so client A, whose project has it, still
+        loads it instead of recompiling."""
+        partial = {n: s for n, s in SOURCES.items() if n != "app"}
+        project = Project.from_sources(partial)
+        project.edit("mid", "structure Mid = struct "
+                            "fun six x = Base.triple (x + x) end")
+        cache_b = str(tmp_path / "client-b")
+        store = BinStore.load_directory(
+            cache_b,
+            backend=RemoteBackend(URL, cache_b, LoopbackTransport(server)))
+        builder = CutoffBuilder(project, store=store)
+        assert builder.build().compiled == ["mid"]
+        assert "app" not in builder.units
+        store.save_directory(cache_b, merge=merge)
+
+        cache_a = str(tmp_path / "client-a")
+        store = BinStore.load_directory(
+            cache_a,
+            backend=RemoteBackend(URL, cache_a, LoopbackTransport(server)))
+        assert store.health.ok, store.health.render_text()
+        assert store.names() == sorted(SOURCES)
+        builder = CutoffBuilder(Project.from_sources(SOURCES), store=store)
+        report = builder.build()
+        assert report.compiled == ["mid"]
+        assert sorted(report.loaded) == ["app", "base"]
+        exports = builder.link()
+        assert exports["app"].structures["App"].values["answer"] == ANSWER

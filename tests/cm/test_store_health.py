@@ -109,8 +109,7 @@ class TestDamageTaxonomy:
         path = header_path(bin_dir, "mid")
         with open(path) as f:
             header = json.load(f)
-        # A version no COMPAT_FORMATS entry covers (v3 still loads, so
-        # "one less than current" is no longer automatically stale).
+        # A version no COMPAT_FORMATS entry covers.
         header["format"] = 2
         with open(path, "w") as f:
             json.dump(header, f)

@@ -138,7 +138,7 @@ class TestSession:
     def test_basis_registered(self, session):
         from repro.basis import BASIS_PID
 
-        assert session.knows_pid(BASIS_PID)
+        assert BASIS_PID in session.pids()
 
     def test_extern_for_unit_exports(self, session):
         a = compile_unit("a", A_SRC, [], session)
