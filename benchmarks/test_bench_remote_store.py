@@ -45,7 +45,7 @@ def fresh_project(edit=None):
     return workload.project
 
 
-def client_session(server, base, cid, edit=None, merge=False):
+def client_session(server, base, cid, edit=None):
     """One client session: load via the remote backend, build, save.
     Returns (report, backend, wall_seconds)."""
     cache = os.path.join(base, f"client{cid}", ".bin")
@@ -55,7 +55,7 @@ def client_session(server, base, cid, edit=None, merge=False):
     store = BinStore.load_directory(cache, backend=backend)
     builder = CutoffBuilder(project, store=store)
     report = builder.build()
-    store.save_directory(cache, merge=merge)
+    store.save_directory(cache)
     wall = time.perf_counter() - t0
     return report, backend, wall
 
@@ -98,12 +98,12 @@ def test_fleet_sharing_one_remote_store(benchmark):
             second_rates.append(hit_rate(report))
 
         # Phase 4: every client edits its own unit
-        # (interface-preserving) and merge-saves; the cutoff keeps the
+        # (interface-preserving) and saves; the cutoff keeps the
         # recompile to the edited unit, everything else is a hit.
         edit_rates = []
         for cid in range(1, CLIENTS):
             report, backend, _wall = client_session(
-                server, base, cid, edit=f"u{cid:03d}", merge=True)
+                server, base, cid, edit=f"u{cid:03d}")
             assert len(report.compiled) >= 1
             edit_rates.append(hit_rate(report))
 

@@ -7,11 +7,11 @@ Two claims with numbers attached, persisted as ``BENCH_supervision.json``:
    same build with no fault: the retry re-runs one unit, not the build.
    We measure clean supervised wall-clock vs 1-crash wall-clock on a
    40-unit workload and report the overhead ratio.
-2. **Schedule-search coverage.**  The bounded exhaustive two-writer
-   search at depth 7 explores 128 schedules; we report how many
-   *distinct realized interleavings* (states) that covers and assert
-   every one converged -- the robustness headline, with the state count
-   as the evidence of coverage.
+2. **Schedule-search coverage.**  The bounded exhaustive search over
+   two writers' saves at depth 7 explores 128 schedules; we report how
+   many *distinct realized interleavings* (states) that covers and
+   assert every one converged -- the robustness headline, with the
+   state count as the evidence of coverage.
 """
 
 import json
@@ -87,7 +87,8 @@ def test_one_crash_recovery_overhead(benchmark):
 
 def test_schedule_search_state_count(benchmark):
     """Bounded exhaustive search: schedules explored, states realized,
-    every one of them converging to a healthy union store."""
+    every one of them converging to a healthy store holding every
+    unit."""
     import tempfile
 
     shape = diamond(2, 1)
@@ -100,6 +101,7 @@ def test_schedule_search_state_count(benchmark):
     builder_b.build()
     records_a = [builder_a.store.get(n) for n in builder_a.store.names()]
     records_b = [builder_b.store.get(n) for n in builder_b.store.names()]
+    units = sorted(builder_b.units)
     base = tempfile.mkdtemp(prefix="benchsched-")
 
     def run_one(schedule):
@@ -110,9 +112,11 @@ def test_schedule_search_state_count(benchmark):
         for rec in records_b:
             store_b.put(rec)
         store_dir = os.path.join(base, schedule)
-        drv.run(lambda: store_a.save_directory(store_dir, merge=True),
-                lambda: store_b.save_directory(store_dir, merge=True))
-        assert BinStore.fsck(store_dir).ok, schedule
+        drv.run(lambda: store_a.save_directory(store_dir),
+                lambda: store_b.save_directory(store_dir))
+        fsck = BinStore.fsck(store_dir)
+        assert fsck.ok, schedule
+        assert fsck.loaded == units, schedule
         return drv
 
     def run():
@@ -123,7 +127,7 @@ def test_schedule_search_state_count(benchmark):
     assert report.explored == 2 ** SEARCH_DEPTH >= 100
 
     print_table(
-        "R1b: bounded exhaustive schedule search (2 merge-save writers)",
+        "R1b: bounded exhaustive schedule search (2 writers' saves)",
         ["depth", "schedules", "states", "verdict"],
         [[SEARCH_DEPTH, report.explored, report.states,
           "all converged" if report.ok else "FAILED"]],

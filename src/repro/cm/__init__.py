@@ -36,7 +36,6 @@ from repro.cm.store import (
     StoreFullError,
     StoreHealthReport,
     StoreLockedError,
-    sweep_stale_artifacts,
 )
 from repro.cm.remote import (
     RemoteBackend,
@@ -93,7 +92,6 @@ __all__ = [
     "ReadySet",
     "SupervisePolicy",
     "Supervisor",
-    "sweep_stale_artifacts",
     "BuildDaemon",
     "DaemonError",
     "DaemonReply",

@@ -1,12 +1,12 @@
 """Store backends: where bin-record pairs physically live.
 
 :class:`repro.cm.store.BinStore` implements the *semantics* of the bin
-store -- integrity verification, the damage taxonomy, incremental and
-merge saves, quarantine -- but delegates the *placement* of bytes to a
+store -- integrity verification, the damage taxonomy, incremental
+saves, quarantine -- but delegates the *placement* of bytes to a
 :class:`StoreBackend`: get/put/has/list/delete over record pairs plus
-manifest read-modify-write.  Everything the store guarantees (every
-corruption is a quarantined miss, racing merge writers converge to the
-union) is therefore proven per backend by one parameterized conformance
+manifest read and write.  Everything the store guarantees (every
+corruption is a quarantined miss, two racing writers leave a healthy
+store) is therefore proven per backend by one parameterized conformance
 suite (``tests/cm/test_store_backend_conformance.py``) instead of once
 for a hard-coded directory walk.
 
@@ -64,8 +64,6 @@ PAYLOAD_SUFFIX = ".bin"
 TMP_SUFFIX = ".tmp"
 MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "store.lock"
-#: Per-record lock files (merge saves): ``<stem>.rlock``.
-RECORD_LOCK_SUFFIX = ".rlock"
 #: Where damaged record files are moved aside (``quarantine=True``).
 QUARANTINE_DIR = "quarantine"
 #: The sharded layout's record subdirectory.
@@ -207,8 +205,8 @@ def parse_manifest(data: bytes) -> dict[str, str]:
 
 
 class StoreLock:
-    """A pid-stamped lock file guarding a store directory (or, with a
-    ``filename`` of ``<stem>.rlock``, a single record in it).
+    """A pid-stamped lock file guarding a store directory: one writer
+    saves at a time.
 
     Stale locks (owner dead, or content torn beyond parsing) are broken
     and noted.  A lock held by a live process blocks until ``timeout``;
@@ -220,10 +218,9 @@ class StoreLock:
     """
 
     def __init__(self, dir_path: str, fs: FileSystem | None = None,
-                 timeout: float = 5.0, poll: float = 0.02,
-                 filename: str = LOCK_NAME):
+                 timeout: float = 5.0, poll: float = 0.02):
         self.fs = fs if fs is not None else REAL_FS
-        self.lock_path = os.path.join(dir_path, filename)
+        self.lock_path = os.path.join(dir_path, LOCK_NAME)
         self.timeout = timeout
         self.poll = poll
         self.notes: list[str] = []
@@ -270,30 +267,6 @@ class StoreLock:
         self.release()
 
 
-class NullLock:
-    """The no-lock lock: a backend whose server already serializes
-    writers (the remote backend's store-level lock) hands these out.
-    Same surface as :class:`StoreLock`, no filesystem traffic."""
-
-    def __init__(self):
-        self.notes: list[str] = []
-        self.held = False
-
-    def acquire(self, required: bool = True) -> bool:
-        self.held = True
-        return True
-
-    def release(self) -> None:
-        self.held = False
-
-    def __enter__(self) -> "NullLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
 def lock_owner(fs: FileSystem, lock_path: str) -> int | None:
     """The pid recorded in a lock file, or None when the lock is
     unreadable/torn (treated as stale by every breaker)."""
@@ -312,10 +285,10 @@ class StoreBackend:
 
     The core surface is get/put/has/list/delete over record *pairs*
     (header bytes + payload bytes, keyed by the escaped-name stem) plus
-    manifest read-modify-write; the rest -- locks, pruning, quarantine,
-    signatures, stale-artifact sweeps -- exists so fsck, merge saves,
-    the daemon's change detection and the supervisor's checkpoints work
-    against any backend.
+    manifest read and write; the rest -- the store lock, pruning,
+    quarantine, signatures -- exists so fsck, the daemon's change
+    detection and the supervisor's checkpoints work against any
+    backend.
 
     Attributes every backend carries:
 
@@ -391,15 +364,8 @@ class StoreBackend:
         raise NotImplementedError
 
     def write_manifest(self, data: bytes) -> None:
-        """Replace the manifest atomically (single-writer saves)."""
-        raise NotImplementedError
-
-    def merge_manifest(self, adds: dict[str, str],
-                       removes: set[str]) -> int:
-        """Read-modify-write: drop ``removes``, add ``adds``, keep
-        everything else (records another writer manifested).  Returns
-        the merged manifest's byte size.  Callers hold the store lock;
-        backends whose server serializes do it in one atomic op."""
+        """Replace the manifest atomically (callers hold the store
+        lock)."""
         raise NotImplementedError
 
     # -- locks -------------------------------------------------------------
@@ -407,26 +373,12 @@ class StoreBackend:
     def store_lock(self, timeout: float):
         raise NotImplementedError
 
-    def record_lock(self, stem: str, timeout: float):
-        raise NotImplementedError
-
     # -- maintenance -------------------------------------------------------
 
     def prune(self, live_stems: set[str]) -> list[str]:
-        """Single-writer cleanup after a plain save: remove tmp debris,
-        record pairs not in ``live_stems``, and record locks with dead
-        owners.  Returns what was removed."""
-        raise NotImplementedError
-
-    def sweep_dead_record_locks(self) -> list[str]:
-        """Remove ``.rlock`` files whose owner pid is dead (merge saves
-        must not prune anything else -- a file this writer does not
-        recognize may be another live writer's work)."""
-        raise NotImplementedError
-
-    def sweep_stale(self) -> list[str]:
-        """Sweep a killed prior run's debris: record locks whose owner
-        is dead (see :func:`repro.cm.store.sweep_stale_artifacts`)."""
+        """Cleanup at the end of a save, under the store lock: remove
+        tmp debris and record pairs not in ``live_stems``.  Returns
+        what was removed."""
         raise NotImplementedError
 
     def ensure_quarantine_dir(self) -> str | None:
@@ -510,8 +462,6 @@ class DirectoryBackend(StoreBackend):
 
     def _classify(self, entry: str, rel: str, header: set, payload: set,
                   notes: list[str] | None) -> None:
-        if entry.endswith(RECORD_LOCK_SUFFIX):
-            return  # a merge writer's per-record lock
         if entry.endswith(TMP_SUFFIX):
             if notes is not None:
                 notes.append(f"ignoring leftover temp file {rel}")
@@ -607,6 +557,10 @@ class DirectoryBackend(StoreBackend):
 
     def merge_manifest(self, adds: dict[str, str],
                        removes: set[str]) -> int:
+        """Read-modify-write: drop ``removes``, add ``adds``, keep
+        everything else.  The remote backend keeps its cache's manifest
+        this way (it names exactly the cached stems).  Returns the new
+        manifest's byte size."""
         try:
             raw = self.read_manifest_bytes()
             merged = parse_manifest(raw) if raw is not None else {}
@@ -624,13 +578,6 @@ class DirectoryBackend(StoreBackend):
     def store_lock(self, timeout: float) -> StoreLock:
         return StoreLock(self.root, fs=self.fs, timeout=timeout)
 
-    def record_lock(self, stem: str, timeout: float) -> StoreLock:
-        directory = self.dir_of(stem)
-        if directory != self.root:
-            self.fs.makedirs(directory)
-        return StoreLock(directory, fs=self.fs, timeout=timeout,
-                         filename=stem + RECORD_LOCK_SUFFIX)
-
     # -- maintenance -------------------------------------------------------
 
     def _prune_dir(self, directory: str, rel_prefix: str,
@@ -639,70 +586,17 @@ class DirectoryBackend(StoreBackend):
         for entry in fs.listdir(directory):
             if entry in _SKIP_ENTRIES or entry == SHARDS_DIR:
                 continue
-            full = os.path.join(directory, entry)
-            if entry.endswith(RECORD_LOCK_SUFFIX):
-                owner = lock_owner(fs, full)
-                if owner is None or not fs.pid_alive(owner):
-                    fs.remove(full)
-                    pruned.append(rel_prefix + entry)
-                continue
             stem = record_stem(entry)
             if stem is None:
                 continue  # not a store-managed file: leave it alone
             if entry.endswith(TMP_SUFFIX) or stem not in live_stems:
-                fs.remove(full)
+                fs.remove(os.path.join(directory, entry))
                 pruned.append(rel_prefix + entry)
 
     def prune(self, live_stems: set[str]) -> list[str]:
         pruned: list[str] = []
         self._prune_dir(self.root, "", live_stems, pruned)
         return pruned
-
-    def _sweep_locks_dir(self, directory: str, rel_prefix: str,
-                         swept: list[str]) -> None:
-        fs = self.fs
-        for entry in fs.listdir(directory):
-            if entry.endswith(RECORD_LOCK_SUFFIX):
-                owner = lock_owner(fs, os.path.join(directory, entry))
-                if owner is None or not fs.pid_alive(owner):
-                    fs.remove(os.path.join(directory, entry))
-                    swept.append(rel_prefix + entry)
-
-    def sweep_dead_record_locks(self) -> list[str]:
-        swept: list[str] = []
-        self._sweep_locks_dir(self.root, "", swept)
-        return swept
-
-    def sweep_stale(self) -> list[str]:
-        fs = self.fs
-        swept: list[str] = []
-        try:
-            if not self.exists():
-                return swept
-            entries = fs.listdir(self.root)
-        except OSError:
-            return swept
-        for entry in entries:
-            full = os.path.join(self.root, entry)
-            try:
-                if entry.endswith(RECORD_LOCK_SUFFIX):
-                    owner = lock_owner(fs, full)
-                    if owner is None or not fs.pid_alive(owner):
-                        fs.remove(full)
-                        swept.append(entry)
-            except OSError:
-                continue
-        for directory in self.record_dirs():
-            if directory == self.root:
-                continue
-            try:
-                self._sweep_locks_dir(
-                    directory,
-                    os.path.relpath(directory, self.root) + os.sep,
-                    swept)
-            except OSError:
-                continue
-        return swept
 
     def ensure_quarantine_dir(self) -> str | None:
         qdir = os.path.join(self.root, QUARANTINE_DIR)
@@ -802,17 +696,6 @@ class ShardedBackend(DirectoryBackend):
                    else os.path.relpath(directory, self.root) + os.sep)
             self._prune_dir(directory, rel, live_stems, pruned)
         return pruned
-
-    def sweep_dead_record_locks(self) -> list[str]:
-        swept: list[str] = []
-        for directory in self.record_dirs():
-            rel = ("" if directory == self.root
-                   else os.path.relpath(directory, self.root) + os.sep)
-            try:
-                self._sweep_locks_dir(directory, rel, swept)
-            except OSError:
-                continue
-        return swept
 
 
 # -- detection and the factory -------------------------------------------

@@ -35,12 +35,10 @@ all of that warm across requests:
   the group's store, so retries, timeouts, poison quarantine,
   checkpoints and the explanation ledger all work for daemon-served
   builds.
-- **Coalescing.**  Duplicate in-flight requests -- same group, same
-  manager/jobs/pool -- join the build already running and get its
-  report; disjoint groups build concurrently under per-group locks.
-- **Startup sweep.**  First contact with a group's store sweeps a
-  killed prior run's debris (orphaned ``.rlock``s with dead owners)
-  via :func:`repro.cm.store.sweep_stale_artifacts`.
+- **Per-group locks.**  Requests for one group take turns on that
+  group's lock, so a duplicate request waits for the build in flight
+  and then finds its units ``cached``; disjoint groups build
+  concurrently.
 
 The stdio front end (``python -m repro.cm --serve``) speaks
 newline-delimited JSON, one request object in, one ``sort_keys``
@@ -63,7 +61,7 @@ from repro.cm.parallel import make_executor
 from repro.cm.project import Project
 from repro.cm.report import BuildReport
 from repro.cm.smart import SmartBuilder
-from repro.cm.store import BinStore, sweep_stale_artifacts
+from repro.cm.store import BinStore
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
 from repro.obs.history import BuildHistory, profile_from_report
@@ -78,7 +76,7 @@ MANAGERS = {
 
 #: Wire-protocol version spoken by :func:`serve` (bumped on any
 #: incompatible change to the request/response shapes).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 SOURCE_SUFFIX = ".sml"
 
@@ -91,40 +89,19 @@ class DaemonError(Exception):
 
 @dataclass
 class DaemonReply:
-    """One request's answer: the group it was for, the build report
-    (the coalesced joiners share the leader's report object), and how
-    the daemon got there."""
+    """One request's answer: the group it was for, the build report,
+    and how the daemon got there."""
 
     group: str
     report: BuildReport
     request_id: int
-    #: True when this request joined a build another client started.
-    coalesced: bool = False
     #: True when the store was reloaded from disk because its
     #: signature moved (another process wrote it).
     store_reloaded: bool = False
     #: How many source files were re-read (stat signature moved or
     #: first contact).
     sources_refreshed: int = 0
-    #: Debris removed by the startup sweep (first request only).
-    swept: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
-
-
-class _Inflight:
-    """One in-flight build that later duplicate requests may join."""
-
-    __slots__ = ("done", "joined", "joiners", "report", "error")
-
-    def __init__(self):
-        self.done = threading.Event()
-        #: Set the moment the first joiner arrives -- a deterministic
-        #: hook for the coalescing tests (the leader's build can wait
-        #: on it to force the race).
-        self.joined = threading.Event()
-        self.joiners = 0
-        self.report: BuildReport | None = None
-        self.error: BaseException | None = None
 
 
 @dataclass
@@ -148,7 +125,6 @@ class _GroupState:
     texts: dict = field(default_factory=dict)
     #: the store directory's disk signature after our last load/save.
     store_sig: tuple = ()
-    swept: list = field(default_factory=list)
     #: the group's build-profile ring buffer (created on first open).
     history: BuildHistory | None = None
     #: manager name -> the latest recorded profile (kept warm so
@@ -164,19 +140,13 @@ class BuildDaemon:
 
     Thread-safe: :meth:`request` may be called from many client
     threads.  Requests for the same group serialize on the group's
-    lock (duplicates coalesce instead of queueing); requests for
-    disjoint groups run concurrently.
-
-    ``build_hook`` is a test seam: the *leader* of every build calls
-    it as ``build_hook(key, inflight)`` after registering in the
-    in-flight table and before building -- the coalescing tests park
-    the leader there until a duplicate request has joined.
+    lock; requests for disjoint groups run concurrently.
     """
 
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
                  pool: str = "thread",
                  policy: SupervisePolicy | None = None, meter=None,
-                 build_hook=None, store_backend: str = "auto",
+                 store_backend: str = "auto",
                  store_url: str | None = None, trace_sample: int = 0):
         if manager not in MANAGERS:
             raise DaemonError(f"unknown manager {manager!r} "
@@ -194,10 +164,8 @@ class BuildDaemon:
             from repro.obs.sampling import SamplingMeter
             meter = SamplingMeter(sample=trace_sample)
         self.meter = meter if meter is not None else NULL_METER
-        self.build_hook = build_hook
         self._lock = threading.Lock()
         self._states: dict[str, _GroupState] = {}
-        self._inflight: dict[tuple, _Inflight] = {}
         #: (jobs, pool) -> (executor, kind): the warm worker pools.
         self._executors: dict[tuple, tuple] = {}
         self._request_seq = 0
@@ -210,10 +178,8 @@ class BuildDaemon:
                 pool: str | None = None) -> DaemonReply:
         """Bring ``srcdir`` up to date; returns this request's reply.
 
-        A request identical in (group, manager, jobs, pool) to one
-        already building *joins* it: no second compile, the joiner
-        blocks until the leader finishes and shares its report
-        (``reply.coalesced`` is True).
+        A request for a group that is already building waits on the
+        group's lock and then runs its own (usually no-op) build.
         """
         if self._closed:
             raise DaemonError("daemon is shut down")
@@ -225,49 +191,14 @@ class BuildDaemon:
         pool = pool if pool else self.pool
         t0 = time.perf_counter()
         state = self._state_for(srcdir)
-        key = (state.srcdir, manager, jobs, pool)
-        mine: _Inflight | None = None
         with self._lock:
             self._request_seq += 1
             request_id = self._request_seq
-            theirs = self._inflight.get(key)
-            if theirs is not None:
-                theirs.joiners += 1
-                theirs.joined.set()
-            else:
-                mine = self._inflight[key] = _Inflight()
         if self.meter.enabled:
             self.meter.counter("daemon.requests")
-
-        if mine is None:  # join the build already running
-            theirs.done.wait()
-            if theirs.error is not None:
-                raise theirs.error
-            wall = time.perf_counter() - t0
-            if self.meter.enabled:
-                self.meter.counter("daemon.coalesced")
-                self.meter.complete_span(
-                    "daemon-request", t0, time.perf_counter(),
-                    cat="daemon", track="daemon", group=state.srcdir,
-                    manager=manager, coalesced=True)
-            return DaemonReply(group=state.srcdir, report=theirs.report,
-                               request_id=request_id, coalesced=True,
-                               wall_seconds=wall)
-
-        try:
-            if self.build_hook is not None:
-                self.build_hook(key, mine)
-            with state.lock:
-                report, reloaded, refreshed, swept = self._build(
-                    state, manager, jobs, pool)
-            mine.report = report
-        except BaseException as err:
-            mine.error = err
-            raise
-        finally:
-            with self._lock:
-                del self._inflight[key]
-            mine.done.set()
+        with state.lock:
+            report, reloaded, refreshed = self._build(
+                state, manager, jobs, pool)
         wall = time.perf_counter() - t0
         if self.meter.enabled:
             self.meter.counter("daemon.builds")
@@ -279,13 +210,12 @@ class BuildDaemon:
             self.meter.complete_span(
                 "daemon-request", t0, time.perf_counter(), cat="daemon",
                 track="daemon", group=state.srcdir, manager=manager,
-                coalesced=False, joiners=mine.joiners,
                 compiled=len(report.compiled))
         return DaemonReply(group=state.srcdir, report=report,
                            request_id=request_id,
                            store_reloaded=reloaded,
                            sources_refreshed=refreshed,
-                           swept=swept, wall_seconds=wall)
+                           wall_seconds=wall)
 
     def explain(self, srcdir: str, unit: str | None = None,
                 manager: str | None = None) -> str:
@@ -317,8 +247,8 @@ class BuildDaemon:
             return diff.render_text(unit)
 
     def stats(self) -> dict:
-        """The daemon's rolled-up telemetry: request/coalesce/build
-        counts, cache hit rate, worker occupancy -- cheap enough to
+        """The daemon's rolled-up telemetry: request/build counts,
+        cache hit rate, worker occupancy -- cheap enough to
         serve permanently (the counters tier of ``--trace-sample``
         keeps them for *every* build, sampled or not)."""
         with self._lock:
@@ -376,14 +306,8 @@ class BuildDaemon:
         return state.backend
 
     def _open(self, state: _GroupState) -> None:
-        """First contact with a group: sweep debris, load the store."""
+        """First contact with a group: load the store."""
         backend = self._backend_for(state)
-        state.swept = sweep_stale_artifacts(state.bin_dir,
-                                            backend=backend)
-        if state.swept and self.meter.enabled:
-            self.meter.event("daemon-sweep", cat="daemon",
-                             group=state.srcdir,
-                             swept=list(state.swept))
         state.store = BinStore.open_directory(state.bin_dir, backend,
                                               self.meter)
         state.store_sig = BinStore.disk_signature(state.bin_dir,
@@ -456,10 +380,8 @@ class BuildDaemon:
 
     def _build(self, state: _GroupState, manager: str, jobs: int,
                pool: str):
-        swept: list[str] = []
         if not state.opened:
             self._open(state)
-            swept = list(state.swept)  # reported by this request only
         refreshed = self._refresh_sources(state)
         reloaded = self._refresh_store(state)
         builder = state.builders.get(manager)
@@ -482,7 +404,7 @@ class BuildDaemon:
             # the ladder; forget it so the next request makes a new one.
             with self._lock:
                 self._executors.pop((jobs, pool), None)
-        return report, reloaded, refreshed, swept
+        return report, reloaded, refreshed
 
     def _record_profile(self, state: _GroupState, manager: str,
                         builder, report) -> None:
@@ -529,10 +451,8 @@ def reply_to_wire(reply: DaemonReply) -> dict:
     report = reply.report
     return {
         "group": reply.group,
-        "coalesced": reply.coalesced,
         "store_reloaded": reply.store_reloaded,
         "sources_refreshed": reply.sources_refreshed,
-        "swept": list(reply.swept),
         "jobs": report.jobs,
         "pool": report.pool,
         "stats": report.stats(),

@@ -27,8 +27,8 @@ Further fault modes ride the same seam:
 - :class:`TwoWriterInterleaver` serializes the filesystem calls of two
   concurrent writers according to an explicit schedule string
   (``"ABAB..."``), making concurrent-writer races *deterministic*: each
-  schedule is one reproducible interleaving of, say, two merge-saves
-  racing on one store.  With ``mutations_only=True`` the schedule
+  schedule is one reproducible interleaving of, say, two saves racing
+  on one store.  With ``mutations_only=True`` the schedule
   advances only on *mutating* calls, so a short schedule prefix pins
   down exactly the writes that can race.  :func:`bounded_schedules`
   enumerates every schedule prefix up to a depth and

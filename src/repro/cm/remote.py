@@ -32,12 +32,11 @@ some other client compiled.  This module supplies the three pieces:
   else is a clean ``store-miss`` recompile.  A build never sees a
   transport exception, and its outputs are byte-identical to a no-cache
   build.
-- *Racing writers* with separate caches converge through the server:
-  record puts are atomic per request and the manifest merge is a single
-  server-side read-modify-write, so the merge-save union holds.  A
-  build never removes a record its project lacks (the backend is
-  ``shared``): it may be another client's, and server-side GC is an
-  operator action.
+- *Racing writers* with separate caches meet at the server: record
+  puts and manifest writes are atomic per request, so the server store
+  stays healthy and the last save's manifest wins.  A build never
+  removes a record its project lacks (the backend is ``shared``): it
+  may be another client's, and server-side GC is an operator action.
 
 Eviction safety: between ``begin_save``/``end_save`` every record the
 save writes is pinned -- the LRU can never evict a record dirty in the
@@ -236,12 +235,6 @@ class StoreServer:
                 backend.write_manifest(blob)
                 self.rev += 1
                 return {"ok": True}, b""
-            if op == "manifest_merge":
-                backend.open()
-                size = backend.merge_manifest(
-                    dict(meta["adds"]), set(meta["removes"]))
-                self.rev += 1
-                return {"size": size}, b""
             if op == "quarantine_ensure":
                 return {"qerror": backend.ensure_quarantine_dir()}, b""
             if op == "quarantine_pair":
@@ -249,8 +242,6 @@ class StoreServer:
                 if moved:
                     self.rev += 1
                 return {"moved": moved, "qerror": err}, b""
-            if op == "sweep_rlocks":
-                return {"swept": backend.sweep_dead_record_locks()}, b""
             raise ValueError(f"unknown op {op!r}")
 
 
@@ -777,36 +768,15 @@ class RemoteBackend(StoreBackend):
         self._cache_manifest_view(records)
         self._try_call({"op": "manifest_write"}, data)
 
-    def merge_manifest(self, adds: dict[str, str],
-                       removes: set[str]) -> int:
-        got = self._try_call({"op": "manifest_merge", "adds": adds,
-                              "removes": sorted(removes)})
-        try:
-            headers, payloads = self.cache.list_pairs()
-            present = headers & payloads
-            self.cache.merge_manifest(
-                {s: n for s, n in adds.items() if s in present},
-                set(removes))
-        except (OSError, StoreError):
-            pass
-        if got is not None:
-            return int(got[0].get("size", 0))
-        # Offline: report the local merge's size (best effort).
-        data = self.cache.read_manifest_bytes()
-        return len(data) if data is not None else 0
-
     # -- locks -------------------------------------------------------------
 
     def store_lock(self, timeout: float) -> StoreLock:
         # Serializes writers *sharing this cache directory*; clients
-        # with separate caches are serialized by the server's op lock
-        # (atomic puts + one-op manifest merge).  The store may exist
-        # only remotely so far -- make sure the lock has a home.
+        # with separate caches meet only at the server, whose op lock
+        # makes each put and manifest write atomic.  The store may
+        # exist only remotely so far -- make sure the lock has a home.
         self.cache.open()
         return self.cache.store_lock(timeout)
-
-    def record_lock(self, stem: str, timeout: float) -> StoreLock:
-        return self.cache.record_lock(stem, timeout)
 
     # -- maintenance -------------------------------------------------------
 
@@ -822,16 +792,6 @@ class RemoteBackend(StoreBackend):
                 lru.pop(stem)
         self._save_lru()
         return pruned
-
-    def sweep_dead_record_locks(self) -> list[str]:
-        swept = self.cache.sweep_dead_record_locks()
-        got = self._try_call({"op": "sweep_rlocks"})
-        if got is not None:
-            swept.extend(got[0].get("swept", []))
-        return swept
-
-    def sweep_stale(self) -> list[str]:
-        return self.cache.sweep_stale()
 
     def ensure_quarantine_dir(self) -> str | None:
         got = self._try_call({"op": "quarantine_ensure"})

@@ -28,6 +28,8 @@ every kind of damage is detected and named:
   ``os.replace`` under a pid-stamped lock file (stale locks -- dead
   owner or torn content -- are detected and broken).  A crash between
   the two renames leaves a checksum mismatch, never a half-parsed record.
+  The lock admits one writer at a time, so two builders saving into one
+  store take turns and the last complete save wins.
 - **Manifest.**  ``MANIFEST.json`` lists the live records; records on
   disk but not in the manifest (a crash after a record write) are
   ignored, records in the manifest but missing on disk are reported.
@@ -59,11 +61,9 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
     MANIFEST_NAME,
     PAYLOAD_SUFFIX,
     QUARANTINE_DIR,
-    RECORD_LOCK_SUFFIX,
     SHARDS_DIR,
     TMP_SUFFIX,
     DirectoryBackend,
-    NullLock,
     ShardedBackend,
     StoreBackend,
     StoreError,
@@ -78,7 +78,6 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
     unescape_name,
     _disk_full,
 )
-from repro.cm.backend import lock_owner as _lock_owner  # noqa: F401
 from repro.cm.backend import record_stem as _record_stem
 from repro.cm.depend import DepSummary
 from repro.cm.faults import REAL_FS, FileSystem
@@ -340,8 +339,8 @@ class BinStore:
             return backend
         return detect_dir_backend(path, fs=self.fs)
 
-    def save_directory(self, path: str, lock_timeout: float = 5.0,
-                       merge: bool = False) -> SaveStats:
+    def save_directory(self, path: str,
+                       lock_timeout: float = 5.0) -> SaveStats:
         """Write the store to ``path`` atomically and incrementally.
 
         ``path`` addresses a backend: this store's own backend when the
@@ -351,27 +350,16 @@ class BinStore:
         records are rewritten (payload first, header second, each via
         tmp-file + atomic rename); removed units' files and unknown
         record debris are pruned; the manifest is refreshed.  The whole
-        save runs under the store lock.  Returns what was actually
-        written.
-
-        With ``merge=True`` the save is safe against *other live
-        writers* on the same store: each record's header+payload pair is
-        written under a per-record lock (so two writers racing on one
-        unit can never interleave into a mismatched pair), and the
-        manifest is merged read-modify-write under the store lock
-        instead of overwritten -- records this store never heard of are
-        preserved, so two builders racing on one store converge to the
-        union of their work, never corruption.
+        save runs under the store lock, so a second writer waits its
+        turn (up to ``lock_timeout`` seconds, then
+        :class:`StoreLockedError`) and the last complete save wins.
+        Returns what was actually written.
         """
         backend = self._backend_for(path)
-        with self.meter.span("store.save", cat="store", path=path,
-                             merge=merge) as sp:
+        with self.meter.span("store.save", cat="store", path=path) as sp:
             backend.begin_save()
             try:
-                if merge:
-                    stats = self._save_merge(backend, lock_timeout)
-                else:
-                    stats = self._save_plain(backend, lock_timeout)
+                stats = self._save(backend, lock_timeout)
             finally:
                 backend.end_save()
             sp.set(records=stats.records_written,
@@ -381,9 +369,8 @@ class BinStore:
                                    stats.bytes_written)
             return stats
 
-    def _save_plain(self, backend: StoreBackend,
-                    lock_timeout: float) -> SaveStats:
-        """The single-writer save: everything under the store lock."""
+    def _save(self, backend: StoreBackend,
+              lock_timeout: float) -> SaveStats:
         backend.open()
         stats = SaveStats()
         lock = backend.store_lock(lock_timeout)
@@ -412,68 +399,6 @@ class BinStore:
 
             live = {escape_name(n) for n in self._records}
             stats.pruned.extend(backend.prune(live))
-
-            self._dirty.clear()
-            self._removed.clear()
-            self._loaded_from = backend.key
-            self._manifest_stale = False
-            self.backend = backend
-            return stats
-        finally:
-            lock.release()
-
-    def _save_merge(self, backend: StoreBackend,
-                    lock_timeout: float) -> SaveStats:
-        """The concurrent-writer save: per-record locks around each
-        header+payload pair, then a read-modify-write manifest merge
-        under the store lock.
-
-        Two invariants make racing writers safe:
-
-        - a record's two files are only ever replaced while holding its
-          ``.rlock``, so a reader can never see writer A's header next
-          to writer B's payload (each pair is internally consistent;
-          the whole-record digest would expose exactly that mix);
-        - manifest entries are only added for records whose files are
-          already on disk, and only removed (with their files) by the
-          writer that removed the unit -- so the manifest never names a
-          record that was not completely written.
-
-        Unknown debris is deliberately *not* pruned here: a file this
-        writer does not recognize may be another live writer's
-        just-written record that is not yet manifested.  Only stale
-        record locks (dead owners) are swept.
-        """
-        backend.open()
-        stats = SaveStats()
-        dirty = (set(self._records) if backend.key != self._loaded_from
-                 else set(self._dirty))
-        for name in sorted(dirty):
-            record = self._records[name]
-            stem = escape_name(name)
-            header_bytes = self._header_bytes(record)
-            rlock = backend.record_lock(stem, lock_timeout)
-            rlock.acquire(required=True)
-            try:
-                backend.put(stem, header_bytes, record.payload)
-            finally:
-                rlock.release()
-            stats.records_written += 1
-            stats.bytes_written += len(record.payload) + len(header_bytes)
-        stats.records_skipped = len(self._records) - len(dirty)
-
-        lock = backend.store_lock(lock_timeout)
-        lock.acquire(required=True)
-        try:
-            for name in sorted(self._removed):
-                stem = escape_name(name)
-                backend.delete(stem)
-                stats.pruned.append(stem)
-            adds = {escape_name(n): n for n in self._records}
-            removes = {escape_name(n) for n in self._removed}
-            stats.bytes_written += backend.merge_manifest(adds, removes)
-
-            stats.pruned.extend(backend.sweep_dead_record_locks())
 
             self._dirty.clear()
             self._removed.clear()
@@ -807,27 +732,6 @@ class BinStore:
         if backend is None:
             backend = detect_dir_backend(path, fs=fs)
         return backend.signature()
-
-
-def sweep_stale_artifacts(path: str,
-                          fs: FileSystem | None = None,
-                          backend: StoreBackend | None = None) -> list[str]:
-    """Sweep a killed prior run's debris out of a store.
-
-    A ``kill -9`` mid-save can leave ``.rlock`` record locks whose
-    owner pid is dead or unreadable.  Merge-savers skip records someone
-    else holds, so a dead owner's lock would permanently shadow its
-    record in a long-lived daemon.  Nothing else needs sweeping: a
-    checkpoint is one store save, atomic per record, so the records a
-    killed build left are consistent and the next build loads them.
-
-    Live locks (owner pid still running) are left alone.  Best effort:
-    an unreadable directory sweeps nothing, a failed remove skips that
-    entry.  Returns the names of the entries removed.
-    """
-    if backend is None:
-        backend = detect_dir_backend(path, fs=fs)
-    return backend.sweep_stale()
 
 
 def _is_str_table(value) -> bool:

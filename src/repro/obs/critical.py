@@ -9,8 +9,8 @@
 - :func:`worker_idle`: the schedule-quality rollup -- worker-compile
   busy seconds vs ``jobs x build wall``.
 - :func:`request_rollup`: daemon request analytics from the
-  ``daemon-request`` spans on the ``daemon`` track (count, coalesced
-  joins, latency spread).
+  ``daemon-request`` spans on the ``daemon`` track (count and latency
+  spread).
 - :func:`span_coverage`: the fraction of a tracer's wall-clock covered
   by root spans -- the acceptance gate that tracing sees (almost)
   everything the build did.
@@ -132,15 +132,11 @@ def worker_idle(tracer, jobs: int) -> dict:
 def request_rollup(tracer) -> dict:
     """Daemon request analytics from ``daemon-request`` spans.
 
-    Returns the request count, how many were coalesced joins, and the
-    latency spread -- the daemon benchmark's warm-request headline.
+    Returns the request count and the latency spread -- the daemon
+    benchmark's warm-request headline.
     """
     spans = [s for s in tracer.all_spans() if s.name == "daemon-request"]
-    out = {
-        "requests": len(spans),
-        "coalesced": sum(1 for s in spans
-                         if s.args.get("coalesced")),
-    }
+    out: dict = {"requests": len(spans)}
     if spans:
         latencies = sorted(s.duration for s in spans)
         out["latency_seconds"] = {

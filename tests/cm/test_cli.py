@@ -15,10 +15,11 @@ from repro.cm import (
     Supervisor,
 )
 from repro.cm.__main__ import main
-from repro.cm.store import LOCK_NAME
 from repro.units.pipeline import source_digest
 from repro.workload import generate_workload
 from repro.workload.shapes import chain
+
+from tests.helpers import store_files
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -178,18 +179,6 @@ class TestSupervisedCli:
                 fh.write(workload.project.source(name))
         return sorted(workload.project.names())
 
-    @staticmethod
-    def store_files(srcdir):
-        """The bin records and manifest (profiles and locks aside)."""
-        bin_dir = os.path.join(srcdir, ".bin")
-        out = {}
-        for entry in sorted(os.listdir(bin_dir)):
-            path = os.path.join(bin_dir, entry)
-            if entry != LOCK_NAME and os.path.isfile(path):
-                with open(path, "rb") as fh:
-                    out[entry] = fh.read()
-        return out
-
     def test_killed_build_resumes_on_a_plain_rerun(self, tmp_path,
                                                    capsys):
         """A supervised build killed after its first checkpoint leaves
@@ -215,7 +204,8 @@ class TestSupervisedCli:
         clean = str(tmp_path / "clean")
         self.chain_tree(clean)
         assert main([clean, *command]) == 0
-        assert self.store_files(srcdir) == self.store_files(clean)
+        assert (store_files(os.path.join(srcdir, ".bin"))
+                == store_files(os.path.join(clean, ".bin")))
 
     def test_timeout_needs_jobs(self, srcdir, capsys):
         """The inline tier runs each compile at submit time, so a

@@ -4,18 +4,17 @@ PR 2 made the bin store crash-safe against a *dying* writer.  This
 suite covers the other half: two *live* writers racing on one store
 directory.  The deterministic :class:`TwoWriterInterleaver` replays
 exact filesystem interleavings (no sleeps, no flaky timing), and the
-claims under test are the merge-save invariants:
+claims under test are the save invariants:
 
-- any interleaving of two merge-saves leaves a store that fsck calls
+- any interleaving of two saves leaves a store that fsck calls
   healthy -- no ``CorruptRecord``, no mixed header/payload pair;
-- the surviving store is the union of both writers' records
-  (last-writer-wins per record), so a follow-up build pays at most
-  redundant recompiles, never corruption;
+- the store lock admits one writer at a time, so the surviving store
+  is exactly the last complete save, and a follow-up build pays at
+  most redundant recompiles, never corruption;
 - a live-but-slow writer (SlowFS) keeps its lock: the stale-lock
   breaker tests liveness, not patience.
 """
 
-import json
 import os
 import threading
 import time
@@ -28,14 +27,7 @@ from repro.cm import (
     StoreLockedError,
 )
 from repro.cm.faults import SlowFS, TwoWriterInterleaver, plant_stale_lock
-from repro.cm.store import (
-    HEADER_SUFFIX,
-    LOCK_NAME,
-    MANIFEST_NAME,
-    PAYLOAD_SUFFIX,
-    RECORD_LOCK_SUFFIX,
-    StoreLock,
-)
+from repro.cm.store import LOCK_NAME, StoreLock
 from repro.workload import diamond, generate_workload
 
 SHAPE = diamond(2, 1)  # u000 base, u001+u002 layer, u003 top
@@ -63,6 +55,8 @@ SCHEDULES = {
 
 
 class TestInterleavedMergeSaves:
+    """Two writers' plain saves racing on one store directory."""
+
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES),
                              ids=sorted(SCHEDULES))
     def test_any_interleaving_converges_healthy(self, tmp_path, schedule):
@@ -73,8 +67,8 @@ class TestInterleavedMergeSaves:
             fs=drv.fs("B"), edit=("edit_implementation", "u001"))
 
         stats_a, stats_b = drv.run(
-            lambda: builder_a.store.save_directory(store_dir, merge=True),
-            lambda: builder_b.store.save_directory(store_dir, merge=True))
+            lambda: builder_a.store.save_directory(store_dir),
+            lambda: builder_b.store.save_directory(store_dir))
 
         # Both writers really wrote, and the schedule really interleaved.
         assert stats_a.records_written == len(SHAPE)
@@ -89,6 +83,14 @@ class TestInterleavedMergeSaves:
         loaded = BinStore.load_directory(store_dir)
         assert not loaded.health.corrupt
         assert sorted(loaded.names()) == sorted(builder_b.units)
+        # The last complete save wins whole: every record comes from
+        # one writer (A and B differ in u001's source).
+        def digests(store):
+            return {n: store.get(n).source_digest for n in store.names()}
+
+        assert digests(loaded) in (digests(builder_a.store),
+                                   digests(builder_b.store))
+        assert digests(builder_a.store) != digests(builder_b.store)
 
         # Convergence: a fresh session over the raced store pays at
         # most redundant recompiles (A-version records for B's edited
@@ -99,82 +101,6 @@ class TestInterleavedMergeSaves:
                    for o in report_b.outcomes)
         assert ({n: u.export_pid for n, u in rebuild.units.items()}
                 == {n: u.export_pid for n, u in builder_b.units.items()})
-
-    def test_merge_preserves_unmanifested_records(self, tmp_path):
-        """A record pair on disk but absent from the manifest may be
-        another live writer's not-yet-manifested work: merge saves must
-        leave it alone (exclusive saves prune it as debris)."""
-        store_dir = str(tmp_path / "store")
-        _wl, builder = built_store()
-        builder.store.save_directory(store_dir)
-
-        manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        orphan_stem = sorted(manifest["records"])[0]
-        del manifest["records"][orphan_stem]
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
-
-        other_wl, other = built_store(edit=("edit_comment", "u003"))
-        stats = other.store.save_directory(store_dir, merge=True)
-        assert orphan_stem not in "".join(stats.pruned)
-        on_disk = set(os.listdir(store_dir))
-        assert any(e.startswith(orphan_stem + ".") for e in on_disk)
-
-        # ... while the exclusive save, which assumes sole ownership,
-        # does prune what it does not know (crash-debris hygiene).
-        lone_wl, lone = built_store()
-        lone.store._records.pop("u000")
-        lone.store._dirty.discard("u000")
-        exclusive_dir = str(tmp_path / "exclusive")
-        lone.store.save_directory(exclusive_dir)
-        lone.store.save_directory(exclusive_dir)  # settle _loaded_from
-        stranger_hdr = "zzz" + HEADER_SUFFIX
-        stranger_pay = "zzz" + PAYLOAD_SUFFIX
-        with open(os.path.join(exclusive_dir, stranger_hdr), "w") as f:
-            f.write("{}")
-        with open(os.path.join(exclusive_dir, stranger_pay), "wb") as f:
-            f.write(b"x")
-        stats = lone.store.save_directory(exclusive_dir)
-        assert stranger_hdr in stats.pruned
-        assert stranger_pay in stats.pruned
-
-    def test_dead_record_lock_is_swept_live_one_blocks(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        _wl, builder = built_store()
-        builder.store.save_directory(store_dir, merge=True)
-
-        # A dead writer's .rlock on a record nobody is writing: swept
-        # by the next merge save's cleanup pass, ignored by the loader.
-        swept = os.path.join(store_dir, "departed" + RECORD_LOCK_SUFFIX)
-        with open(swept, "w") as f:
-            json.dump({"pid": -1}, f)
-        # ... and one on a record the writer IS about to write: broken
-        # by that writer's own rlock acquisition instead.
-        broken = os.path.join(store_dir, "u000" + RECORD_LOCK_SUFFIX)
-        with open(broken, "w") as f:
-            json.dump({"pid": -1}, f)
-        loaded = BinStore.load_directory(store_dir)
-        assert loaded.health.ok
-        _wl2, again = built_store(edit=("edit_comment", "u000"))
-        stats = again.store.save_directory(store_dir, merge=True)
-        assert "departed" + RECORD_LOCK_SUFFIX in stats.pruned
-        assert not os.path.exists(swept)
-        assert not os.path.exists(broken)
-
-        # A live writer's .rlock (same pid, alive) blocks a merge save
-        # that needs the same record, with a clean StoreLockedError.
-        live = os.path.join(store_dir, "u000" + RECORD_LOCK_SUFFIX)
-        with open(live, "w") as f:
-            json.dump({"pid": os.getpid()}, f)
-        _wl3, blocked = built_store(edit=("edit_comment", "u000"))
-        with pytest.raises(StoreLockedError):
-            blocked.store.save_directory(store_dir, merge=True,
-                                         lock_timeout=0.05)
-        os.remove(live)
-        blocked.store.save_directory(store_dir, merge=True)
-        assert BinStore.fsck(store_dir).ok
 
 
 class TestSlowWriterKeepsItsLock:

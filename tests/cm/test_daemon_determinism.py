@@ -30,9 +30,10 @@ from repro.cm import (
     SupervisePolicy,
     TimestampBuilder,
 )
-from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
+
+from tests.helpers import store_files
 
 SHAPES = {
     "chain": lambda: chain(5),
@@ -51,20 +52,6 @@ JOBS = [1, 2, 4]
 
 #: Fast supervision for tests (tiny backoffs; behaviourally identical).
 POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
-
-
-def store_files(store_dir):
-    """Every store file's bytes; locks excluded (transient by design)."""
-    out = {}
-    for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
-            continue
-        full = os.path.join(store_dir, entry)
-        if not os.path.isfile(full):
-            continue
-        with open(full, "rb") as f:
-            out[entry] = f.read()
-    return out
 
 
 def write_tree(srcdir, project, only=None):

@@ -2,12 +2,11 @@
 
 Three contracts:
 
-- **Coalescing**: concurrent requests for the same (group, manager,
-  jobs, pool) join one build -- exactly one compile pass, one shared
-  report -- proven deterministically via the daemon's ``build_hook`` /
-  ``_Inflight.joined`` seams and the meter counters.
+- **Turn-taking**: concurrent requests for one group take turns on the
+  group's lock -- two replies, two reports, and every unit compiled
+  exactly once across them.
 - **Isolation**: requests for disjoint groups run concurrently (both
-  leaders are in flight at once) and never cross-talk stores.
+  builds are in flight at once) and never cross-talk stores.
 - **Wire format**: the stdio protocol (``serve`` / ``wire_encode``) is
   golden-tested byte-for-byte -- compact key-sorted JSON, stable
   response envelopes, per-request error envelopes that never kill the
@@ -46,21 +45,34 @@ def make_group(srcdir, shape=None):
     return workload
 
 
-class TestCoalescing:
-    def test_duplicate_inflight_requests_join_one_build(self, tmp_path):
-        """Two concurrent same-group requests: the leader parks (via
-        the build_hook seam) until the duplicate has joined, so the
-        race is forced, then exactly one build serves both."""
+class TestSameGroup:
+    def test_duplicate_requests_take_turns(self, tmp_path):
+        """Two concurrent requests for one group: the first build holds
+        the group lock until the second request has arrived, which
+        then waits its turn and finds every unit already compiled."""
         srcdir = str(tmp_path / "grp")
         workload = make_group(srcdir)
         tracer = Tracer()
-
-        def park_until_joined(key, inflight):
-            assert inflight.joined.wait(timeout=10.0), \
-                "duplicate request never joined"
-
         daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                             meter=tracer, build_hook=park_until_joined)
+                             meter=tracer)
+        arrivals = []
+        both_arrived = threading.Event()
+        state_for, build = daemon._state_for, daemon._build
+
+        def counting_state_for(srcdir):
+            arrivals.append(srcdir)
+            if len(arrivals) == 2:
+                both_arrived.set()
+            return state_for(srcdir)
+
+        def build_once_both_arrived(*args):
+            # The first build waits here, holding the group lock, until
+            # the second request is in flight too.
+            assert both_arrived.wait(timeout=10.0)
+            return build(*args)
+
+        daemon._state_for = counting_state_for
+        daemon._build = build_once_both_arrived
         replies = []
         errors = []
 
@@ -80,37 +92,39 @@ class TestCoalescing:
             daemon.shutdown()
         assert not errors
         assert len(replies) == 2
-        coalesced = [r for r in replies if r.coalesced]
-        leaders = [r for r in replies if not r.coalesced]
-        assert len(coalesced) == 1 and len(leaders) == 1
-        # One build, shared verbatim: the joiner gets the leader's
-        # report object, and every unit compiled exactly once.
-        assert coalesced[0].report is leaders[0].report
-        assert len(leaders[0].report.compiled) == len(workload.project)
+        first, second = sorted(replies,
+                               key=lambda r: len(r.report.compiled),
+                               reverse=True)
+        assert first.report is not second.report
+        names = sorted(workload.project.names())
+        assert sorted(first.report.compiled) == names
+        assert second.report.compiled == []
+        assert sorted(second.report.cached) == names
         assert tracer.counters["daemon.requests"] == 2
-        assert tracer.counters["daemon.builds"] == 1
-        assert tracer.counters["daemon.coalesced"] == 1
+        assert tracer.counters["daemon.builds"] == 2
         rollup = request_rollup(tracer)
         assert rollup["requests"] == 2
-        assert rollup["coalesced"] == 1
+        assert sorted(rollup) == ["latency_seconds", "requests"]
 
 
 class TestDisjointGroups:
     def test_disjoint_groups_build_concurrently(self, tmp_path):
-        """Two different groups' leaders must be in flight at the same
-        time (a shared barrier in the build hook would deadlock under
-        a global build lock), and their stores must not cross-talk."""
+        """Two different groups' builds must be in flight at the same
+        time (a shared barrier in the build would deadlock under a
+        global build lock), and their stores must not cross-talk."""
         a_dir = str(tmp_path / "a")
         b_dir = str(tmp_path / "b")
         wl_a = make_group(a_dir, chain(3))
         wl_b = make_group(b_dir, diamond(2, 2))
         barrier = threading.Barrier(2)
+        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
+        build = daemon._build
 
-        def rendezvous(key, inflight):
-            barrier.wait(timeout=10.0)  # both leaders, concurrently
+        def build_at_rendezvous(*args):
+            barrier.wait(timeout=10.0)  # both groups, concurrently
+            return build(*args)
 
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                             build_hook=rendezvous)
+        daemon._build = build_at_rendezvous
         replies = {}
         errors = []
 
@@ -181,9 +195,9 @@ class TestWireFormat:
         assert rc == 0
         assert lines == [
             '{"id":"c1","ok":true,"op":"ping","result":'
-            '{"manager":"cutoff","protocol":%d}}'
-            % PROTOCOL_VERSION
+            '{"manager":"cutoff","protocol":2}}'
         ]
+        assert PROTOCOL_VERSION == 2
 
     def test_build_response_golden(self, tmp_path):
         """The whole build envelope, byte-stable modulo wall clock."""
@@ -203,10 +217,8 @@ class TestWireFormat:
         assert isinstance(result.pop("wall_seconds"), float)
         assert result == {
             "group": srcdir,
-            "coalesced": False,
             "store_reloaded": False,
             "sources_refreshed": 3,
-            "swept": [],
             "jobs": 1,
             "pool": "inline",
             "stats": {

@@ -11,7 +11,6 @@ worker's compile depends only on the source text and the imports'
 dehydrated interfaces, never on scheduling.
 """
 
-import os
 import shutil
 
 import pytest
@@ -32,9 +31,10 @@ from repro.cm.faults import (
     WorkerFaults,
     faulty_executors,
 )
-from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
+
+from tests.helpers import store_files
 
 SHAPES = {
     "chain": lambda: chain(5),
@@ -50,17 +50,6 @@ EDITS = {
 }
 
 JOBS = [1, 2, 4, 8]
-
-
-def store_files(store_dir):
-    """Every store file's bytes, locks excluded (locks are transient)."""
-    out = {}
-    for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
-            continue
-        with open(os.path.join(store_dir, entry), "rb") as f:
-            out[entry] = f.read()
-    return out
 
 
 def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder,
@@ -259,8 +248,8 @@ class TestDeterminismUnderFaults:
         assert store_files(slow_dir) == fast_files
 
     def test_two_writer_store(self, tmp_path):
-        """After two racing merge-writers, serial and parallel sessions
-        over the surviving store converge to identical bytes."""
+        """After two racing writers, serial and parallel sessions over
+        the surviving store converge to identical bytes."""
         from repro.cm.faults import TwoWriterInterleaver
 
         racing = str(tmp_path / "racing")
@@ -276,8 +265,8 @@ class TestDeterminismUnderFaults:
         store_b = BinStore(fs=drv.fs("B"))
         builder_b = CutoffBuilder(workload_b.project, store=store_b)
         builder_b.build()
-        drv.run(lambda: store_a.save_directory(racing, merge=True),
-                lambda: store_b.save_directory(racing, merge=True))
+        drv.run(lambda: store_a.save_directory(racing),
+                lambda: store_b.save_directory(racing))
         assert BinStore.fsck(racing).ok
 
         serial_dir = str(tmp_path / "serial")

@@ -239,9 +239,8 @@ class TestWarmLocalCache:
 
 
 class TestSharedStore:
-    @pytest.mark.parametrize("merge", [False, True])
     def test_a_smaller_project_leaves_other_clients_records(
-            self, server, tmp_path, merge):
+            self, server, tmp_path):
         """Client B's project lacks ``app``.  Its build and save must
         leave ``app`` on the shared server (server-side GC is an
         operator action), so client A, whose project has it, still
@@ -257,7 +256,7 @@ class TestSharedStore:
         builder = CutoffBuilder(project, store=store)
         assert builder.build().compiled == ["mid"]
         assert "app" not in builder.units
-        store.save_directory(cache_b, merge=merge)
+        store.save_directory(cache_b)
 
         cache_a = str(tmp_path / "client-a")
         store = BinStore.load_directory(

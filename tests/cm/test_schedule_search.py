@@ -5,13 +5,11 @@ interleavings; this suite explores the *space*.  With
 ``mutations_only=True`` every schedule character names exactly one
 store mutation point, so enumerating every prefix of depth K
 (:func:`bounded_schedules`) covers every way the first K mutating
-filesystem calls of two racing merge-saves can interleave -- bounded
+filesystem calls of two racing saves can interleave -- bounded
 exhaustive search in the model-checking sense.  The claim: **every**
 schedule converges to a store that fsck calls healthy and that holds
-the union of both writers' records.
+every unit (the last complete save's records).
 """
-
-import os
 
 import pytest
 
@@ -33,7 +31,7 @@ DEPTH = 7  # 2**7 = 128 schedules >= the 100 the acceptance bar asks
 @pytest.fixture(scope="module")
 def writers():
     """Both writers' record sets, built ONCE; each schedule then only
-    pays two merge-saves, not two builds."""
+    pays two saves, not two builds."""
     workload_a = generate_workload(SHAPE, helpers_per_unit=1)
     builder_a = CutoffBuilder(workload_a.project)
     builder_a.build()
@@ -57,16 +55,15 @@ class TestBoundedExhaustiveSearch:
         builder_a, builder_b, workload_b = writers
         records_a = [builder_a.store.get(n) for n in builder_a.store.names()]
         records_b = [builder_b.store.get(n) for n in builder_b.store.names()]
-        union = sorted(builder_b.units)
+        units = sorted(builder_b.units)
 
         def run_one(schedule):
             drv = TwoWriterInterleaver(schedule, mutations_only=True)
             store_a = store_with(records_a, drv.fs("A"))
             store_b = store_with(records_b, drv.fs("B"))
             store_dir = str(tmp_path / schedule)
-            drv.run(
-                lambda: store_a.save_directory(store_dir, merge=True),
-                lambda: store_b.save_directory(store_dir, merge=True))
+            drv.run(lambda: store_a.save_directory(store_dir),
+                    lambda: store_b.save_directory(store_dir))
             return drv
 
         def check(schedule, drv):
@@ -74,7 +71,7 @@ class TestBoundedExhaustiveSearch:
             fsck = BinStore.fsck(store_dir)
             assert fsck.ok, f"{schedule}: {fsck.render_text()}"
             loaded = BinStore.load_directory(store_dir)
-            assert sorted(loaded.names()) == union, schedule
+            assert sorted(loaded.names()) == units, schedule
 
         report = search_schedules(bounded_schedules(DEPTH), run_one, check)
         assert report.explored == 2 ** DEPTH >= 100

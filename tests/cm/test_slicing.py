@@ -23,12 +23,13 @@ from repro.cm import (
 from repro.cm.stable import stabilize
 from repro.cm.store import (
     HEADER_SUFFIX,
-    LOCK_NAME,
     MANIFEST_NAME,
     PAYLOAD_SUFFIX,
 )
 from repro.pids.crc128 import CRC128, crc128_hex
 from repro.workload import sliced_workload
+
+from tests.helpers import store_files
 
 
 class TestSliceRecording:
@@ -347,17 +348,6 @@ class TestV3Compat:
                           store=BinStore.load_directory(store_dir))
         report = b2.build()
         assert report.compiled == sorted(["iface"] + w.users_of(2))
-
-
-def store_files(store_dir: str) -> dict[str, bytes]:
-    """Every store file's bytes, transient locks excluded."""
-    out = {}
-    for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry.endswith(".rlock"):
-            continue
-        with open(os.path.join(store_dir, entry), "rb") as f:
-            out[entry] = f.read()
-    return out
 
 
 class TestSlicedParallelDeterminism:

@@ -17,8 +17,8 @@ same contracts the flat store earned in PRs 2/3/6:
 - **Disk full** (PR 6): ENOSPC at every client-side write either aborts
   the save cleanly (``StoreFullError``) or leaves quarantinable damage;
   recovery always converges.
-- **Racing writers** (PR 3): interleaved merge-saves from two clients
-  converge to the healthy union.
+- **Racing writers**: interleaved saves from two clients leave a
+  healthy store holding every record.
 - **fsck/quarantine** (PR 6): ``--fsck`` sees the damage and
   ``--fsck --quarantine`` moves it aside, whichever backend fronts the
   store.
@@ -70,16 +70,14 @@ def clean_build():
     return builder, pids, payloads
 
 
-def save_through(harness, source_builder, fs=None, merge=False,
-                 lock_timeout=5.0):
+def save_through(harness, source_builder, fs=None):
     """One client session writing ``source_builder``'s records through
     a fresh backend of the harness's kind."""
     backend = harness.backend(fs=fs)
     store = BinStore(fs=fs, backend=backend)
     for name in source_builder.store.names():
         store.put(source_builder.store.get(name))
-    stats = store.save_directory(backend.root, merge=merge,
-                                 lock_timeout=lock_timeout)
+    stats = store.save_directory(backend.root)
     return backend, stats
 
 
@@ -267,10 +265,11 @@ class TestDamageAtRest:
 
 
 class TestTwoWriters:
-    """Two live clients racing merge-saves must converge to the healthy
-    union -- whatever the interleaving, whatever the backend.  For
-    remote, each writer gets its own cache directory (two machines);
-    the server's one-op manifest merge is what keeps them convergent."""
+    """Two live clients racing saves must leave a healthy store holding
+    every record -- whatever the interleaving, whatever the backend.
+    For remote, each writer gets its own cache directory (two
+    machines), so no lock orders them; the server's atomic puts and
+    manifest writes keep its store healthy."""
 
     SCHEDULES = {
         "strict-alternation": "AB" * 120,
@@ -294,8 +293,8 @@ class TestTwoWriters:
         backend_b, store_b = writer(drv.fs("B"), fresh_cache=True)
 
         stats_a, stats_b = drv.run(
-            lambda: store_a.save_directory(backend_a.root, merge=True),
-            lambda: store_b.save_directory(backend_b.root, merge=True))
+            lambda: store_a.save_directory(backend_a.root),
+            lambda: store_b.save_directory(backend_b.root))
         assert stats_a.records_written + stats_b.records_written \
             >= len(SOURCES)
 

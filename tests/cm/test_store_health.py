@@ -17,8 +17,10 @@ from repro.cm.faults import (
 )
 from repro.cm.store import (
     FORMAT_VERSION,
+    HEADER_SUFFIX,
     LOCK_NAME,
     MANIFEST_NAME,
+    PAYLOAD_SUFFIX,
     StoreLockedError,
     escape_name,
     unescape_name,
@@ -211,6 +213,33 @@ class TestIncrementalSave:
         again = BinStore.load_directory(bin_dir)
         assert again.names() == ["base", "mid"]
         assert again.health.ok
+
+    def test_unowned_record_pruned_from_disk(self, saved):
+        """A record pair no unit owns is debris: the next save, even a
+        null one, prunes it."""
+        _project, bin_dir = saved
+        store = BinStore.load_directory(bin_dir)
+        stray = {"zzz" + HEADER_SUFFIX: b"{}", "zzz" + PAYLOAD_SUFFIX: b"x"}
+        for entry, data in stray.items():
+            with open(os.path.join(bin_dir, entry), "wb") as fh:
+                fh.write(data)
+        stats = store.save_directory(bin_dir)
+        assert stats.records_written == 0
+        assert set(stray) <= set(stats.pruned)
+        assert not set(stray) & set(os.listdir(bin_dir))
+        assert BinStore.fsck(bin_dir).ok
+
+    def test_old_rlock_file_is_an_unrecognized_file(self, saved):
+        """A ``.rlock`` left by an older checkout is just a file the
+        store does not know: a load notes it, a save leaves it be."""
+        _project, bin_dir = saved
+        with open(os.path.join(bin_dir, "app.rlock"), "w") as fh:
+            json.dump({"pid": -1}, fh)
+        store = BinStore.load_directory(bin_dir)
+        assert store.health.ok and store.names() == ["app", "base", "mid"]
+        assert "ignoring unrecognized file app.rlock" in store.health.notes
+        store.save_directory(bin_dir)
+        assert os.path.exists(os.path.join(bin_dir, "app.rlock"))
 
     def test_corrupt_debris_pruned_on_save(self, saved):
         project, bin_dir = saved

@@ -11,7 +11,6 @@ ledger and the tracer.
 """
 
 import json
-import os
 
 import pytest
 
@@ -22,28 +21,14 @@ from repro.cm import (
     Supervisor,
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
-from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.obs.tracer import Tracer
 from repro.workload import generate_workload
 from repro.workload.shapes import fanout, layered
 
+from tests.helpers import store_files
+
 #: A fast retry policy for tests (real backoffs are milliseconds here).
 FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
-
-
-def store_files(store_dir):
-    """Every store file's bytes; locks excluded (transient
-    bookkeeping, not build artifacts)."""
-    out = {}
-    for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
-            continue
-        path = os.path.join(store_dir, entry)
-        if os.path.isdir(path):
-            continue
-        with open(path, "rb") as f:
-            out[entry] = f.read()
-    return out
 
 
 def serial_reference(shape, store_dir):

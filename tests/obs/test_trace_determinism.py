@@ -5,23 +5,12 @@ on-disk store files) to an untraced build: the meter reads the build,
 it never feeds it.
 """
 
-import os
-
 from repro.cm import BinStore, CutoffBuilder, Supervisor
-from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.obs import Tracer
 from repro.workload import generate_workload
 from repro.workload.shapes import diamond
 
-
-def store_files(store_dir):
-    out = {}
-    for entry in sorted(os.listdir(store_dir)):
-        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
-            continue
-        with open(os.path.join(store_dir, entry), "rb") as f:
-            out[entry] = f.read()
-    return out
+from tests.helpers import store_files
 
 
 def flow(store_dir, tracer=None, jobs=0):

@@ -28,6 +28,8 @@ from repro.cm import (
 from repro.cm.depend import _topo_order
 from repro.workload import generate_workload, random_dag
 
+from tests.helpers import store_files
+
 
 def graph_from_deps(deps_by_index):
     """A synthetic DepGraph from shape-style deps (no sources needed)."""
@@ -158,13 +160,7 @@ def test_ready_build_matches_serial_store_bytes(deps_by_index):
         builder.build(jobs=jobs, pool="thread")
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
-        files = {}
-        for entry in sorted(os.listdir(store_dir)):
-            if entry.endswith(".rlock") or entry == "store.lock":
-                continue
-            with open(os.path.join(store_dir, entry), "rb") as fh:
-                files[entry] = fh.read()
-        return pids, files
+        return pids, store_files(store_dir)
 
     base = tempfile.mkdtemp(prefix="readyprop-")
     try:

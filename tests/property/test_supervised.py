@@ -21,24 +21,11 @@ from repro.cm import (
     Supervisor,
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
-from repro.cm.store import LOCK_NAME, RECORD_LOCK_SUFFIX
 from repro.workload import generate_workload, random_dag
 
+from tests.helpers import store_files
+
 FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
-
-
-def store_files(path):
-    """{filename: bytes} for every store-owned file in ``path``."""
-    out = {}
-    for entry in sorted(os.listdir(path)):
-        full = os.path.join(path, entry)
-        if not os.path.isfile(full):
-            continue
-        if entry == LOCK_NAME or entry.endswith(RECORD_LOCK_SUFFIX):
-            continue
-        with open(full, "rb") as f:
-            out[entry] = f.read()
-    return out
 
 
 def descendants(deps_by_index, root):
