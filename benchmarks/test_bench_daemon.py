@@ -56,7 +56,7 @@ def batch_noop_wall(srcdir):
     t0 = time.perf_counter()
     store = BinStore.load_directory(bin_dir)
     builder = CutoffBuilder(Project.from_directory(srcdir), store=store)
-    report = builder.build(jobs=4, pool="thread")
+    report = builder.build(jobs=4)
     store.save_directory(bin_dir)
     wall = time.perf_counter() - t0
     assert not report.compiled and not report.failed
@@ -70,7 +70,7 @@ def test_cold_start_vs_warm_request(benchmark):
 
     def run():
         write_tree(srcdir)
-        daemon = BuildDaemon(jobs=4, pool="thread", policy=POLICY)
+        daemon = BuildDaemon(jobs=4, policy=POLICY)
         try:
             first = daemon.request(srcdir)  # populates store + builder
             assert len(first.report.compiled) == len(SHAPE)
@@ -113,7 +113,7 @@ def ready_set_occupancy():
     tracer = Tracer()
     workload = generate_workload(SHAPE, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project, meter=tracer)
-    report = builder.build(jobs=4, pool="thread")
+    report = builder.build(jobs=4)
     assert len(report.compiled) == len(SHAPE)
     return worker_idle(tracer, jobs=4)
 

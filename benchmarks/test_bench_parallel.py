@@ -50,7 +50,7 @@ def test_parallel_vs_serial_build(benchmark):
         parallel_wl = _workload()
         parallel = CutoffBuilder(parallel_wl.project)
         t0 = time.perf_counter()
-        parallel_report = parallel.build(jobs=4, pool="process")
+        parallel_report = parallel.build(jobs=4)
         parallel_s = time.perf_counter() - t0
 
         assert ({n: u.export_pid for n, u in parallel.units.items()}

@@ -43,7 +43,7 @@ def supervised_wall(faults=None):
     builder = CutoffBuilder(workload.project)
     t0 = time.perf_counter()
     report = Supervisor(
-        jobs=4, pool="thread", policy=POLICY,
+        jobs=4, policy=POLICY,
         executor_factory=faulty_executors(faults) if faults else None,
     ).build(builder)
     wall = time.perf_counter() - t0

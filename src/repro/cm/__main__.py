@@ -33,8 +33,9 @@ Options:
                                     1-in-N builds and cheap counters for
                                     the rest (daemon ``stats`` requests)
     --jobs N                        compile up to N ready units at once
-                                    on a worker pool (same store bytes
-                                    as a serial build)
+                                    on a process pool (a thread pool
+                                    where process pools do not work;
+                                    same store bytes as a serial build)
     --retries N                     supervised build: retry transient
                                     worker failures up to N times per unit
     --timeout SECONDS               with --jobs N > 1: supervised build,
@@ -46,7 +47,8 @@ Options:
     --serve                         run as a resident build daemon:
                                     JSON-lines requests on stdin, one
                                     JSON response per line on stdout
-                                    (see repro.cm.daemon)
+                                    (see repro.cm.daemon); --manager
+                                    and --jobs hold for every request
 """
 
 from __future__ import annotations
@@ -73,14 +75,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--manager", choices=sorted(MANAGERS),
                         default="cutoff")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="compile up to N units concurrently, each "
-                             "as soon as its imports are built (results "
-                             "are byte-identical to a serial build)")
-    parser.add_argument("--pool", choices=["process", "thread"],
-                        default="process",
-                        help="worker pool kind for --jobs > 1 (process "
-                             "pools degrade to threads where "
-                             "unavailable)")
+                        help="compile up to N units concurrently on a "
+                             "process pool, each as soon as its imports "
+                             "are built (results are byte-identical to a "
+                             "serial build)")
     parser.add_argument("--print", dest="print_path", metavar="S.NAME",
                         help="print a structure binding after linking")
     parser.add_argument("--no-link", action="store_true")
@@ -237,7 +235,7 @@ def _build_directory(args, tracer):
             timeout=args.timeout)
     try:
         report = builder.build(
-            jobs=max(1, args.jobs), pool=args.pool, policy=policy,
+            jobs=max(1, args.jobs), policy=policy,
             checkpoint_dir=bin_dir if policy is not None else None)
     except Exception as err:  # ElabError, DependencyError, ParseError...
         print(f"error: {err}", file=sys.stderr)
@@ -400,7 +398,6 @@ def _run_serve(args) -> int:
     from repro.cm.daemon import BuildDaemon, serve
 
     daemon = BuildDaemon(manager=args.manager, jobs=max(1, args.jobs),
-                         pool=args.pool,
                          store_backend=args.store_backend,
                          store_url=args.store_url,
                          trace_sample=max(0, args.trace_sample))

@@ -68,7 +68,7 @@ class BaseBuilder:
 
     # -- the build loop -----------------------------------------------------
 
-    def build(self, jobs: int = 1, pool: str = "process", policy=None,
+    def build(self, jobs: int = 1, policy=None,
               checkpoint_dir: str | None = None) -> BuildReport:
         """Bring every unit up to date; returns what was done.
 
@@ -76,9 +76,9 @@ class BaseBuilder:
         below, compiling in this builder's own session.  Anything else
         runs the ready-set pump (:class:`repro.cm.supervise.Supervisor`):
         each unit is decided the moment its last import lands and its
-        compile runs on a ``jobs``-worker ``pool``; the resulting
-        statenv, bin store contents and export pids are byte-identical
-        to a serial build.
+        compile runs on a ``jobs``-worker process pool (inline for one
+        job); the resulting statenv, bin store contents and export pids
+        are byte-identical to a serial build.
 
         Without supervision the first failed compile raises
         :class:`~repro.cm.parallel.ParallelBuildError`.  A ``policy``
@@ -94,7 +94,7 @@ class BaseBuilder:
             from repro.cm.supervise import SupervisePolicy, Supervisor
             if supervised and policy is None:
                 policy = SupervisePolicy()
-            return Supervisor(jobs=jobs, pool=pool, policy=policy,
+            return Supervisor(jobs=jobs, policy=policy,
                               checkpoint_dir=checkpoint_dir).run(self)
         meter = self.meter
         t0 = time.perf_counter()
@@ -399,11 +399,24 @@ class BaseBuilder:
         session: every unit whose interface reaches the old objects
         hashes that pid, so it too is replaced later in this build (or,
         if its recompile fails, dropped when the next build starts),
-        and nothing dehydrates against the retired interface."""
+        and nothing dehydrates against the retired interface.
+
+        A replacement with the *same* pid keeps the live unit's export
+        objects: cached dependents were elaborated against them, and a
+        unit compiled next must meet the same ones.  Only the new code,
+        payload, digests, times and binding pids are taken, and the pid
+        is registered to the kept objects alone."""
         previous = self.units.get(name)
-        self.units[name] = unit
-        if previous is not None and previous.export_pid != unit.export_pid:
+        if previous is not None and previous.export_pid == unit.export_pid:
+            self.session.retire(unit.export_pid)
+            self.session.register_exports(unit.export_pid,
+                                          previous.export_index)
+            unit.static_env = previous.static_env
+            unit.export_index = previous.export_index
+            unit.owned_stamp_ids = previous.owned_stamp_ids
+        elif previous is not None:
             self.session.retire(previous.export_pid)
+        self.units[name] = unit
 
     def make_record(self, name: str, unit: CompiledUnit) -> BinRecord:
         return BinRecord(

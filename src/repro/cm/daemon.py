@@ -7,12 +7,14 @@ load, dependency re-analysis from scratch.  :class:`BuildDaemon` keeps
 all of that warm across requests:
 
 - **Warm builders.**  One builder (session + live units + dep cache)
-  per (group, manager) survives between requests, so an unchanged unit
-  is a ``cached`` verdict -- no store read, no rehydration.  Worker
-  pools persist too (``Supervisor``'s ``keep_executor`` seam), which
-  keeps the workers' own thread-local sessions and rehydrated import
-  closures warm (:func:`repro.cm.parallel.compile_task`'s
-  ``(name, pid)``-keyed cache).
+  per group survives between requests, so an unchanged unit is a
+  ``cached`` verdict -- no store read, no rehydration.  The daemon's
+  one worker pool persists too (``Supervisor``'s ``keep_executor``
+  seam), which keeps the workers' own sessions and rehydrated import
+  closures warm (:func:`repro.cm.parallel.compile_task`'s cache).
+- **One configuration.**  The manager, the jobs count (and with it the
+  pool kind) and the supervision policy are fixed when the daemon
+  starts; a request names only its group.
 - **Incremental refresh.**  Sources are re-read only when their
   ``(mtime_ns, size)`` signature moved
   (:meth:`~repro.cm.faults.FileSystem.stat_signature`); the store is
@@ -55,6 +57,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cm.backend import configured_backend
+from repro.cm.base import BaseBuilder
 from repro.cm.manager import CutoffBuilder
 from repro.cm.make import TimestampBuilder
 from repro.cm.parallel import make_executor
@@ -64,7 +67,7 @@ from repro.cm.smart import SmartBuilder
 from repro.cm.store import BinStore
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
-from repro.obs.history import BuildHistory, profile_from_report
+from repro.obs.history import BuildHistory, BuildProfile, profile_from_report
 from repro.obs.meter import NULL_METER
 
 #: The manager table the CLI and the daemon share.
@@ -76,7 +79,12 @@ MANAGERS = {
 
 #: Wire-protocol version spoken by :func:`serve` (bumped on any
 #: incompatible change to the request/response shapes).
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+#: Request keys that would reconfigure the daemon, each with the
+#: start-up flag that sets it (the pool kind follows from ``--jobs``).
+STARTUP_KEYS = {"manager": "--manager", "jobs": "--jobs",
+                "pool": "--jobs"}
 
 SOURCE_SUFFIX = ".sml"
 
@@ -117,8 +125,9 @@ class _GroupState:
     #: The configured store backend (None = auto-detected local layout;
     #: created lazily from the daemon's store_backend/store_url).
     backend: object = None
-    #: manager name -> warm builder (session, live units, dep cache).
-    builders: dict = field(default_factory=dict)
+    #: The warm builder (session, live units, dep cache), made by the
+    #: group's first build.
+    builder: BaseBuilder | None = None
     #: source filename -> (mtime_ns, size) at last read.
     stats: dict = field(default_factory=dict)
     #: source unit name -> text at last read.
@@ -127,12 +136,12 @@ class _GroupState:
     store_sig: tuple = ()
     #: the group's build-profile ring buffer (created on first open).
     history: BuildHistory | None = None
-    #: manager name -> the latest recorded profile (kept warm so
-    #: explain-diff never re-reads disk per request).
-    profiles: dict = field(default_factory=dict)
-    #: manager name -> the profile *before* the latest build -- what
-    #: ``explain-diff`` compares the latest ledger against.
-    prior_profiles: dict = field(default_factory=dict)
+    #: The latest recorded profile (kept warm so explain-diff never
+    #: re-reads disk per request).
+    profile: BuildProfile | None = None
+    #: The profile *before* the latest build -- what ``explain-diff``
+    #: compares the latest ledger against.
+    prior_profile: BuildProfile | None = None
 
 
 class BuildDaemon:
@@ -144,7 +153,6 @@ class BuildDaemon:
     """
 
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
-                 pool: str = "thread",
                  policy: SupervisePolicy | None = None, meter=None,
                  store_backend: str = "auto",
                  store_url: str | None = None, trace_sample: int = 0):
@@ -153,7 +161,6 @@ class BuildDaemon:
                               f"(want one of {sorted(MANAGERS)})")
         self.manager = manager
         self.jobs = max(1, jobs)
-        self.pool = pool
         self.store_backend = store_backend
         self.store_url = store_url
         self.policy = policy if policy is not None else SupervisePolicy()
@@ -166,16 +173,15 @@ class BuildDaemon:
         self.meter = meter if meter is not None else NULL_METER
         self._lock = threading.Lock()
         self._states: dict[str, _GroupState] = {}
-        #: (jobs, pool) -> (executor, kind): the warm worker pools.
-        self._executors: dict[tuple, tuple] = {}
+        #: The warm worker pool, ``(executor, kind)``, made by the
+        #: first build and shared by every group.
+        self._pool: tuple | None = None
         self._request_seq = 0
         self._closed = False
 
     # -- the request path -------------------------------------------------
 
-    def request(self, srcdir: str, manager: str | None = None,
-                jobs: int | None = None,
-                pool: str | None = None) -> DaemonReply:
+    def request(self, srcdir: str) -> DaemonReply:
         """Bring ``srcdir`` up to date; returns this request's reply.
 
         A request for a group that is already building waits on the
@@ -183,12 +189,6 @@ class BuildDaemon:
         """
         if self._closed:
             raise DaemonError("daemon is shut down")
-        manager = manager if manager else self.manager
-        if manager not in MANAGERS:
-            raise DaemonError(f"unknown manager {manager!r} "
-                              f"(want one of {sorted(MANAGERS)})")
-        jobs = self.jobs if jobs is None else max(1, jobs)
-        pool = pool if pool else self.pool
         t0 = time.perf_counter()
         state = self._state_for(srcdir)
         with self._lock:
@@ -197,19 +197,17 @@ class BuildDaemon:
         if self.meter.enabled:
             self.meter.counter("daemon.requests")
         with state.lock:
-            report, reloaded, refreshed = self._build(
-                state, manager, jobs, pool)
+            report, reloaded, refreshed = self._build(state)
         wall = time.perf_counter() - t0
         if self.meter.enabled:
             self.meter.counter("daemon.builds")
             # The worker-seconds this build had to fill: the ``stats``
-            # occupancy's denominator, whatever jobs each request ran
-            # with.
+            # occupancy's denominator.
             self.meter.counter("daemon.capacity_seconds",
-                               jobs * report.wall_seconds)
+                               self.jobs * report.wall_seconds)
             self.meter.complete_span(
                 "daemon-request", t0, time.perf_counter(), cat="daemon",
-                track="daemon", group=state.srcdir, manager=manager,
+                track="daemon", group=state.srcdir, manager=self.manager,
                 compiled=len(report.compiled))
         return DaemonReply(group=state.srcdir, report=report,
                            request_id=request_id,
@@ -217,33 +215,20 @@ class BuildDaemon:
                            sources_refreshed=refreshed,
                            wall_seconds=wall)
 
-    def explain(self, srcdir: str, unit: str | None = None,
-                manager: str | None = None) -> str:
-        """The cutoff-explanation ledger of the group's last build
-        under ``manager`` (the daemon's default when omitted)."""
-        manager = manager if manager else self.manager
+    def explain(self, srcdir: str, unit: str | None = None) -> str:
+        """The cutoff-explanation ledger of the group's last build."""
         state = self._state_for(srcdir)
         with state.lock:
-            builder = state.builders.get(manager)
-            if builder is None:
-                raise DaemonError(
-                    f"no build of {srcdir} under {manager!r} yet")
-            return builder.ledger.render_text(unit)
+            return self._built(state).ledger.render_text(unit)
 
-    def explain_diff(self, srcdir: str, unit: str | None = None,
-                     manager: str | None = None) -> str:
+    def explain_diff(self, srcdir: str, unit: str | None = None) -> str:
         """Diff the group's latest build decisions against the
         previous build's profile: why did a unit rebuild *this* time
         but not last time (see :mod:`repro.obs.diff`)."""
-        manager = manager if manager else self.manager
         state = self._state_for(srcdir)
         with state.lock:
-            builder = state.builders.get(manager)
-            if builder is None:
-                raise DaemonError(
-                    f"no build of {srcdir} under {manager!r} yet")
-            prior = state.prior_profiles.get(manager)
-            diff = diff_against_profile(builder.ledger, prior)
+            diff = diff_against_profile(self._built(state).ledger,
+                                        state.prior_profile)
             return diff.render_text(unit)
 
     def stats(self) -> dict:
@@ -276,15 +261,20 @@ class BuildDaemon:
         return out
 
     def shutdown(self) -> None:
-        """Shut the warm pools down and refuse further requests."""
+        """Shut the warm pool down and refuse further requests."""
         with self._lock:
             self._closed = True
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for executor, _kind in executors:
-            executor.shutdown(wait=True, cancel_futures=True)
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool[0].shutdown(wait=True, cancel_futures=True)
 
     # -- group state ------------------------------------------------------
+
+    def _built(self, state: _GroupState):
+        """The group's warm builder; its ledger is the last build's."""
+        if state.builder is None:
+            raise DaemonError(f"no build of {state.srcdir} yet")
+        return state.builder
 
     def _state_for(self, srcdir: str) -> _GroupState:
         key = os.path.abspath(srcdir)
@@ -353,8 +343,8 @@ class BuildDaemon:
             # what Project.from_directory gives a batch build (clock =
             # file count) and built_at stamps match byte-for-byte.
             state.project = Project.from_sources(texts)
-            for builder in state.builders.values():
-                builder.project = state.project
+            if state.builder is not None:
+                state.builder.project = state.project
         state.texts = texts
         return refreshed
 
@@ -368,9 +358,9 @@ class BuildDaemon:
             return False
         state.store = BinStore.open_directory(state.bin_dir, backend,
                                               self.meter)
-        for builder in state.builders.values():
-            builder.store = state.store
-            builder.health = state.store.health
+        if state.builder is not None:
+            state.builder.store = state.store
+            state.builder.health = state.store.health
         state.store_sig = sig
         if self.meter.enabled:
             self.meter.counter("daemon.store_reloads")
@@ -378,19 +368,17 @@ class BuildDaemon:
 
     # -- one build --------------------------------------------------------
 
-    def _build(self, state: _GroupState, manager: str, jobs: int,
-               pool: str):
+    def _build(self, state: _GroupState):
         if not state.opened:
             self._open(state)
         refreshed = self._refresh_sources(state)
         reloaded = self._refresh_store(state)
-        builder = state.builders.get(manager)
-        if builder is None:
-            builder = MANAGERS[manager](state.project, store=state.store,
-                                        meter=self.meter)
-            state.builders[manager] = builder
+        if state.builder is None:
+            state.builder = MANAGERS[self.manager](
+                state.project, store=state.store, meter=self.meter)
+        builder = state.builder
         supervisor = Supervisor(
-            jobs=jobs, pool=pool, policy=self.policy,
+            jobs=self.jobs, policy=self.policy,
             checkpoint_dir=state.bin_dir,
             executor_factory=self._executor_factory,
             keep_executor=True)
@@ -398,44 +386,39 @@ class BuildDaemon:
         builder.store.save_directory(state.bin_dir)
         state.store_sig = BinStore.disk_signature(
             state.bin_dir, backend=self._backend_for(state))
-        self._record_profile(state, manager, builder, report)
+        self._record_profile(state, builder, report)
         if report.degraded:
             # The supervisor shut our cached pool down on its way down
             # the ladder; forget it so the next request makes a new one.
             with self._lock:
-                self._executors.pop((jobs, pool), None)
+                self._pool = None
         return report, reloaded, refreshed
 
-    def _record_profile(self, state: _GroupState, manager: str,
-                        builder, report) -> None:
+    def _record_profile(self, state: _GroupState, builder,
+                        report) -> None:
         """Persist this build's profile and roll the warm history
         state forward: the previously-latest profile becomes the
         ``explain-diff`` baseline.  Best effort -- profile IO never
         fails a build."""
-        prior = state.profiles.get(manager)
-        if prior is None and manager not in state.profiles:
-            prior = state.history.latest(manager)
-        state.prior_profiles[manager] = prior
+        state.prior_profile = (
+            state.profile if state.profile is not None
+            else state.history.latest(self.manager))
         profile = profile_from_report(
             report, ledger=builder.ledger,
             export_pids={name: unit.export_pid
                          for name, unit in builder.units.items()},
-            group=state.srcdir, manager=manager)
+            group=state.srcdir, manager=self.manager)
         state.history.record(profile)
-        state.profiles[manager] = profile
+        state.profile = profile
 
-    def _executor_factory(self, jobs: int, pool: str):
-        """Warm-pool seam handed to the supervisor: reuse a cached
-        executor for (jobs, pool), creating it on first use.  Keeping
-        the pool alive keeps the workers' thread-local sessions and
-        rehydration caches warm across requests."""
-        key = (jobs, pool)
+    def _executor_factory(self, jobs: int):
+        """Warm-pool seam handed to the supervisor: the daemon's one
+        pool, made on first use.  Keeping it alive keeps the workers'
+        sessions and rehydration caches warm across requests."""
         with self._lock:
-            made = self._executors.get(key)
-            if made is None:
-                made = make_executor(jobs, pool)
-                self._executors[key] = made
-        return made
+            if self._pool is None:
+                self._pool = make_executor(jobs)
+            return self._pool
 
 
 # -- the stdio front end -------------------------------------------------
@@ -464,6 +447,22 @@ def reply_to_wire(reply: DaemonReply) -> dict:
     }
 
 
+def _request_group(request: dict, default_group: str | None) -> str:
+    """The group a ``build``, ``explain`` or ``explain-diff`` request is
+    for.  Such a request may not reconfigure the daemon: naming a key
+    of :data:`STARTUP_KEYS` is an error."""
+    for key, flag in STARTUP_KEYS.items():
+        if key in request:
+            raise DaemonError(
+                f"request key {key!r} is not accepted (protocol "
+                f"{PROTOCOL_VERSION}): {flag} sets it when the daemon "
+                f"starts")
+    group = request.get("group", default_group)
+    if not group:
+        raise DaemonError('no group: pass "group" or serve with a srcdir')
+    return group
+
+
 def serve(daemon: BuildDaemon, lines, out,
           default_group: str | None = None) -> int:
     """Serve newline-delimited JSON requests until EOF or ``shutdown``.
@@ -474,10 +473,13 @@ def serve(daemon: BuildDaemon, lines, out,
     out.  Requests carry ``op`` (``build`` / ``ping`` / ``explain`` /
     ``explain-diff`` / ``stats`` / ``shutdown``) and an optional
     client-chosen ``id`` echoed back
-    (defaulting to the request's ordinal).  Any per-request failure --
-    unparseable line, unknown op, :class:`DaemonError`, build machinery
-    error -- is an ``"ok": false`` response, never a dead daemon.
-    Returns the process exit code.
+    (defaulting to the request's ordinal).  A ``build``, ``explain`` or
+    ``explain-diff`` request names its ``group`` (default: the served
+    srcdir) and never ``manager``, ``jobs`` or ``pool``: the daemon's
+    start-up flags fix those for every request.  Any per-request
+    failure -- unparseable line, unknown op, a refused key,
+    :class:`DaemonError`, build machinery error -- is an ``"ok": false``
+    response, never a dead daemon.  Returns the process exit code.
     """
     seq = 0
     closing = False
@@ -496,14 +498,8 @@ def serve(daemon: BuildDaemon, lines, out,
                 result = {"protocol": PROTOCOL_VERSION,
                           "manager": daemon.manager}
             elif op == "build":
-                group = request.get("group", default_group)
-                if not group:
-                    raise DaemonError(
-                        'no group: pass "group" or serve with a srcdir')
-                reply = daemon.request(group,
-                                       manager=request.get("manager"),
-                                       jobs=request.get("jobs"),
-                                       pool=request.get("pool"))
+                reply = daemon.request(
+                    _request_group(request, default_group))
                 result = reply_to_wire(reply)
                 if request.get("trace"):
                     report = reply.report
@@ -515,21 +511,13 @@ def serve(daemon: BuildDaemon, lines, out,
                         "wall_seconds": round(report.wall_seconds, 6),
                     }
             elif op == "explain":
-                group = request.get("group", default_group)
-                if not group:
-                    raise DaemonError(
-                        'no group: pass "group" or serve with a srcdir')
                 result = {"text": daemon.explain(
-                    group, unit=request.get("unit"),
-                    manager=request.get("manager"))}
+                    _request_group(request, default_group),
+                    unit=request.get("unit"))}
             elif op == "explain-diff":
-                group = request.get("group", default_group)
-                if not group:
-                    raise DaemonError(
-                        'no group: pass "group" or serve with a srcdir')
                 result = {"text": daemon.explain_diff(
-                    group, unit=request.get("unit"),
-                    manager=request.get("manager"))}
+                    _request_group(request, default_group),
+                    unit=request.get("unit"))}
             elif op == "stats":
                 result = daemon.stats()
             elif op == "shutdown":

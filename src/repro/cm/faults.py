@@ -762,12 +762,12 @@ def faulty_executors(plan: WorkerFaults):
     :func:`repro.cm.parallel.make_executor` returns (looked up at call
     time) in a :class:`FaultyExecutor`.
 
-    The plan covers only the pool this factory made: when that pool
-    dies, the supervisor's degradation ladder builds the next tier
-    itself, without the plan."""
+    The plan covers only the pool this factory made (inline for one
+    job, else a process pool): when that pool dies, the supervisor's
+    degradation ladder builds the next tier itself, without the plan."""
 
-    def factory(jobs: int, pool: str):
-        executor, kind = parallel.make_executor(jobs, pool)
+    def factory(jobs: int):
+        executor, kind = parallel.make_executor(jobs)
         return FaultyExecutor(executor, plan), kind
 
     return factory

@@ -30,8 +30,10 @@ count and every completion order; the differential determinism matrix
 in ``tests/cm/test_parallel_determinism.py`` checks this byte-for-byte,
 under fault injection.
 
-:func:`make_executor` picks the worker tier -- a process pool, a thread
-pool, or :class:`InlineExecutor`, which runs each task in the caller.
+:func:`make_executor` picks the worker tier from the jobs count alone:
+:class:`InlineExecutor`, which runs each task in the caller, for one
+job, and a process pool for more (a thread pool only where process
+pools do not work).
 :func:`compile_task` is the only function the pump ships to a worker;
 the crash tests inject faults by wrapping the executor
 (:func:`repro.cm.faults.faulty_executors`), never the task.
@@ -288,33 +290,29 @@ class InlineExecutor(Executor):
         return future
 
 
-def make_executor(jobs: int, pool: str = "process"):
+def make_executor(jobs: int):
     """An ``(executor, kind)`` pair for ``jobs`` workers.
 
-    ``pool`` is ``"process"`` (the default; probed, because process
-    pools fail on platforms without working semaphores or fork/spawn),
-    ``"thread"``, or ``"inline"`` (:class:`InlineExecutor`, also used
-    for any ``jobs <= 1``).  Process-pool failure degrades to threads,
-    never to an error.
+    ``jobs <= 1`` is :class:`InlineExecutor` (``"inline"``).  Otherwise
+    a process pool (``"process"``), probed because process pools fail
+    on platforms without working semaphores or fork/spawn; where the
+    probe fails, the broken pool is shut down and a thread pool
+    (``"thread"``) takes its place, never an error.
     """
-    if pool == "inline" or jobs <= 1:
+    if jobs <= 1:
         return InlineExecutor(), "inline"
-    if pool == "process":
-        executor = None
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    executor = None
+    try:
+        from concurrent.futures import ProcessPoolExecutor
 
-            executor = ProcessPoolExecutor(max_workers=jobs)
-            executor.submit(_probe).result(timeout=60)
-            return executor, "process"
-        except Exception:
-            if executor is not None:
-                # Don't leak the broken pool's workers when degrading.
-                executor.shutdown(wait=False, cancel_futures=True)
-            pool = "thread"
-    if pool == "thread":
-        return ThreadPoolExecutor(max_workers=jobs), "thread"
-    raise ValueError(f"unknown pool kind {pool!r}")
+        executor = ProcessPoolExecutor(max_workers=jobs)
+        executor.submit(_probe).result(timeout=60)
+        return executor, "process"
+    except Exception:
+        if executor is not None:
+            # Don't leak the broken pool's workers when degrading.
+            executor.shutdown(wait=False, cancel_futures=True)
+    return ThreadPoolExecutor(max_workers=jobs), "thread"
 
 
 def _make_task(builder, graph: DepGraph, name: str,

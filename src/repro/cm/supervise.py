@@ -41,7 +41,8 @@ an *event to schedule around*:
   of the same command is the resume.
 
 In both modes a dying pool degrades process -> thread -> inline instead
-of aborting, one rung per dead pool.
+of aborting, one rung per dead pool; :meth:`Supervisor._degrade` starts
+the thread and inline rungs itself.
 
 Everything the pump does is observable: ``dispatch`` / ``retry`` /
 ``timeout`` / ``degrade`` / ``poison`` / ``skip`` events,
@@ -60,19 +61,19 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.cm import parallel
 from repro.cm.depend import DepGraph
 from repro.cm.parallel import (
     CompileResult,
+    InlineExecutor,
     ParallelBuildError,
     ReadySet,
     _apply_result,
     _make_task,
     compile_task,
-    make_executor,
 )
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import StoreError
@@ -117,34 +118,27 @@ class SupervisePolicy:
 #: (only while a timeout is set and such attempts exist).
 _POLL_SECONDS = 0.05
 
-#: The degradation ladder a dying pool walks down.
-_NEXT_POOL = {"process": "thread", "thread": "inline", "inline": "inline"}
-
 
 class Supervisor:
     """Drives one pooled build through the ready-set pump (see module
     docstring).  ``policy=None`` is fail-fast.
 
     ``executor_factory`` has :func:`~repro.cm.parallel.make_executor`'s
-    signature; the default is resolved from :mod:`repro.cm.parallel` at
-    build time, so instrumentation that rebinds that function sees
-    every pool start.  It is also the fault seam: the crash tests pass
-    :func:`repro.cm.faults.faulty_executors`.  ``max_checkpoints``
-    stops the build after N checkpoints -- the deterministic stand-in
-    for ``kill -9`` in the resume tests.
+    signature, ``factory(jobs) -> (executor, kind)``; the default is
+    resolved from :mod:`repro.cm.parallel` at build time, so
+    instrumentation that rebinds that function sees every pool start.
+    It is also the fault seam: the crash tests pass
+    :func:`repro.cm.faults.faulty_executors`.
     """
 
-    def __init__(self, jobs: int = 2, pool: str = "process",
+    def __init__(self, jobs: int = 2,
                  policy: SupervisePolicy | None = None,
                  checkpoint_dir: str | None = None,
-                 max_checkpoints: int | None = None,
                  executor_factory=None,
                  keep_executor: bool = False):
         self.jobs = jobs
-        self.pool = pool
         self.policy = policy
         self.checkpoint_dir = checkpoint_dir
-        self.max_checkpoints = max_checkpoints
         self.executor_factory = executor_factory
         #: When True the executor outlives the build -- the daemon's
         #: warm-pool seam (:mod:`repro.cm.daemon` hands a cached
@@ -183,7 +177,7 @@ class Supervisor:
             with meter.span("analyze", cat="build"):
                 graph = builder.analyze()
             factory = self.executor_factory or parallel.make_executor
-            self.executor, self.using = factory(self.jobs, self.pool)
+            self.executor, self.using = factory(self.jobs)
             report.pool = self.using
             bsp.set(pool=self.using, units=len(graph.order))
             first = len(report.outcomes)
@@ -197,8 +191,8 @@ class Supervisor:
                     report.outcomes[first:], key=lambda o: rank[o.name])
             finally:
                 if not self.keep_executor:
-                    # Cancels queued work (a fail-fast abort or a
-                    # simulated kill) and joins the workers.
+                    # Cancels queued work (a fail-fast abort) and
+                    # joins the workers.
                     self.executor.shutdown(wait=True, cancel_futures=True)
             bsp.set(retries=report.retries, timeouts=report.timeouts,
                     degraded=report.degraded, failed=len(report.failed),
@@ -231,8 +225,7 @@ class Supervisor:
 
         Checkpointing happens at *quiet points*: whenever the admit
         queue drains and at least one unit finished since the last
-        checkpoint.  The ``max_checkpoints`` kill seam stops the pump
-        right after a checkpoint.
+        checkpoint.
         """
         meter = self.meter
         policy = self.policy
@@ -242,7 +235,6 @@ class Supervisor:
         active: dict[str, tuple] = {}
         pending: list[tuple] = []  # (launch_at, name, attempt, reason)
         done = False  # a unit finished since the last checkpoint
-        checkpoints = 0
         timed = policy is not None and policy.timeout is not None
 
         def finish(name: str) -> None:
@@ -348,10 +340,6 @@ class Supervisor:
             if done and self.checkpoint_dir is not None:
                 self._checkpoint(builder)
                 done = False
-                checkpoints += 1
-                if self.max_checkpoints is not None \
-                        and checkpoints >= self.max_checkpoints:
-                    return  # simulated kill (test seam)
             if not active and not pending:
                 return
             now = time.perf_counter()
@@ -448,8 +436,11 @@ class Supervisor:
             self.executor.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-        self.executor, self.using = make_executor(self.jobs,
-                                                  _NEXT_POOL[old_kind])
+        if old_kind == "process":
+            self.executor = ThreadPoolExecutor(max_workers=self.jobs)
+            self.using = "thread"
+        else:
+            self.executor, self.using = InlineExecutor(), "inline"
         # Any replacement pool is ours to shut down, and a caller's
         # cached pool (daemon warm pool) is already dead.
         self.keep_executor = False

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from repro.units.pipeline import source_digest
 from repro.workload import generate_workload
 from repro.workload.shapes import chain
 
-from tests.helpers import store_files
+from tests.helpers import kill_at_save, store_files
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -164,7 +165,7 @@ class TestCmFiles:
 class TestSupervisedCli:
     def test_retries_flag_builds_supervised(self, srcdir, capsys):
         assert main([srcdir, "--retries", "1", "--jobs", "2",
-                     "--pool", "thread", "--print", "Main.answer"]) == 0
+                     "--print", "Main.answer"]) == 0
         out = capsys.readouterr().out
         assert "Main.answer = 42" in out
         assert "2 jobs" in out
@@ -186,15 +187,14 @@ class TestSupervisedCli:
         compiles only the rest, ending with a clean build's bytes."""
         srcdir = str(tmp_path / "killed")
         names = self.chain_tree(srcdir)
-        killed = Supervisor(
-            jobs=2, pool="thread", policy=SupervisePolicy(),
-            checkpoint_dir=os.path.join(srcdir, ".bin"),
-            max_checkpoints=1).build(
-                CutoffBuilder(Project.from_directory(srcdir)))
+        killed = kill_at_save(
+            Supervisor(jobs=2, policy=SupervisePolicy(),
+                       checkpoint_dir=os.path.join(srcdir, ".bin")),
+            CutoffBuilder(Project.from_directory(srcdir)), 1)
         finished = set(killed.compiled)
         assert 0 < len(finished) < len(names)
 
-        command = ["--jobs", "2", "--pool", "thread", "--no-link"]
+        command = ["--jobs", "2", "--no-link"]
         assert main([srcdir, *command]) == 0
         out = capsys.readouterr().out
         for name in names:
@@ -216,7 +216,7 @@ class TestSupervisedCli:
         assert excinfo.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert main([srcdir, "--timeout", "5", "--jobs", "2",
-                     "--pool", "thread", "--no-link"]) == 0
+                     "--no-link"]) == 0
         assert "2 compiled" in capsys.readouterr().out
 
     def test_failed_unit_reports_incomplete(self, srcdir, capsys):
@@ -224,14 +224,30 @@ class TestSupervisedCli:
         # unit is poisoned and the exit code + ledger say so.
         with open(os.path.join(srcdir, "bad.sml"), "w") as f:
             f.write("structure Bad = struct val x = no_such_thing end\n")
-        assert main([srcdir, "--retries", "2", "--pool", "thread",
-                     "--no-link", "--explain"]) == 1
+        assert main([srcdir, "--retries", "2", "--no-link",
+                     "--explain"]) == 1
         captured = capsys.readouterr()
         assert "build incomplete: 1 unit(s) failed" in captured.err
         assert "see --explain" in captured.err
         assert "failed-after-retries" in captured.out
         # The healthy units were still built and saved.
         assert os.path.isdir(os.path.join(srcdir, ".bin"))
+
+
+class TestPoolFallback:
+    def test_jobs_run_on_threads_where_process_pools_fail(
+            self, srcdir, tmp_path, capsys, broken_process_pools):
+        """The one path into threads outside the degradation ladder:
+        the build says so and leaves a serial build's bytes."""
+        serial = str(tmp_path / "serial")
+        shutil.copytree(srcdir, serial)
+        assert main([serial, "--no-link"]) == 0
+        assert main([srcdir, "--jobs", "2", "--no-link"]) == 0
+        assert "parallel build: 2 jobs (thread pool)" \
+            in capsys.readouterr().out
+        assert len(broken_process_pools) == 1
+        assert (store_files(os.path.join(srcdir, ".bin"))
+                == store_files(os.path.join(serial, ".bin")))
 
 
 class TestGroupPrintArgument:

@@ -74,7 +74,7 @@ def batch_build(srcdir, jobs, cls=CutoffBuilder):
     store = (BinStore.load_directory(bin_dir)
              if os.path.isdir(bin_dir) else BinStore())
     builder = cls(Project.from_directory(srcdir), store=store)
-    builder.build(jobs=jobs, pool="thread")
+    builder.build(jobs=jobs)
     store.save_directory(bin_dir)
     return builder
 
@@ -83,8 +83,7 @@ def daemon_flow(shape, edit, jobs, srcdir, cls_name="cutoff"):
     """Clean request + (optionally) edit + warm request, one daemon."""
     workload = generate_workload(SHAPES[shape](), helpers_per_unit=1)
     write_tree(srcdir, workload.project)
-    daemon = BuildDaemon(manager=cls_name, jobs=jobs, pool="thread",
-                         policy=POLICY)
+    daemon = BuildDaemon(manager=cls_name, jobs=jobs, policy=POLICY)
     try:
         daemon.request(srcdir)
         if EDITS[edit] is not None:
@@ -92,8 +91,7 @@ def daemon_flow(shape, edit, jobs, srcdir, cls_name="cutoff"):
             getattr(workload, method)(unit)
             write_tree(srcdir, workload.project, only={unit})
             daemon.request(srcdir)
-        state = daemon._state_for(srcdir)
-        builder = state.builders[cls_name]
+        builder = daemon._state_for(srcdir).builder
         pids = {n: u.export_pid for n, u in builder.units.items()}
     finally:
         daemon.shutdown()
@@ -162,7 +160,7 @@ class TestDaemonMatrix:
         workload = generate_workload(SHAPES["diamond"](),
                                      helpers_per_unit=1)
         write_tree(srcdir, workload.project)
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
+        daemon = BuildDaemon(jobs=2, policy=POLICY)
         try:
             first = daemon.request(srcdir)
             before = store_files(os.path.join(srcdir, ".bin"))
@@ -223,7 +221,7 @@ class TestCrashMidRequest:
         workload = generate_workload(SHAPES["fanout"](),
                                      helpers_per_unit=1)
         write_tree(srcdir, workload.project)
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
+        daemon = BuildDaemon(jobs=2, policy=POLICY)
         try:
             broken = request_broken(daemon, srcdir, "u003")
             # Degraded, not corrupted: the failing unit failed, its

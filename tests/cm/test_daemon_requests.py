@@ -53,8 +53,7 @@ class TestSameGroup:
         srcdir = str(tmp_path / "grp")
         workload = make_group(srcdir)
         tracer = Tracer()
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                             meter=tracer)
+        daemon = BuildDaemon(jobs=2, policy=POLICY, meter=tracer)
         arrivals = []
         both_arrived = threading.Event()
         state_for, build = daemon._state_for, daemon._build
@@ -117,7 +116,7 @@ class TestDisjointGroups:
         wl_a = make_group(a_dir, chain(3))
         wl_b = make_group(b_dir, diamond(2, 2))
         barrier = threading.Barrier(2)
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY)
+        daemon = BuildDaemon(jobs=2, policy=POLICY)
         build = daemon._build
 
         def build_at_rendezvous(*args):
@@ -164,7 +163,7 @@ class TestDeletedSources:
         daemon = BuildDaemon()
         try:
             daemon.request(srcdir)
-            builder = daemon._state_for(srcdir).builders["cutoff"]
+            builder = daemon._state_for(srcdir).builder
             gone = builder.units["u005"].export_pid
             os.remove(os.path.join(srcdir, "u005.sml"))
             reply = daemon.request(srcdir)
@@ -195,9 +194,9 @@ class TestWireFormat:
         assert rc == 0
         assert lines == [
             '{"id":"c1","ok":true,"op":"ping","result":'
-            '{"manager":"cutoff","protocol":2}}'
+            '{"manager":"cutoff","protocol":3}}'
         ]
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
 
     def test_build_response_golden(self, tmp_path):
         """The whole build envelope, byte-stable modulo wall clock."""
@@ -288,6 +287,59 @@ class TestWireFormat:
         assert no_build["error"]["type"] == "DaemonError"
         assert ping["ok"] is True
 
+    @pytest.mark.parametrize("key,value,flag", [
+        ("manager", "smart", "--manager"),
+        ("jobs", 2, "--jobs"),
+        ("pool", "thread", "--jobs"),
+    ], ids=["manager", "jobs", "pool"])
+    @pytest.mark.parametrize("op", ["build", "explain", "explain-diff"])
+    def test_requests_cannot_reconfigure_the_daemon(self, tmp_path, op,
+                                                    key, value, flag):
+        """Protocol 3 fixes the manager, the jobs count and with it the
+        pool kind when the daemon starts: a request naming one is
+        refused, naming the key and the flag, and never builds."""
+        srcdir = str(tmp_path / "grp")
+        make_group(srcdir, chain(3))
+        daemon = BuildDaemon(jobs=1, policy=POLICY)
+        rc, lines = self.serve_lines(daemon, [
+            {"op": op, "id": "r", key: value},
+            {"op": "ping", "id": "p"},
+        ], default_group=srcdir)
+        assert rc == 0
+        refused, ping = [json.loads(line) for line in lines]
+        assert refused == {
+            "id": "r", "ok": False,
+            "error": {"type": "DaemonError",
+                      "message": f"request key {key!r} is not accepted "
+                                 f"(protocol 3): {flag} sets it when "
+                                 f"the daemon starts"}}
+        assert ping["ok"] is True
+        assert daemon.stats()["requests_served"] == 0
+
+    def test_refused_values_never_reach_a_build(self, tmp_path):
+        """Values a build could misread -- a string, fractional, zero,
+        negative or boolean jobs count, an unknown pool -- get the same
+        typed refusal, and the daemon builds only the plain request."""
+        srcdir = str(tmp_path / "grp")
+        make_group(srcdir, chain(3))
+        daemon = BuildDaemon(jobs=1, policy=POLICY)
+        refused = [("jobs", "2"), ("jobs", 2.5), ("jobs", 0),
+                   ("jobs", -3), ("jobs", True), ("pool", "bogus")]
+        rc, lines = self.serve_lines(
+            daemon, [{"op": "build", key: value}
+                     for key, value in refused] + [{"op": "build"}],
+            default_group=srcdir)
+        assert rc == 0
+        responses = [json.loads(line) for line in lines]
+        for (key, _value), response in zip(refused, responses):
+            assert response["ok"] is False
+            assert response["error"]["type"] == "DaemonError"
+            assert repr(key) in response["error"]["message"]
+        built = responses[-1]["result"]
+        assert (built["jobs"], built["pool"]) == (1, "inline")
+        assert built["stats"]["compiled"] == 3
+        assert daemon.stats()["requests_served"] == 1
+
     def test_shutdown_op_stops_serving(self, tmp_path):
         srcdir = str(tmp_path / "grp")
         make_group(srcdir, chain(3))
@@ -328,8 +380,7 @@ class TestTelemetryOps:
         rolled-up stats."""
         srcdir = str(tmp_path / "grp")
         workload = make_group(srcdir, chain(3))
-        daemon = BuildDaemon(jobs=2, pool="thread", policy=POLICY,
-                             trace_sample=2)
+        daemon = BuildDaemon(jobs=2, policy=POLICY, trace_sample=2)
 
         def requests():
             yield json.dumps({"op": "build", "id": "b1"})
@@ -389,25 +440,24 @@ class TestTelemetryOps:
         assert sorted(os.listdir(profile_dir)) == \
             ["BUILD_PROFILE-1.json", "BUILD_PROFILE-2.json"]
 
-    def test_stats_occupancy_counts_each_requests_jobs(self, tmp_path):
+    def test_stats_occupancy_counts_the_daemons_jobs(self, tmp_path):
         """Occupancy is worker-busy seconds over the worker-seconds the
-        builds had -- each build's own jobs times its wall time, not
-        the daemon's default jobs."""
-        wide_dir = str(tmp_path / "wide")
-        narrow_dir = str(tmp_path / "narrow")
-        make_group(wide_dir, fanout(4))
-        make_group(narrow_dir, fanout(4))
-        daemon = BuildDaemon(jobs=1, pool="thread", policy=POLICY,
-                             trace_sample=1)
+        builds had: the daemon's jobs times each build's wall time,
+        summed over the groups it served."""
+        a_dir = str(tmp_path / "a")
+        b_dir = str(tmp_path / "b")
+        make_group(a_dir, fanout(4))
+        make_group(b_dir, fanout(4))
+        daemon = BuildDaemon(jobs=2, policy=POLICY, trace_sample=1)
         try:
-            wide = daemon.request(wide_dir, jobs=2)
-            narrow = daemon.request(narrow_dir)
+            a = daemon.request(a_dir)
+            b = daemon.request(b_dir)
             stats = daemon.stats()
         finally:
             daemon.shutdown()
+        assert a.report.jobs == b.report.jobs == 2
         busy = stats["telemetry"]["spans"]["worker-compile"]["seconds"]
-        capacity = (2 * wide.report.wall_seconds
-                    + 1 * narrow.report.wall_seconds)
+        capacity = 2 * (a.report.wall_seconds + b.report.wall_seconds)
         assert stats["occupancy"] == pytest.approx(busy / capacity,
                                                    rel=0.01)
 

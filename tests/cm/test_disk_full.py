@@ -151,8 +151,7 @@ class TestCheckpointUnderDiskFull:
         fs = FaultyFS(FaultPlan(enospc_at_write=2))
         builder = CutoffBuilder(workload.project,
                                 store=BinStore(fs=fs))
-        report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(),
+        report = Supervisor(jobs=2, policy=SupervisePolicy(),
                             checkpoint_dir=bin_dir).build(builder)
         assert not report.failed and not report.skipped
         assert len(report.compiled) == 3

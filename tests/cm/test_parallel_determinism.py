@@ -52,18 +52,17 @@ EDITS = {
 JOBS = [1, 2, 4, 8]
 
 
-def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder,
-               pool="thread"):
+def build_flow(shape, edit, jobs, store_dir, cls=CutoffBuilder):
     """One full incremental flow: clean build + save, then (optionally)
     edit + fresh session + rebuild + save.  ``jobs=0`` means the classic
     serial loop; any other count goes through the build pump (jobs=1
-    runs the worker code inline -- same code path, no pool)."""
+    runs the worker code inline -- same code path, no pool; more jobs
+    run a process pool, as the CLI does)."""
 
     def run(builder):
         if jobs == 0:
             return builder.build()
-        return Supervisor(jobs=jobs, pool=pool if jobs > 1
-                          else "inline").build(builder)
+        return Supervisor(jobs=jobs).build(builder)
 
     workload = generate_workload(SHAPES[shape](), helpers_per_unit=1)
     builder = cls(workload.project)
@@ -114,16 +113,6 @@ class TestDeterminismMatrix:
                          str(tmp_path / "par"), cls=cls)
         assert got == want
 
-    def test_process_pool_matches_serial(self, tmp_path,
-                                         tmp_path_factory):
-        """One cell on a real process pool (the CLI default); the rest
-        of the matrix runs on threads for speed -- the worker code is
-        identical, only the executor differs."""
-        want = serial_reference("fanout", "clean", tmp_path_factory)
-        got = build_flow("fanout", "clean", 2, str(tmp_path / "par"),
-                         pool="process")
-        assert got == want
-
 
 class TestParallelBuildErrorPayload:
     """A failed worker must be attributable: the raised error carries
@@ -135,8 +124,7 @@ class TestParallelBuildErrorPayload:
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(crash_units=frozenset({"u003"}))
         with pytest.raises(ParallelBuildError) as excinfo:
-            Supervisor(jobs=4, pool="thread",
-                       executor_factory=faulty_executors(faults)
+            Supervisor(jobs=4, executor_factory=faulty_executors(faults)
                        ).build(builder)
         err = excinfo.value
         assert err.name == "u003"
@@ -149,8 +137,7 @@ class TestParallelBuildErrorPayload:
         builder = CutoffBuilder(workload.project)
         faults = WorkerFaults(crash_units=frozenset({"u000"}))
         with pytest.raises(ParallelBuildError) as excinfo:
-            Supervisor(jobs=2, pool="thread",
-                       executor_factory=faulty_executors(faults)
+            Supervisor(jobs=2, executor_factory=faulty_executors(faults)
                        ).build(builder)
         assert excinfo.value.name == "u000"
         # Fail-fast: the root gates everything, so nothing was applied.
@@ -167,7 +154,7 @@ class TestParallelBuildErrorPayload:
             + "\nstructure Broken = struct val x = no_such_thing end\n")
         builder = CutoffBuilder(workload.project)
         with pytest.raises(ParallelBuildError) as excinfo:
-            Supervisor(jobs=2, pool="thread").build(builder)
+            Supervisor(jobs=2).build(builder)
         err = excinfo.value
         assert err.name == "u001"
         assert err.exc_type == "ElabError"
@@ -215,7 +202,7 @@ class TestDeterminismUnderFaults:
 
         par = CutoffBuilder(workload.project,
                             store=BinStore.load_directory(par_dir))
-        Supervisor(jobs=4, pool="thread").build(par)
+        Supervisor(jobs=4).build(par)
         par.store.save_directory(par_dir)
 
         assert ({n: u.export_pid for n, u in par.units.items()}
@@ -235,13 +222,13 @@ class TestDeterminismUnderFaults:
         slow_fs = SlowFS(write_delay=0.001)
         builder = CutoffBuilder(workload.project,
                                 store=BinStore(fs=slow_fs))
-        Supervisor(jobs=4, pool="thread").build(builder)
+        Supervisor(jobs=4).build(builder)
         builder.store.save_directory(slow_dir)
         workload.edit_comment("u001")
         builder = CutoffBuilder(
             workload.project,
             store=BinStore.load_directory(slow_dir, fs=slow_fs))
-        Supervisor(jobs=4, pool="thread").build(builder)
+        Supervisor(jobs=4).build(builder)
         builder.store.save_directory(slow_dir)
 
         assert slow_fs.op_log  # the latency really was injected
@@ -280,7 +267,7 @@ class TestDeterminismUnderFaults:
         serial.store.save_directory(serial_dir)
         par = CutoffBuilder(workload_b.project,
                             store=BinStore.load_directory(par_dir))
-        Supervisor(jobs=4, pool="thread").build(par)
+        Supervisor(jobs=4).build(par)
         par.store.save_directory(par_dir)
 
         assert ({n: u.export_pid for n, u in par.units.items()}

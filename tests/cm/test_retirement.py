@@ -11,7 +11,13 @@ basis -- memory follows the project, not the number of edits.
 import pytest
 
 from repro.basis import BASIS_PID
-from repro.cm import CutoffBuilder, Project, SmartBuilder, Supervisor
+from repro.cm import (
+    CutoffBuilder,
+    Project,
+    SmartBuilder,
+    Supervisor,
+    TimestampBuilder,
+)
 from repro.cm import parallel
 from repro.cm.parallel import InlineExecutor
 from repro.cm.supervise import SupervisePolicy
@@ -84,8 +90,7 @@ def test_sessions_stay_flat_over_edit_cycles(cls, loop, fresh_worker):
         # The daemon's pump: supervised, pool kept across requests.
         return Supervisor(
             jobs=1, policy=SupervisePolicy(), keep_executor=True,
-            executor_factory=lambda jobs, pool: (CheckingExecutor(),
-                                                 "inline"),
+            executor_factory=lambda jobs: (CheckingExecutor(), "inline"),
         ).build(builder)
 
     build()
@@ -159,8 +164,8 @@ class TestUnitsBoundToARetiredProvider:
             except ElabError:
                 report = None  # the serial loop stops at the failure
         else:
-            report = Supervisor(jobs=1, pool="inline",
-                                policy=SupervisePolicy()).build(builder)
+            report = Supervisor(
+                jobs=1, policy=SupervisePolicy()).build(builder)
         assert_builder_flat(builder)
         return report
 
@@ -201,6 +206,65 @@ class TestUnitsBoundToARetiredProvider:
         report = self.build(builder, loop)
         assert report.compiled == ["a"] and report.loaded == ["b"]
         self.check_c(builder, loop, project)
+
+
+X = ("structure A = struct datatype t = T of int fun get (T n) = n "
+     "val k = 1 end")
+Y = "structure C = struct val v = A.T 3 end"
+V = "structure Z = struct val q = A.get C.v end"
+
+
+def registered_stamps(session):
+    return len(session._stamp_to_ref)
+
+
+class TestSamePidRecompile:
+    """An implementation edit recompiles a unit to the pid it had.  Its
+    cached dependents were elaborated against its export objects, so
+    the recompiled unit keeps them: a unit compiled next meets the same
+    objects, and the session registers no new stamps."""
+
+    @staticmethod
+    def build(builder, jobs):
+        if jobs == 0:
+            return builder.build()
+        return Supervisor(jobs=jobs).build(builder)
+
+    @pytest.mark.parametrize("cls", [CutoffBuilder, SmartBuilder,
+                                     TimestampBuilder],
+                             ids=["cutoff", "smart", "make"])
+    @pytest.mark.parametrize("jobs", [0, 1, 2],
+                             ids=["serial", "pump-1", "pump-2"])
+    def test_new_dependent_meets_the_kept_objects(self, cls, jobs,
+                                                  fresh_worker):
+        project = Project.from_sources({"x": X, "y": Y})
+        builder = cls(project)
+        self.build(builder, jobs)
+        pid = builder.units["x"].export_pid
+        stamps = registered_stamps(builder.session)
+        project.edit("x", X.replace("val k = 1", "val k = 2"))
+        report = self.build(builder, jobs)
+        assert "x" in report.compiled
+        assert builder.units["x"].export_pid == pid
+        recompiled = registered_stamps(builder.session)
+        project.add("v", V)
+        report = self.build(builder, jobs)
+        assert report.compiled == ["v"] and not report.failed
+        assert builder.link()["v"].structures["Z"].values["q"] == 3
+        assert recompiled == stamps
+
+    @pytest.mark.parametrize("jobs", [0, 1, 2],
+                             ids=["serial", "pump-1", "pump-2"])
+    def test_stamp_count_stays_flat(self, jobs, fresh_worker):
+        project = Project.from_sources({"x": X, "y": Y})
+        builder = CutoffBuilder(project)
+        self.build(builder, jobs)
+        stamps = registered_stamps(builder.session)
+        for k in range(2, 7):
+            project.edit("x", X.replace("val k = 1", f"val k = {k}"))
+            assert self.build(builder, jobs).compiled == ["x"]
+            assert registered_stamps(builder.session) == stamps
+        assert_builder_flat(builder)
 
 
 class TestSessionRetire:

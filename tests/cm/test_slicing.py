@@ -360,7 +360,7 @@ class TestSlicedParallelDeterminism:
         if jobs == 0:
             b.build()
         else:
-            Supervisor(jobs=jobs, pool="thread").build(b)
+            Supervisor(jobs=jobs).build(b)
         b.store.save_directory(store_dir)
         w.edit_binding_interface(4)
         b2 = SmartBuilder(w.project,
@@ -368,7 +368,7 @@ class TestSlicedParallelDeterminism:
         if jobs == 0:
             report = b2.build()
         else:
-            report = Supervisor(jobs=jobs, pool="thread").build(b2)
+            report = Supervisor(jobs=jobs).build(b2)
         assert report.compiled == sorted(["iface"] + w.users_of(4))
         b2.store.save_directory(store_dir)
 

@@ -49,6 +49,8 @@ from repro.cm.faults import (
 )
 from repro.cm.store import QUARANTINE_DIR
 
+from tests.helpers import kill_at_save
+
 SOURCES = {
     "base": "structure Base = struct fun triple x = 3 * x end",
     "mid": "structure Mid = struct fun six x = Base.triple (2 * x) end",
@@ -318,14 +320,13 @@ class TestCheckpointResume:
         backend = store_harness.backend()
         bin_dir = backend.root
 
-        # Session 1: "killed" after checkpointing two of three waves.
+        # Session 1: killed right after its second checkpoint.
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project,
                               store=BinStore(backend=backend))
-        partial = Supervisor(jobs=2, pool="thread",
-                             policy=SupervisePolicy(),
-                             checkpoint_dir=bin_dir,
-                             max_checkpoints=2).build(first)
+        partial = kill_at_save(
+            Supervisor(jobs=2, policy=SupervisePolicy(),
+                       checkpoint_dir=bin_dir), first, 2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
 
@@ -337,8 +338,7 @@ class TestCheckpointResume:
         store = BinStore.load_directory(bin_dir, backend=backend2)
         assert store.health.ok, store.health.render_text()
         second = CutoffBuilder(workload2.project, store=store)
-        report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(),
+        report = Supervisor(jobs=2, policy=SupervisePolicy(),
                             checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
         assert set(report.loaded) == finished

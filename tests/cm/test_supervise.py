@@ -11,6 +11,7 @@ ledger and the tracer.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,11 +22,12 @@ from repro.cm import (
     Supervisor,
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
+from repro.cm.parallel import InlineExecutor, make_executor
 from repro.obs.tracer import Tracer
 from repro.workload import generate_workload
 from repro.workload.shapes import fanout, layered
 
-from tests.helpers import store_files
+from tests.helpers import kill_at_save, store_files
 
 #: A fast retry policy for tests (real backoffs are milliseconds here).
 FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
@@ -56,7 +58,7 @@ class TestFaultsConverge:
                               slow_units=frozenset({"u007"}),
                               delay=5.0)
         report = Supervisor(
-            jobs=4, pool="thread",
+            jobs=4,
             policy=SupervisePolicy(retries=2, backoff_base=0.001,
                                    timeout=0.25),
             executor_factory=faulty_executors(faults)).build(builder)
@@ -80,7 +82,7 @@ class TestFaultsConverge:
         faults = WorkerFaults(
             crash_units=frozenset({"u000", "u004", "u008"}))
         report = Supervisor(
-            jobs=2, pool="thread", policy=FAST,
+            jobs=2, policy=FAST,
             executor_factory=faulty_executors(faults)).build(builder)
         assert not report.failed and not report.skipped
         assert report.retries == 3
@@ -102,7 +104,7 @@ class TestFaultsConverge:
         faults = WorkerFaults(crash_units=frozenset({"u004"}),
                               slow_units=frozenset({"u001"}), delay=0.05)
         report = Supervisor(
-            jobs=2, pool="process", policy=FAST,
+            jobs=2, policy=FAST,
             executor_factory=faulty_executors(faults)).build(builder)
         assert report.pool == "process"
         assert report.retries == 1
@@ -131,7 +133,7 @@ class TestPoisonAndSkip:
         workload = generate_workload(self.SHAPE, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project, meter=meter)
         report = Supervisor(
-            jobs=2, pool="thread",
+            jobs=2,
             policy=SupervisePolicy(retries=1, backoff_base=0.001),
             executor_factory=faulty_executors(WorkerFaults(
                 poison_units=frozenset({"u001"})))).build(builder)
@@ -181,8 +183,7 @@ class TestPoisonAndSkip:
             "u001",
             "structure Broken = struct val x = no_such_thing end")
         builder = CutoffBuilder(workload.project)
-        report = Supervisor(jobs=2, pool="thread",
-                            policy=FAST).build(builder)
+        report = Supervisor(jobs=2, policy=FAST).build(builder)
         assert report.failed == ["u001"]
         assert report.retries == 0
         decision = builder.ledger.get("u001")
@@ -194,13 +195,12 @@ class TestResume:
         bin_dir = str(tmp_path / "bin")
         shape = layered([3, 3, 3], seed=1)
 
-        # Session 1: "killed" after checkpointing two of three waves.
+        # Session 1: killed right after its second checkpoint.
         workload = generate_workload(shape, helpers_per_unit=1)
         first = CutoffBuilder(workload.project)
-        partial = Supervisor(jobs=2, pool="thread",
-                             policy=SupervisePolicy(),
-                             checkpoint_dir=bin_dir,
-                             max_checkpoints=2).build(first)
+        partial = kill_at_save(
+            Supervisor(jobs=2, policy=SupervisePolicy(),
+                       checkpoint_dir=bin_dir), first, 2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
 
@@ -212,8 +212,7 @@ class TestResume:
         assert store.health.ok
         assert set(store.names()) == finished
         second = CutoffBuilder(workload2.project, store=store)
-        report = Supervisor(jobs=2, pool="thread",
-                            policy=SupervisePolicy(),
+        report = Supervisor(jobs=2, policy=SupervisePolicy(),
                             checkpoint_dir=bin_dir).build(second)
         assert not report.failed and not report.skipped
         assert set(report.loaded) == finished
@@ -239,18 +238,20 @@ class TestDegradation:
                                      helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, pool="process", policy=FAST,
-            executor_factory=lambda jobs, pool: (BrokenExecutor(),
-                                                 "process"))
+            jobs=2, policy=FAST,
+            executor_factory=lambda jobs: (BrokenExecutor(), "process"))
         report = supervisor.build(builder)
         assert not report.failed and not report.skipped
         assert len(report.compiled) == 4
         assert report.degraded >= 1
         assert report.pool in ("thread", "inline")
 
-    def test_degrades_all_the_way_to_inline(self):
+    def test_degrades_all_the_way_to_inline(self, monkeypatch):
         """Both pool tiers broken: the build still completes inline."""
         class BrokenExecutor:
+            def __init__(self, max_workers=None):
+                pass
+
             def submit(self, *args, **kwargs):
                 raise RuntimeError("no workers anywhere")
 
@@ -260,24 +261,16 @@ class TestDegradation:
         workload = generate_workload([[], [0]], helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, pool="process", policy=FAST,
-            executor_factory=lambda jobs, pool: (BrokenExecutor(),
-                                                 "process"))
+            jobs=2, policy=FAST,
+            executor_factory=lambda jobs: (BrokenExecutor(), "process"))
         # Make the degraded thread tier broken too.
-        supervisor_make = supervisor.executor_factory
         import repro.cm.supervise as supervise_mod
-        original = supervise_mod.make_executor
-        supervise_mod.make_executor = \
-            lambda jobs, pool: (BrokenExecutor(), "thread") \
-            if pool == "thread" else original(jobs, pool)
-        try:
-            report = supervisor.build(builder)
-        finally:
-            supervise_mod.make_executor = original
+        monkeypatch.setattr(supervise_mod, "ThreadPoolExecutor",
+                            BrokenExecutor)
+        report = supervisor.build(builder)
         assert not report.failed
         assert report.pool == "inline"
-        assert report.degraded >= 2
-
+        assert report.degraded == 2
 
     def test_one_dead_pool_costs_one_rung(self, tmp_path):
         """Every in-flight future of a dead pool fails; only the first
@@ -309,9 +302,8 @@ class TestDegradation:
         workload = generate_workload(shape, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, pool="process",
-            policy=SupervisePolicy(backoff_base=0.001),
-            executor_factory=lambda jobs, pool: (DyingPool(), "process"))
+            jobs=2, policy=SupervisePolicy(backoff_base=0.001),
+            executor_factory=lambda jobs: (DyingPool(), "process"))
         report = supervisor.build(builder)
         assert report.degraded == 1
         assert report.pool == "thread"
@@ -319,6 +311,26 @@ class TestDegradation:
         out_dir = str(tmp_path / "supervised")
         builder.store.save_directory(out_dir)
         assert store_files(out_dir) == store_files(serial_dir)
+
+
+class TestPoolKind:
+    """The pool kind follows from jobs: inline for one job, a process
+    pool for more, and a thread pool only where process pools fail."""
+
+    def test_failed_probe_falls_back_to_threads(self,
+                                                broken_process_pools):
+        executor, kind = make_executor(1)
+        assert kind == "inline"
+        assert isinstance(executor, InlineExecutor)
+        assert broken_process_pools == []
+        executor, kind = make_executor(2)
+        try:
+            assert kind == "thread"
+            assert isinstance(executor, ThreadPoolExecutor)
+            assert executor.submit(sum, [1, 2]).result() == 3
+        finally:
+            executor.shutdown()
+        assert [pool.shut_down for pool in broken_process_pools] == [True]
 
 
 class TestObservability:
@@ -330,7 +342,7 @@ class TestObservability:
                               slow_units=frozenset({"u003"}),
                               delay=5.0)
         report = Supervisor(
-            jobs=3, pool="thread",
+            jobs=3,
             policy=SupervisePolicy(retries=2, backoff_base=0.001,
                                    timeout=0.25),
             executor_factory=faulty_executors(faults)).build(builder)
@@ -349,7 +361,7 @@ class TestObservability:
         workload = generate_workload([[], [0]], helpers_per_unit=1)
         builder = CutoffBuilder(workload.project, meter=tracer)
         report = Supervisor(
-            jobs=2, pool="thread", policy=FAST,
+            jobs=2, policy=FAST,
             executor_factory=faulty_executors(WorkerFaults(
                 poison_units=frozenset({"u000"})))).build(builder)
         assert report.failed == ["u000"]
@@ -365,7 +377,7 @@ class TestBuilderEntryPoint:
         """``builder.build(policy=...)`` is the supervised path."""
         workload = generate_workload(fanout(3), helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        report = builder.build(jobs=2, pool="thread", policy=FAST,
+        report = builder.build(jobs=2, policy=FAST,
                                checkpoint_dir=str(tmp_path / "bin"))
         assert not report.failed
         assert len(report.compiled) == 5

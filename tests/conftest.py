@@ -188,3 +188,27 @@ def type_of(elab):
         return format_type(env.values[name].scheme)
 
     return run
+
+
+@pytest.fixture
+def broken_process_pools(monkeypatch):
+    """Process pools that fail their probe, as on a platform without
+    working semaphores.  Returns the list of every such pool made."""
+    import concurrent.futures
+
+    made = []
+
+    class BrokenProcessPool:
+        def __init__(self, max_workers=None):
+            self.shut_down = False
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            raise OSError("process pools do not work here")
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            self.shut_down = True
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        BrokenProcessPool)
+    return made

@@ -19,7 +19,7 @@ def flow(store_dir, tracer=None, jobs=0):
 
     def run(builder):
         if jobs:
-            return Supervisor(jobs=jobs, pool="thread").build(builder)
+            return Supervisor(jobs=jobs).build(builder)
         return builder.build()
 
     builder = CutoffBuilder(workload.project, meter=tracer)

@@ -46,10 +46,8 @@ def test_worker_crash_mid_wave_degrades_to_crash_safety(case):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     with pytest.raises(ParallelBuildError) as excinfo:
-        Supervisor(jobs=4, pool="inline",
-                   executor_factory=faulty_executors(
-                       WorkerFaults(crash_units={victim}))
-                   ).build(builder)
+        Supervisor(jobs=1, executor_factory=faulty_executors(
+            WorkerFaults(crash_units={victim}))).build(builder)
     assert excinfo.value.name == victim
 
     base = tempfile.mkdtemp(prefix="crashwave-")

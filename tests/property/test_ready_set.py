@@ -134,7 +134,7 @@ def test_ready_build_dispatch_order_is_a_linear_extension(
         deps_by_index):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
-    report = Supervisor(jobs=4, pool="inline").build(builder)
+    report = Supervisor(jobs=1).build(builder)
     graph = builder.last_graph
     order = report.dispatch_order
     assert sorted(order) == sorted(graph.order)
@@ -151,13 +151,13 @@ def test_ready_build_matches_serial_store_bytes(deps_by_index):
     def flow(jobs, store_dir):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
-        builder.build(jobs=jobs, pool="thread")
+        builder.build(jobs=jobs)
         builder.store.save_directory(store_dir)
         # Incremental pass too: edit the root, rebuild warm-store.
         workload.edit_interface("u000")
         builder = CutoffBuilder(workload.project,
                                 store=BinStore.load_directory(store_dir))
-        builder.build(jobs=jobs, pool="thread")
+        builder.build(jobs=jobs)
         builder.store.save_directory(store_dir)
         pids = {n: u.export_pid for n, u in builder.units.items()}
         return pids, store_files(store_dir)

@@ -72,7 +72,7 @@ def test_crash_faults_cost_retries_never_bytes(case):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         report = Supervisor(
-            jobs=2, pool="thread", policy=FAST,
+            jobs=2, policy=FAST,
             executor_factory=faulty_executors(WorkerFaults(
                 crash_units={victim}, crash_attempts=attempts))
         ).build(builder)
@@ -102,7 +102,7 @@ def test_poison_skips_exactly_the_dependent_cone(case):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     report = Supervisor(
-        jobs=2, pool="inline", policy=FAST,
+        jobs=1, policy=FAST,
         executor_factory=faulty_executors(WorkerFaults(
             poison_units=frozenset({victim})))).build(builder)
 
