@@ -20,13 +20,7 @@ Three builders implement the recompilation spectrum the paper discusses:
 
 from repro.cm.project import Project
 from repro.cm.depend import DependencyError, DepGraph, analyze
-from repro.cm.backend import (
-    DirectoryBackend,
-    ShardedBackend,
-    StoreBackend,
-    detect_dir_backend,
-    make_backend,
-)
+from repro.cm.backend import DirectoryBackend, StoreBackend
 from repro.cm.store import (
     BinRecord,
     BinStore,
@@ -69,11 +63,8 @@ __all__ = [
     "BinStore",
     "StoreBackend",
     "DirectoryBackend",
-    "ShardedBackend",
     "RemoteBackend",
     "StoreServer",
-    "detect_dir_backend",
-    "make_backend",
     "register_loopback",
     "unregister_loopback",
     "serve_socket",

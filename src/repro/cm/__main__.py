@@ -44,11 +44,19 @@ Options:
                                     rescheduled
     --quarantine                    with --fsck: move damaged record files
                                     aside into .bin/quarantine/
+    --store-url URL                 keep the bin store on a store server
+                                    (rbs://host:port); .bin becomes its
+                                    write-through cache.  A malformed
+                                    URL is a usage error (exit 2)
     --serve                         run as a resident build daemon:
                                     JSON-lines requests on stdin, one
                                     JSON response per line on stdout
                                     (see repro.cm.daemon); --manager
                                     and --jobs hold for every request
+
+A ``.cm`` group target builds in memory and serially: it refuses
+``--jobs N > 1``, ``--retries``, ``--timeout``, ``--store-url``,
+``--stats`` and ``--explain-diff`` (exit 2) instead of ignoring them.
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ import argparse
 import os
 import sys
 
-from repro.cm import BinStore, Project, StoreLockedError
+from repro.cm import BinStore, Project, StoreError, StoreLockedError
 from repro.cm.backend import configured_backend
 from repro.cm.daemon import MANAGERS
+from repro.cm.remote import transport_for_url
 from repro.dynamic.values import format_value
 
 
@@ -148,13 +157,6 @@ def main(argv: list[str] | None = None) -> int:
                              "response per line on stdout; ops: build, "
                              "ping, explain, explain-diff, stats, "
                              "shutdown)")
-    parser.add_argument("--store-backend", dest="store_backend",
-                        choices=["auto", "flat", "sharded", "remote"],
-                        default="auto",
-                        help="bin store layout: flat directory, "
-                             "sharded-by-pid-prefix directories, or a "
-                             "remote cache server (needs --store-url); "
-                             "auto detects an existing local layout")
     parser.add_argument("--store-url", dest="store_url", metavar="URL",
                         default=None,
                         help="remote store server (rbs://host:port or "
@@ -163,6 +165,11 @@ def main(argv: list[str] | None = None) -> int:
                              "cache")
     args = parser.parse_args(argv)
 
+    if args.store_url:
+        try:
+            transport_for_url(args.store_url)  # parses; connects to nothing
+        except StoreError as err:
+            parser.error(f"--store-url: {err}")
     if args.serve:
         return _run_serve(args)
     if args.srcdir is None:
@@ -183,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
         tracer = Tracer()
 
     if os.path.isfile(args.srcdir) and args.srcdir.endswith(".cm"):
+        ignored = _group_ignored_flags(args)
+        if ignored:
+            parser.error(f"{', '.join(ignored)} not supported for a .cm "
+                         f"target (groups build in memory, serially)")
         return _build_group_file(args, tracer)
     if not os.path.isdir(args.srcdir):
         print(f"error: {args.srcdir} is not a directory or .cm file",
@@ -205,8 +216,7 @@ def _build_directory(args, tracer):
 
     bin_dir = os.path.join(args.srcdir, ".bin")
     store = BinStore.open_directory(
-        bin_dir, configured_backend(args.store_backend, bin_dir,
-                                    url=args.store_url),
+        bin_dir, configured_backend(bin_dir, args.store_url),
         tracer if tracer is not None else NULL_METER)
     if not store.health.ok:
         damaged = store.health.quarantined()
@@ -398,7 +408,6 @@ def _run_serve(args) -> int:
     from repro.cm.daemon import BuildDaemon, serve
 
     daemon = BuildDaemon(manager=args.manager, jobs=max(1, args.jobs),
-                         store_backend=args.store_backend,
                          store_url=args.store_url,
                          trace_sample=max(0, args.trace_sample))
     default_group = args.srcdir if args.srcdir \
@@ -420,14 +429,12 @@ def _run_fsck(args) -> int:
             bin_dir = target
         else:
             bin_dir = os.path.join(target, ".bin")
-        # Backend-aware: a sharded layout is detected from the
-        # directory, and --store-url checks the remote store (damage is
-        # fetched, classified with the same taxonomy, and -- with
-        # --quarantine -- healed on the server).
+        # --store-url checks the remote store: damage is fetched,
+        # classified with the same taxonomy, and -- with --quarantine --
+        # healed on the server.
         report = BinStore.fsck(
             bin_dir, quarantine=args.quarantine,
-            backend=configured_backend(args.store_backend, bin_dir,
-                                       url=args.store_url))
+            backend=configured_backend(bin_dir, args.store_url))
         if args.json:
             print(json_mod.dumps(report.to_json(), indent=1,
                                  sort_keys=True))
@@ -451,6 +458,19 @@ def _run_analysis(project, graph, cache, strict: bool) -> int:
     if strict and result.gate(Severity.WARNING):
         return 1
     return 0
+
+
+def _group_ignored_flags(args) -> list[str]:
+    """The flags given that a ``.cm`` target would ignore:
+    :class:`~repro.cm.group.GroupBuilder` compiles serially into an
+    in-memory store and keeps no build history."""
+    flags = [(args.jobs > 1, f"--jobs {args.jobs}"),
+             (args.retries is not None, "--retries"),
+             (args.timeout is not None, "--timeout"),
+             (bool(args.store_url), "--store-url"),
+             (args.stats, "--stats"),
+             (args.explain_diff is not None, "--explain-diff")]
+    return [flag for given, flag in flags if given]
 
 
 def _build_group_file(args, tracer=None) -> int:

@@ -10,28 +10,24 @@ store) is therefore proven per backend by one parameterized conformance
 suite (``tests/cm/test_store_backend_conformance.py``) instead of once
 for a hard-coded directory walk.
 
-Backends in this module are the local ones:
+There are two backends:
 
-- :class:`DirectoryBackend` -- the classic flat ``.bin`` directory:
+- :class:`DirectoryBackend` (this module) -- the ``.bin`` directory:
   ``<stem>.bin`` / ``<stem>.bin.json`` pairs next to ``MANIFEST.json``.
-- :class:`ShardedBackend` -- the same pairs under
-  ``shards/<hh>/`` subdirectories, where ``hh`` is the first two hex
-  digits of the CRC-128 of the record's key.  Same manifest bytes, same
-  export pids, same locks; only placement differs.  This is the layout
-  a fleet-scale store wants: no directory ever holds more than a
-  fraction of the records.
-
-The remote backend (a socket/loopback client with a local write-through
-cache) lives in :mod:`repro.cm.remote`; :func:`make_backend` is the one
-factory the CLI, the daemon and the supervisor share.
+  Every local store is one.
+- :class:`~repro.cm.remote.RemoteBackend` -- a store server fronted by
+  a local write-through cache (itself a :class:`DirectoryBackend`).
+  :func:`configured_backend` picks it when a store URL is given, which
+  is the one choice the CLI and the daemon make.
 
 A backend's pair operations are *byte-level*: header and payload are
 opaque blobs here.  Verification (checksums, digests, manifest
 reconciliation) stays in :class:`~repro.cm.store.BinStore`, so every
-backend inherits the PR 2 damage taxonomy by construction.  Local
-backends route all IO through the :class:`repro.cm.faults.FileSystem`
-seam, so the crash/ENOSPC/interleaving fault harnesses drive any of
-them unchanged.
+backend inherits the PR 2 damage taxonomy by construction.  The
+directory backend routes all IO through the
+:class:`repro.cm.faults.FileSystem` seam, so the crash/ENOSPC/
+interleaving fault harnesses drive it, and the remote backend's cache,
+unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import os
 import time
 
 from repro.cm.faults import REAL_FS, FileSystem
-from repro.pids.crc128 import crc128_hex
+from repro.obs.history import PROFILE_DIR
 
 #: On-disk header format version; bump when the pickle registry or the
 #: record layout changes incompatibly.  Unsupported records are skipped
@@ -66,17 +62,16 @@ MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "store.lock"
 #: Where damaged record files are moved aside (``quarantine=True``).
 QUARANTINE_DIR = "quarantine"
-#: The sharded layout's record subdirectory.
-SHARDS_DIR = "shards"
 #: The remote backend's local-cache LRU index; rides in the cache
 #: directory but is not a record (see :mod:`repro.cm.remote`).
 CACHE_INDEX_NAME = "CACHE_INDEX.json"
 
 #: Store-directory entries that are never record files and are left
-#: alone by listing and pruning.
+#: alone by listing and pruning (``PROFILE_DIR`` is the build-history
+#: ring, :mod:`repro.obs.history`).
 _SKIP_ENTRIES = frozenset({
     MANIFEST_NAME, LOCK_NAME, QUARANTINE_DIR,
-    CACHE_INDEX_NAME,
+    CACHE_INDEX_NAME, PROFILE_DIR,
 })
 
 
@@ -156,13 +151,6 @@ def unescape_name(stem: str) -> str:
         return stem
 
 
-def shard_of(stem: str) -> str:
-    """The shard a record key lives in: the first two hex digits of the
-    key's CRC-128.  Content-hash distribution, so no shard directory
-    ever holds more than a fraction of the records."""
-    return crc128_hex(stem.encode("utf-8"))[:2]
-
-
 def record_stem(entry: str) -> str | None:
     """The record stem of a store-managed filename, or None if the file
     is not one of ours."""
@@ -180,8 +168,9 @@ def record_stem(entry: str) -> str | None:
 
 def encode_manifest(records: dict[str, str]) -> bytes:
     """The canonical manifest bytes for a ``{stem: unit name}`` table.
-    Every backend writes exactly these bytes, which is what makes
-    flat and sharded manifests byte-identical for the same records."""
+    Every backend writes exactly these bytes, so a store server's
+    manifest is byte-identical to a local store's for the same
+    records."""
     return json.dumps({"format": FORMAT_VERSION, "records": dict(records)},
                       indent=1, sort_keys=True).encode("utf-8")
 
@@ -292,7 +281,6 @@ class StoreBackend:
 
     Attributes every backend carries:
 
-    - ``kind``: ``"flat"`` / ``"sharded"`` / ``"remote"``;
     - ``fs``: the *local* filesystem seam (the remote backend's is its
       cache's) -- checkpoints ride through it;
     - ``root``: the local anchor directory (store dir, or the remote
@@ -307,7 +295,6 @@ class StoreBackend:
       removes it.
     """
 
-    kind = "?"
     shared = False
 
     # -- lifecycle --------------------------------------------------------
@@ -420,13 +407,11 @@ class StoreBackend:
         """Hook: the save committed."""
 
 
-# -- local directory backends --------------------------------------------
+# -- the directory backend -----------------------------------------------
 
 
 class DirectoryBackend(StoreBackend):
-    """The flat directory layout: record pairs at the store root."""
-
-    kind = "flat"
+    """A store directory: record pairs next to the manifest."""
 
     def __init__(self, root: str, fs: FileSystem | None = None):
         self.fs = fs if fs is not None else REAL_FS
@@ -437,18 +422,11 @@ class DirectoryBackend(StoreBackend):
 
     # -- placement --------------------------------------------------------
 
-    def dir_of(self, stem: str) -> str:
-        return self.root
-
     def path_of(self, stem: str, suffix: str) -> str:
-        return os.path.join(self.dir_of(stem), stem + suffix)
+        return os.path.join(self.root, stem + suffix)
 
     def describe(self, stem: str, suffix: str) -> str:
         return self.path_of(stem, suffix)
-
-    def record_dirs(self) -> list[str]:
-        """Every directory that may hold record pairs."""
-        return [self.root]
 
     # -- lifecycle --------------------------------------------------------
 
@@ -460,27 +438,22 @@ class DirectoryBackend(StoreBackend):
 
     # -- record pairs ------------------------------------------------------
 
-    def _classify(self, entry: str, rel: str, header: set, payload: set,
-                  notes: list[str] | None) -> None:
-        if entry.endswith(TMP_SUFFIX):
-            if notes is not None:
-                notes.append(f"ignoring leftover temp file {rel}")
-            return
-        if entry.endswith(HEADER_SUFFIX):
-            header.add(entry[:-len(HEADER_SUFFIX)])
-        elif entry.endswith(PAYLOAD_SUFFIX):
-            payload.add(entry[:-len(PAYLOAD_SUFFIX)])
-        elif notes is not None:
-            notes.append(f"ignoring unrecognized file {rel}")
-
     def list_pairs(self, notes: list[str] | None = None
                    ) -> tuple[set[str], set[str]]:
         header: set[str] = set()
         payload: set[str] = set()
         for entry in self.fs.listdir(self.root):
-            if entry in _SKIP_ENTRIES or entry == SHARDS_DIR:
+            if entry in _SKIP_ENTRIES:
                 continue
-            self._classify(entry, entry, header, payload, notes)
+            if entry.endswith(TMP_SUFFIX):
+                if notes is not None:
+                    notes.append(f"ignoring leftover temp file {entry}")
+            elif entry.endswith(HEADER_SUFFIX):
+                header.add(entry[:-len(HEADER_SUFFIX)])
+            elif entry.endswith(PAYLOAD_SUFFIX):
+                payload.add(entry[:-len(PAYLOAD_SUFFIX)])
+            elif notes is not None:
+                notes.append(f"ignoring unrecognized file {entry}")
         return header, payload
 
     def read_header(self, stem: str) -> bytes:
@@ -494,11 +467,8 @@ class DirectoryBackend(StoreBackend):
 
     def put(self, stem: str, header_bytes: bytes, payload: bytes) -> None:
         fs = self.fs
-        directory = self.dir_of(stem)
-        if directory != self.root:
-            fs.makedirs(directory)
-        payload_file = os.path.join(directory, stem + PAYLOAD_SUFFIX)
-        header_file = os.path.join(directory, stem + HEADER_SUFFIX)
+        payload_file = self.path_of(stem, PAYLOAD_SUFFIX)
+        header_file = self.path_of(stem, HEADER_SUFFIX)
         try:
             fs.write_bytes(payload_file + TMP_SUFFIX, payload)
             fs.replace(payload_file + TMP_SUFFIX, payload_file)
@@ -580,22 +550,18 @@ class DirectoryBackend(StoreBackend):
 
     # -- maintenance -------------------------------------------------------
 
-    def _prune_dir(self, directory: str, rel_prefix: str,
-                   live_stems: set[str], pruned: list[str]) -> None:
+    def prune(self, live_stems: set[str]) -> list[str]:
         fs = self.fs
-        for entry in fs.listdir(directory):
-            if entry in _SKIP_ENTRIES or entry == SHARDS_DIR:
+        pruned: list[str] = []
+        for entry in fs.listdir(self.root):
+            if entry in _SKIP_ENTRIES:
                 continue
             stem = record_stem(entry)
             if stem is None:
                 continue  # not a store-managed file: leave it alone
             if entry.endswith(TMP_SUFFIX) or stem not in live_stems:
-                fs.remove(os.path.join(directory, entry))
-                pruned.append(rel_prefix + entry)
-
-    def prune(self, live_stems: set[str]) -> list[str]:
-        pruned: list[str] = []
-        self._prune_dir(self.root, "", live_stems, pruned)
+                fs.remove(os.path.join(self.root, entry))
+                pruned.append(entry)
         return pruned
 
     def ensure_quarantine_dir(self) -> str | None:
@@ -632,117 +598,29 @@ class DirectoryBackend(StoreBackend):
         fs = self.fs
         if not fs.isdir(self.root):
             return ()
+        try:
+            entries = fs.listdir(self.root)
+        except OSError:
+            return ("unreadable",)
         out = []
-        for directory in self.record_dirs():
-            rel = ("" if directory == self.root
-                   else os.path.relpath(directory, self.root) + os.sep)
-            try:
-                entries = fs.listdir(directory)
-            except OSError:
-                return ("unreadable",)
-            for entry in entries:
-                if entry.endswith(TMP_SUFFIX):
-                    continue
-                if (entry == MANIFEST_NAME
-                        or entry.endswith(HEADER_SUFFIX)
-                        or entry.endswith(PAYLOAD_SUFFIX)):
-                    out.append((rel + entry, fs.stat_signature(
-                        os.path.join(directory, entry))))
+        for entry in entries:
+            if entry.endswith(TMP_SUFFIX):
+                continue
+            if (entry == MANIFEST_NAME
+                    or entry.endswith(HEADER_SUFFIX)
+                    or entry.endswith(PAYLOAD_SUFFIX)):
+                out.append((entry, fs.stat_signature(
+                    os.path.join(self.root, entry))))
         return tuple(out)
 
 
-class ShardedBackend(DirectoryBackend):
-    """Record pairs under ``shards/<hh>/`` where ``hh`` is
-    :func:`shard_of` the record key.  Manifest, store lock and
-    quarantine stay at the root, so checkpoints and fsck work
-    unchanged; only pair placement (and therefore directory fan-out)
-    differs from the flat layout."""
-
-    kind = "sharded"
-
-    def dir_of(self, stem: str) -> str:
-        return os.path.join(self.root, SHARDS_DIR, shard_of(stem))
-
-    def record_dirs(self) -> list[str]:
-        shards_root = os.path.join(self.root, SHARDS_DIR)
-        if not self.fs.isdir(shards_root):
-            return [self.root]
-        try:
-            shards = self.fs.listdir(shards_root)
-        except OSError:
-            return [self.root]
-        return [self.root] + [os.path.join(shards_root, shard)
-                              for shard in shards
-                              if self.fs.isdir(os.path.join(shards_root,
-                                                            shard))]
-
-    def list_pairs(self, notes: list[str] | None = None
-                   ) -> tuple[set[str], set[str]]:
-        header: set[str] = set()
-        payload: set[str] = set()
-        for directory in self.record_dirs():
-            rel = ("" if directory == self.root
-                   else os.path.relpath(directory, self.root) + os.sep)
-            for entry in self.fs.listdir(directory):
-                if entry in _SKIP_ENTRIES or entry == SHARDS_DIR:
-                    continue
-                self._classify(entry, rel + entry, header, payload, notes)
-        return header, payload
-
-    def prune(self, live_stems: set[str]) -> list[str]:
-        pruned: list[str] = []
-        for directory in self.record_dirs():
-            rel = ("" if directory == self.root
-                   else os.path.relpath(directory, self.root) + os.sep)
-            self._prune_dir(directory, rel, live_stems, pruned)
-        return pruned
-
-
-# -- detection and the factory -------------------------------------------
-
-
-def detect_dir_backend(path: str,
-                       fs: FileSystem | None = None) -> DirectoryBackend:
-    """The right local backend for an existing store directory: sharded
-    iff it has a ``shards/`` subdirectory, flat otherwise (including
-    when it does not exist yet)."""
-    fs = fs if fs is not None else REAL_FS
-    if fs.isdir(os.path.join(path, SHARDS_DIR)):
-        return ShardedBackend(path, fs=fs)
-    return DirectoryBackend(path, fs=fs)
-
-
-def make_backend(kind: str, path: str, url: str | None = None,
-                 fs: FileSystem | None = None,
-                 cache_cap_bytes: int | None = None,
-                 compress: bool = True) -> StoreBackend:
-    """The one backend factory the CLI, daemon and tests share.
-
-    ``kind`` is ``auto`` (detect from the directory), ``flat``,
-    ``sharded`` or ``remote`` (requires ``url``; ``path`` becomes the
-    local write-through cache directory)."""
-    if kind == "remote" or (kind == "auto" and url):
-        if not url:
-            raise StoreError("remote backend requires a store URL")
-        from repro.cm.remote import remote_backend_from_url
-        return remote_backend_from_url(
-            url, cache_dir=path, fs=fs,
-            cache_cap_bytes=cache_cap_bytes, compress=compress)
-    if kind == "auto":
-        return detect_dir_backend(path, fs=fs)
-    if kind == "flat":
-        return DirectoryBackend(path, fs=fs)
-    if kind == "sharded":
-        return ShardedBackend(path, fs=fs)
-    raise StoreError(f"unknown store backend {kind!r} "
-                     f"(want auto, flat, sharded or remote)")
-
-
-def configured_backend(kind: str, path: str,
+def configured_backend(path: str,
                        url: str | None = None) -> StoreBackend | None:
-    """The backend a CLI run or the daemon was configured with, or None
-    for the defaults (``auto`` with no URL): the store paths then detect
-    the local layout themselves each time they touch the directory."""
-    if kind == "auto" and not url:
+    """The backend a CLI run or the daemon was configured with: the
+    remote backend for a store URL, with ``path`` as its write-through
+    cache, else None -- the store paths then use the directory at
+    ``path`` each time they touch it."""
+    if not url:
         return None
-    return make_backend(kind, path, url=url)
+    from repro.cm.remote import remote_backend_from_url
+    return remote_backend_from_url(url, path)

@@ -13,8 +13,10 @@ all of that warm across requests:
   seam), which keeps the workers' own sessions and rehydrated import
   closures warm (:func:`repro.cm.parallel.compile_task`'s cache).
 - **One configuration.**  The manager, the jobs count (and with it the
-  pool kind) and the supervision policy are fixed when the daemon
-  starts; a request names only its group.
+  pool kind), the store URL and the supervision policy are fixed when
+  the daemon starts; a request names only its group.  Each group's
+  store is its ``.bin`` directory, or, with a store URL, a remote
+  server fronted by that directory as a write-through cache.
 - **Incremental refresh.**  Sources are re-read only when their
   ``(mtime_ns, size)`` signature moved
   (:meth:`~repro.cm.faults.FileSystem.stat_signature`); the store is
@@ -122,8 +124,9 @@ class _GroupState:
     opened: bool = False
     project: Project | None = None
     store: BinStore | None = None
-    #: The configured store backend (None = auto-detected local layout;
-    #: created lazily from the daemon's store_backend/store_url).
+    #: The configured store backend (None = the ``.bin`` directory;
+    #: the remote backend is created lazily from the daemon's
+    #: store_url).
     backend: object = None
     #: The warm builder (session, live units, dep cache), made by the
     #: group's first build.
@@ -154,14 +157,12 @@ class BuildDaemon:
 
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
                  policy: SupervisePolicy | None = None, meter=None,
-                 store_backend: str = "auto",
                  store_url: str | None = None, trace_sample: int = 0):
         if manager not in MANAGERS:
             raise DaemonError(f"unknown manager {manager!r} "
                               f"(want one of {sorted(MANAGERS)})")
         self.manager = manager
         self.jobs = max(1, jobs)
-        self.store_backend = store_backend
         self.store_url = store_url
         self.policy = policy if policy is not None else SupervisePolicy()
         if meter is None and trace_sample > 0:
@@ -291,8 +292,8 @@ class BuildDaemon:
         """The group's configured store backend, created lazily (see
         :func:`~repro.cm.backend.configured_backend`)."""
         if state.backend is None:
-            state.backend = configured_backend(
-                self.store_backend, state.bin_dir, url=self.store_url)
+            state.backend = configured_backend(state.bin_dir,
+                                               self.store_url)
         return state.backend
 
     def _open(self, state: _GroupState) -> None:

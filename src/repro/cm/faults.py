@@ -822,29 +822,15 @@ def plant_stale_lock(store_dir: str, pid: int = -1,
     return path
 
 
-def _record_dir(store_dir: str, name: str) -> str:
-    """The directory the record named ``name`` lives in: layout-aware,
-    so corruptors damage the right file in flat *and* sharded stores."""
-    from repro.cm.backend import SHARDS_DIR, escape_name, shard_of
-
-    shard_dir = os.path.join(store_dir, SHARDS_DIR,
-                             shard_of(escape_name(name)))
-    if os.path.isdir(os.path.join(store_dir, SHARDS_DIR)):
-        return shard_dir
-    return store_dir
-
-
 def header_path(store_dir: str, name: str) -> str:
     """The on-disk header file of the record named ``name``."""
     from repro.cm.store import HEADER_SUFFIX, escape_name
 
-    return os.path.join(_record_dir(store_dir, name),
-                        escape_name(name) + HEADER_SUFFIX)
+    return os.path.join(store_dir, escape_name(name) + HEADER_SUFFIX)
 
 
 def payload_path(store_dir: str, name: str) -> str:
     """The on-disk payload file of the record named ``name``."""
     from repro.cm.store import PAYLOAD_SUFFIX, escape_name
 
-    return os.path.join(_record_dir(store_dir, name),
-                        escape_name(name) + PAYLOAD_SUFFIX)
+    return os.path.join(store_dir, escape_name(name) + PAYLOAD_SUFFIX)

@@ -5,8 +5,8 @@ a cache shared across machines: most builds become pure hits on records
 some other client compiled.  This module supplies the three pieces:
 
 - :class:`StoreServer` -- the authoritative store, wrapping a local
-  :class:`~repro.cm.backend.DirectoryBackend` (flat or sharded) and
-  dispatching framed requests under one lock.  The server stores *raw*
+  :class:`~repro.cm.backend.DirectoryBackend` and dispatching framed
+  requests under one lock.  The server stores *raw*
   record bytes -- its directory is a perfectly ordinary store that
   ``--fsck`` can check directly.
 - Transports -- :class:`LoopbackTransport` calls a server in-process
@@ -59,7 +59,6 @@ from repro.cm.backend import (
     MANIFEST_NAME,
     PAYLOAD_SUFFIX,
     DirectoryBackend,
-    ShardedBackend,
     StoreBackend,
     StoreError,
     StoreLock,
@@ -128,19 +127,17 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
 class StoreServer:
     """The authoritative store behind a remote backend.
 
-    Wraps a local directory backend (``layout="flat"`` or
-    ``"sharded"``) and dispatches one framed request at a time under a
-    lock, bumping a revision counter on every mutation -- the client's
-    cheap change signature.  Ordinary exceptions during an op travel
+    Wraps a store directory (a
+    :class:`~repro.cm.backend.DirectoryBackend`) and dispatches one
+    framed request at a time under a lock, bumping a revision counter
+    on every mutation -- the client's cheap change signature.  Ordinary exceptions during an op travel
     back as an ``error`` meta field (the client raises them as
     ``OSError``: io-error damage, a local miss); only the *frame* layer
     produces transport errors.
     """
 
-    def __init__(self, root: str, fs: FileSystem | None = None,
-                 layout: str = "flat"):
-        cls = ShardedBackend if layout == "sharded" else DirectoryBackend
-        self.backend = cls(root, fs=fs)
+    def __init__(self, root: str, fs: FileSystem | None = None):
+        self.backend = DirectoryBackend(root, fs=fs)
         self.lock = threading.RLock()
         self.rev = 0
         self.requests = 0
@@ -373,7 +370,9 @@ def unregister_loopback(name: str) -> None:
 
 
 def transport_for_url(url: str):
-    """A transport for ``loopback://name`` or ``rbs://host:port``."""
+    """A transport for ``loopback://name`` or ``rbs://host:port``.
+    Opens no connection; raises :class:`StoreError` for a malformed
+    URL or an unregistered loopback name."""
     if url.startswith("loopback://"):
         name = url[len("loopback://"):]
         with _LOOPBACK_LOCK:
@@ -422,7 +421,6 @@ class RemoteBackend(StoreBackend):
     cache is a *healthy* store, just a smaller one.
     """
 
-    kind = "remote"
     shared = True
 
     def __init__(self, url: str, cache_dir: str, transport,

@@ -8,9 +8,9 @@ payload.  :class:`BinStore` is the store; it survives
 reuse is what dehydration buys.
 
 The store's *semantics* live here; the *placement* of bytes lives in a
-:class:`repro.cm.backend.StoreBackend` (flat directory, sharded
-directory, or a remote server fronted by a local cache -- see
-:mod:`repro.cm.backend` and :mod:`repro.cm.remote`).  The on-disk form
+:class:`repro.cm.backend.StoreBackend` (the ``.bin`` directory, or a
+remote server fronted by a local cache -- see :mod:`repro.cm.backend`
+and :mod:`repro.cm.remote`).  The on-disk form
 is engineered so that *no* damage can cost more than a recompile, and
 every kind of damage is detected and named:
 
@@ -61,20 +61,15 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
     MANIFEST_NAME,
     PAYLOAD_SUFFIX,
     QUARANTINE_DIR,
-    SHARDS_DIR,
     TMP_SUFFIX,
     DirectoryBackend,
-    ShardedBackend,
     StoreBackend,
     StoreError,
     StoreFullError,
     StoreLock,
     StoreLockedError,
-    detect_dir_backend,
     encode_manifest,
     escape_name,
-    make_backend,
-    shard_of,
     unescape_name,
     _disk_full,
 )
@@ -328,16 +323,16 @@ class BinStore:
         """The backend a save/checkpoint aimed at ``path`` should use:
         this store's pinned backend when the path is its anchor (the
         supervisor and daemon address checkpoints by the store
-        directory), otherwise the detected local backend for ``path``."""
+        directory), otherwise the directory at ``path``."""
         if self.backend is not None and self.backend.covers(path):
             backend = self.backend
             if (isinstance(backend, DirectoryBackend)
                     and backend.fs is not self.fs):
                 # The caller swapped ``store.fs`` (fault harnesses do):
-                # rebuild the same-layout backend over the new seam.
-                backend = type(backend)(backend.root, fs=self.fs)
+                # rebuild the backend over the new seam.
+                backend = DirectoryBackend(backend.root, fs=self.fs)
             return backend
-        return detect_dir_backend(path, fs=self.fs)
+        return DirectoryBackend(path, fs=self.fs)
 
     def save_directory(self, path: str,
                        lock_timeout: float = 5.0) -> SaveStats:
@@ -345,8 +340,8 @@ class BinStore:
 
         ``path`` addresses a backend: this store's own backend when the
         path is its anchor directory (so daemon saves and supervisor
-        checkpoints transparently hit sharded/remote stores), otherwise
-        the detected local backend for that directory.  Only dirty
+        checkpoints transparently hit remote stores), otherwise the
+        directory at ``path``.  Only dirty
         records are rewritten (payload first, header second, each via
         tmp-file + atomic rename); removed units' files and unknown
         record debris are pruned; the manifest is refreshed.  The whole
@@ -417,9 +412,8 @@ class BinStore:
                        backend: StoreBackend | None = None) -> "BinStore":
         """Load a store, quarantining every kind of damage.
 
-        ``path`` names a local store directory (the layout -- flat or
-        sharded -- is detected); pass ``backend`` explicitly for a
-        remote store.  Never raises on damage: a corrupt, torn,
+        ``path`` names a local store directory; pass ``backend``
+        explicitly for a remote store.  Never raises on damage: a corrupt, torn,
         orphaned or unreadable record becomes a :class:`CorruptRecord`
         in ``store.health`` and the affected unit is simply absent (a
         cache miss).  ``meter`` observes the scan and every quarantine
@@ -465,7 +459,7 @@ class BinStore:
         fs = fs if fs is not None else (
             backend.fs if backend is not None else REAL_FS)
         if backend is None:
-            backend = detect_dir_backend(path, fs=fs)
+            backend = DirectoryBackend(path, fs=fs)
         store = cls(fs=fs, backend=backend)
         store.meter = meter
         report = store.health
@@ -709,9 +703,8 @@ class BinStore:
              lock_timeout: float = 5.0,
              quarantine: bool = False,
              backend: StoreBackend | None = None) -> StoreHealthReport:
-        """Check a store's health without building anything.  Detects
-        the local layout (flat/sharded) from the directory; pass
-        ``backend`` for a remote store.  ``quarantine=True`` also moves
+        """Check a store's health without building anything: the
+        directory at ``path``, or ``backend`` for a remote store.  ``quarantine=True`` also moves
         damaged files aside (see :meth:`load_directory`)."""
         return cls.load_directory(path, fs=fs, lock_timeout=lock_timeout,
                                   quarantine=quarantine,
@@ -730,7 +723,7 @@ class BinStore:
         and quarantine debris are excluded -- they come and go without
         changing the records clients would load."""
         if backend is None:
-            backend = detect_dir_backend(path, fs=fs)
+            backend = DirectoryBackend(path, fs=fs)
         return backend.signature()
 
 

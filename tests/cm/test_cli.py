@@ -141,6 +141,30 @@ class TestCmFiles:
         assert main([str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--jobs", "2"], "--jobs 2"),
+        (["--retries", "3"], "--retries"),
+        (["--jobs", "2", "--timeout", "5"], "--timeout"),
+        (["--store-url", "rbs://127.0.0.1:1"], "--store-url"),
+        (["--stats"], "--stats"),
+        (["--explain-diff"], "--explain-diff"),
+    ], ids=["jobs", "retries", "timeout", "store-url", "stats",
+            "explain-diff"])
+    def test_cm_target_refuses_flags_it_ignores(self, tmp_path, capsys,
+                                                flags, named):
+        """A group builds serially into an in-memory store and keeps no
+        build history, so these flags would be silently ignored."""
+        (tmp_path / "s.sml").write_text(
+            "structure S = struct val v = 7 end")
+        desc = tmp_path / "g.cm"
+        desc.write_text("group g\nmembers\n  s.sml\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(desc), *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and ".cm target" in captured.err
+        assert "group g" not in captured.out  # nothing was built
+
     def test_stale_format_bins_ignored(self, srcdir, capsys):
         import json
 
@@ -329,6 +353,99 @@ class TestScheduleAndServe:
             main([srcdir, "--trace-sample", "2"])
         assert excinfo.value.code == 2
         assert "--serve" in capsys.readouterr().err
+
+
+class TestStoreUrl:
+    """``--store-url`` is checked once, before any build, fsck or
+    daemon start: a malformed URL is a usage error."""
+
+    @pytest.mark.parametrize("mode", ["build", "fsck", "serve"])
+    @pytest.mark.parametrize("url", ["bogus://x", "rbs://nohost",
+                                     "rbs://h:notaport"])
+    def test_malformed_url_is_a_usage_error(self, srcdir, capsys,
+                                            monkeypatch, url, mode):
+        import io
+
+        argv = {"build": [srcdir],
+                "fsck": [srcdir, "--fsck"],
+                "serve": ["--serve", srcdir]}[mode]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--store-url", url])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert url in captured.err
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
+
+    def test_unreachable_server_latches_offline(self, srcdir, capsys):
+        import socket
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        url = f"rbs://127.0.0.1:{port}"
+        assert main([srcdir, "--store-url", url, "--no-link"]) == 0
+        assert "2 compiled" in capsys.readouterr().out
+        assert main([srcdir, "--fsck", "--store-url", url]) == 0
+        out = capsys.readouterr().out
+        assert "HEALTHY" in out and f"remote store {url} offline" in out
+
+
+class TestOldShardedStore:
+    """A store written by an older checkout's sharded layout (pairs
+    under ``.bin/shards/<hh>/``, ``MANIFEST.json`` at the root) has no
+    special case: its records are missing, so one build recompiles
+    everything into the ``.bin`` directory and leaves ``shards/``."""
+
+    @staticmethod
+    def shard_the_store(bin_dir):
+        from repro.pids.crc128 import crc128_hex
+
+        for entry in sorted(os.listdir(bin_dir)):
+            for suffix in (".bin.json", ".bin"):
+                if entry.endswith(suffix):
+                    stem = entry[:-len(suffix)]
+                    shard = os.path.join(bin_dir, "shards",
+                                         crc128_hex(stem.encode())[:2])
+                    os.makedirs(shard, exist_ok=True)
+                    os.replace(os.path.join(bin_dir, entry),
+                               os.path.join(shard, entry))
+                    break
+
+    def test_old_sharded_store_recompiles_once_into_the_bin_dir(
+            self, srcdir, capsys):
+        bin_dir = os.path.join(srcdir, ".bin")
+        assert main([srcdir, "--no-link"]) == 0
+        flat = store_files(bin_dir)
+        self.shard_the_store(bin_dir)
+        shards = os.path.join(bin_dir, "shards")
+        sharded = sorted(os.path.join(d, f)
+                         for d, _dirs, files in os.walk(shards)
+                         for f in files)
+        assert len(sharded) == 4
+        capsys.readouterr()
+
+        assert main([srcdir, "--no-link", "--explain"]) == 0
+        captured = capsys.readouterr()
+        assert "quarantined 2 damaged bin record(s)" in captured.err
+        assert "2 compiled, 0 loaded" in captured.out
+        for unit in ("base", "main"):
+            assert (f"{unit}: recompiled (quarantined) -- damage: "
+                    f"missing-record -- builder says: bin file "
+                    f"quarantined (missing-record)") in captured.out
+        assert store_files(bin_dir) == flat
+
+        assert main([srcdir, "--no-link"]) == 0
+        assert "0 compiled, 2 loaded" in capsys.readouterr().out
+
+        assert main([srcdir, "--fsck", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["loaded"] == ["base", "main"]
+        assert report["notes"] == ["ignoring unrecognized file shards"]
+        assert sorted(os.path.join(d, f)
+                      for d, _dirs, files in os.walk(shards)
+                      for f in files) == sharded
 
 
 class TestSourceEncoding:

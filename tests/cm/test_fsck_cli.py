@@ -50,6 +50,14 @@ class TestFsckCli:
         assert data["corrupt"][0]["kind"] == "orphaned-header"
         assert data["corrupt"][0]["name"] == "main"
 
+    def test_build_history_is_not_an_unrecognized_file(self, built,
+                                                        capsys):
+        """Every CLI build records a profile under ``.bin/profiles/``;
+        the store's own directory is not noted as foreign."""
+        assert os.path.isdir(os.path.join(built, ".bin", "profiles"))
+        assert main([built, "--fsck", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["notes"] == []
+
     def test_bin_dir_direct_target(self, built, capsys):
         assert main([os.path.join(built, ".bin"), "--fsck"]) == 0
 

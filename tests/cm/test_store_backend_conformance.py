@@ -1,13 +1,12 @@
 """The differential store-backend conformance suite.
 
-Every :class:`~repro.cm.backend.StoreBackend` implementation -- flat
-directory, sharded directory, remote-with-local-cache -- must honor the
-same contracts the flat store earned in PRs 2/3/6:
+Every :class:`~repro.cm.backend.StoreBackend` implementation -- the
+``.bin`` directory and remote-with-local-cache -- must honor the same
+contracts the flat store earned in PRs 2/3/6:
 
 - **Round trip** (PR 1): a save/load cycle reproduces every record
   byte-identically, and the export pids match the flat baseline --
-  placement (shards, wire frames, cache dirs) must never leak into
-  meaning.
+  placement (wire frames, cache dirs) must never leak into meaning.
 - **Crash sweep** (PR 2): a client killed before *every single*
   client-side filesystem mutation of a save, torn or clean, leaves a
   store a fresh session loads without raising and converges from.
@@ -23,8 +22,7 @@ same contracts the flat store earned in PRs 2/3/6:
   ``--fsck --quarantine`` moves it aside, whichever backend fronts the
   store.
 
-Tier 1 runs this file against the flat backend only; the full matrix
-runs under ``REPRO_ALL_BACKENDS=1`` or ``pytest --backend <kind>``.
+Tier 1 runs every test here against both backends.
 """
 
 import io
@@ -363,15 +361,13 @@ class TestFsckAndQuarantine:
     backend (the PR-9 regression: both used to assume a flat root)."""
 
     def run_cli(self, harness, *extra):
-        backend_args = {"flat": ["--store-backend", "flat"],
-                        "sharded": ["--store-backend", "sharded"],
-                        "remote": ["--store-backend", "remote",
-                                   "--store-url", harness.url]}[harness.kind]
         if harness.kind == "remote":
+            backend_args = ["--store-url", harness.url]
             # fsck a brand-new client cache so damage must come over
             # the wire, not from a warm local copy
             target = harness.backend(fresh_cache=True).root
         else:
+            backend_args = []
             target = harness.at_rest_dir
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

@@ -8,33 +8,17 @@ from repro.basis import make_basis
 
 # -- store-backend matrix ------------------------------------------------
 #
-# Tests that request the ``backend_kind`` fixture run against a store
-# backend implementation (see repro.cm.backend).  By default tier 1
-# exercises only the flat directory backend -- the layout every other
-# suite already covers implicitly.  The full differential matrix runs
-# either on demand (``pytest --backend sharded``) or wholesale
-# (``REPRO_ALL_BACKENDS=1 pytest``), which parameterizes every such
-# test across flat, sharded, and remote.
+# Tests that request the ``backend_kind`` fixture run against every
+# store backend (see repro.cm.backend): the ``.bin`` directory
+# (``flat``) and a loopback store server fronted by a local cache
+# (``remote``).
 
-BACKEND_KINDS = ("flat", "sharded", "remote")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend", action="store", default=None, choices=BACKEND_KINDS,
-        help="run backend-marked tests against this store backend only")
+BACKEND_KINDS = ("flat", "remote")
 
 
 def pytest_generate_tests(metafunc):
     if "backend_kind" in metafunc.fixturenames:
-        chosen = metafunc.config.getoption("--backend")
-        if chosen:
-            kinds = [chosen]
-        elif os.environ.get("REPRO_ALL_BACKENDS"):
-            kinds = list(BACKEND_KINDS)
-        else:
-            kinds = ["flat"]
-        metafunc.parametrize("backend_kind", kinds)
+        metafunc.parametrize("backend_kind", BACKEND_KINDS)
 
 
 def pytest_collection_modifyitems(config, items):
@@ -82,15 +66,13 @@ class BackendHarness:
         ``fresh_cache=True`` simulates a brand-new machine: an empty
         local cache that must fetch everything from the server.
         """
-        from repro.cm import DirectoryBackend, ShardedBackend
+        from repro.cm import DirectoryBackend
         from repro.cm.remote import remote_backend_from_url
 
         # Store/cache dirs are named ".bin" so the CLI's fsck mode can
         # target them directly (it treats any other name as a srcdir).
         if self.kind == "flat":
             return DirectoryBackend(os.path.join(self.base, ".bin"), fs=fs)
-        if self.kind == "sharded":
-            return ShardedBackend(os.path.join(self.base, ".bin"), fs=fs)
         if fresh_cache:
             self._clients += 1
         cache_dir = os.path.join(self.base, f"cache{self._clients}", ".bin")

@@ -1,14 +1,11 @@
 """Property tests for the store-backend protocol.
 
-Three laws every backend must obey, whatever records a builder throws
+Two laws every backend must obey, whatever records a builder throws
 at it:
 
-- **identity**: a save/load round trip through any backend -- flat,
-  sharded, or remote-with-cache -- reproduces every record field
-  byte-for-byte;
-- **placement-transparency**: the flat and sharded layouts of the same
-  records carry byte-identical manifests and byte-identical record
-  files (sharding only relocates, never rewrites);
+- **identity**: a save/load round trip through either backend -- the
+  ``.bin`` directory or remote-with-cache -- reproduces every record
+  field byte-for-byte;
 - **pinning**: the remote cache's LRU eviction never evicts a record
   the in-flight save just wrote, however small the cap.
 """
@@ -21,12 +18,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cm import BinRecord, BinStore, StoreServer
-from repro.cm.backend import (
-    DirectoryBackend,
-    MANIFEST_NAME,
-    ShardedBackend,
-    escape_name,
-)
+from repro.cm.backend import DirectoryBackend, escape_name
 from repro.cm.remote import LoopbackTransport, RemoteBackend
 
 # The same adversarial name/record space the flat round-trip suite uses.
@@ -69,8 +61,6 @@ def make_backend(kind, base, fresh_cache=False):
     """
     if kind == "flat":
         return DirectoryBackend(os.path.join(base, "store"))
-    if kind == "sharded":
-        return ShardedBackend(os.path.join(base, "store"))
     server_root = os.path.join(base, "server")
     if not hasattr(make_backend, "_servers"):
         make_backend._servers = {}
@@ -118,51 +108,6 @@ def test_save_load_identity_any_backend(backend_kind, record_list):
         # Incremental: an untouched second save writes nothing.
         again = loaded.save_directory(reader.root)
         assert again.records_written == 0
-    finally:
-        shutil.rmtree(base, ignore_errors=True)
-
-
-@given(record_lists)
-@settings(max_examples=25, deadline=None)
-def test_sharded_and_flat_layouts_are_byte_identical(record_list):
-    base = tempfile.mkdtemp(prefix="backend-prop-diff-")
-    try:
-        flat_dir = os.path.join(base, "flat")
-        shard_dir = os.path.join(base, "shard")
-        for backend in (DirectoryBackend(flat_dir),
-                        ShardedBackend(shard_dir)):
-            store = BinStore(backend=backend)
-            for record in record_list:
-                store.put(record)
-            store.save_directory(backend.root)
-
-        # Identical manifest bytes at the root of both layouts.
-        with open(os.path.join(flat_dir, MANIFEST_NAME), "rb") as f:
-            flat_manifest = f.read()
-        with open(os.path.join(shard_dir, MANIFEST_NAME), "rb") as f:
-            shard_manifest = f.read()
-        assert flat_manifest == shard_manifest
-
-        # Identical record files -- sharding relocates, never rewrites.
-        sharded = ShardedBackend(shard_dir)
-        for record in record_list:
-            stem = escape_name(record.name)
-            for suffix in (".bin", ".bin.json"):
-                with open(os.path.join(flat_dir, stem + suffix),
-                          "rb") as f:
-                    flat_bytes = f.read()
-                with open(os.path.join(sharded.dir_of(stem),
-                                       stem + suffix), "rb") as f:
-                    shard_bytes = f.read()
-                assert flat_bytes == shard_bytes, record.name
-
-        # And both load to identical export pids.
-        flat_loaded = BinStore.load_directory(flat_dir)
-        shard_loaded = BinStore.load_directory(shard_dir)
-        assert flat_loaded.names() == shard_loaded.names()
-        for name in flat_loaded.names():
-            assert (flat_loaded.get(name).export_pid
-                    == shard_loaded.get(name).export_pid)
     finally:
         shutil.rmtree(base, ignore_errors=True)
 
