@@ -27,11 +27,8 @@ Options:
     --trace-out FILE                write a trace file after building
                                     (chrome://tracing / ui.perfetto.dev,
                                     or OTLP/JSON with --trace-format)
-    --trace-format {chrome,otlp}    trace file format for --trace-out
-                                    (default chrome)
-    --trace-sample N                with --serve: record full spans for
-                                    1-in-N builds and cheap counters for
-                                    the rest (daemon ``stats`` requests)
+    --trace-format {chrome,otlp}    with --trace-out: the trace file's
+                                    format (default chrome)
     --jobs N                        compile up to N ready units at once
                                     on a process pool (a thread pool
                                     where process pools do not work;
@@ -52,11 +49,16 @@ Options:
                                     JSON-lines requests on stdin, one
                                     JSON response per line on stdout
                                     (see repro.cm.daemon); --manager
-                                    and --jobs hold for every request
+                                    and --jobs hold for every request;
+                                    its stats request always counts
 
-A ``.cm`` group target builds in memory and serially: it refuses
-``--jobs N > 1``, ``--retries``, ``--timeout``, ``--store-url``,
-``--stats`` and ``--explain-diff`` (exit 2) instead of ignoring them.
+A flag that only qualifies another -- ``--json`` and ``--quarantine``
+(``--fsck``), ``--strict`` (``--analyze``), ``--trace-format``
+(``--trace-out``), ``--timeout`` (``--jobs N > 1``) -- is a usage
+error (exit 2) without it.  A ``.cm`` group target builds in memory
+and serially: it refuses ``--jobs N > 1``, ``--retries``,
+``--timeout``, ``--store-url``, ``--stats``, ``--explain-diff`` and
+``--fsck`` (exit 2) instead of ignoring them.
 """
 
 from __future__ import annotations
@@ -124,18 +126,12 @@ def main(argv: list[str] | None = None) -> int:
                              "critical path, or OTLP with "
                              "--trace-format otlp)")
     parser.add_argument("--trace-format", dest="trace_format",
-                        choices=["chrome", "otlp"], default="chrome",
-                        help="file format for --trace-out: Chrome "
+                        choices=["chrome", "otlp"], default=None,
+                        help="with --trace-out: the file format, Chrome "
                              "trace_event JSON (default) or an "
                              "OTLP/JSON ExportTraceServiceRequest "
                              "with span links from recompiled units "
                              "to their culprit imports")
-    parser.add_argument("--trace-sample", dest="trace_sample",
-                        type=int, default=0, metavar="N",
-                        help="with --serve: sampled always-on "
-                             "tracing, full spans for 1-in-N builds "
-                             "and cheap counters otherwise (served by "
-                             "the daemon's stats request)")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="supervise the build: retry transient "
                              "worker failures up to N times per unit "
@@ -174,12 +170,26 @@ def main(argv: list[str] | None = None) -> int:
         return _run_serve(args)
     if args.srcdir is None:
         parser.error("srcdir is required unless --serve is given")
-    if args.trace_sample:
-        parser.error("--trace-sample needs --serve")
-    if args.timeout is not None and args.jobs <= 1:
-        # The inline tier runs each compile at submit time, so no
-        # deadline could ever fire.
-        parser.error("--timeout needs --jobs N > 1")
+    # A flag that only qualifies another would be silently ignored
+    # without it.  (The inline tier runs each compile at submit time,
+    # so a --timeout deadline could never fire.)
+    for given, flag, present, needed in (
+            (args.json, "--json", args.fsck, "--fsck"),
+            (args.quarantine, "--quarantine", args.fsck, "--fsck"),
+            (args.strict, "--strict", args.analyze, "--analyze"),
+            (args.trace_format is not None, "--trace-format",
+             args.trace_out, "--trace-out"),
+            (args.timeout is not None, "--timeout", args.jobs > 1,
+             "--jobs N > 1")):
+        if given and not present:
+            parser.error(f"{flag} needs {needed}")
+    group_file = (os.path.isfile(args.srcdir)
+                  and args.srcdir.endswith(".cm"))
+    if group_file:
+        ignored = _group_ignored_flags(args)
+        if ignored:
+            parser.error(f"{', '.join(ignored)} not supported for a .cm "
+                         f"target (groups build in memory, serially)")
 
     if args.fsck:
         return _run_fsck(args)
@@ -189,11 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.tracer import Tracer
         tracer = Tracer()
 
-    if os.path.isfile(args.srcdir) and args.srcdir.endswith(".cm"):
-        ignored = _group_ignored_flags(args)
-        if ignored:
-            parser.error(f"{', '.join(ignored)} not supported for a .cm "
-                         f"target (groups build in memory, serially)")
+    if group_file:
         return _build_group_file(args, tracer)
     if not os.path.isdir(args.srcdir):
         print(f"error: {args.srcdir} is not a directory or .cm file",
@@ -215,9 +221,9 @@ def _build_directory(args, tracer):
     from repro.obs.meter import NULL_METER
 
     bin_dir = os.path.join(args.srcdir, ".bin")
-    store = BinStore.open_directory(
-        bin_dir, configured_backend(bin_dir, args.store_url),
-        tracer if tracer is not None else NULL_METER)
+    store = BinStore.load_directory(
+        bin_dir, meter=tracer if tracer is not None else NULL_METER,
+        backend=configured_backend(bin_dir, args.store_url))
     if not store.health.ok:
         damaged = store.health.quarantined()
         print(f"warning: quarantined {len(store.health.corrupt)} damaged "
@@ -354,7 +360,7 @@ def _emit_trace(args, tracer, builder, report) -> int:
                   + " -> ".join(chain))
 
     if args.trace_out:
-        if getattr(args, "trace_format", "chrome") == "otlp":
+        if args.trace_format == "otlp":
             payload = _otlp_payload(args, tracer, builder)
         else:
             extra = {
@@ -408,8 +414,7 @@ def _run_serve(args) -> int:
     from repro.cm.daemon import BuildDaemon, serve
 
     daemon = BuildDaemon(manager=args.manager, jobs=max(1, args.jobs),
-                         store_url=args.store_url,
-                         trace_sample=max(0, args.trace_sample))
+                         store_url=args.store_url)
     default_group = args.srcdir if args.srcdir \
         and os.path.isdir(args.srcdir) else None
     return serve(daemon, sys.stdin, sys.stdout,
@@ -463,13 +468,15 @@ def _run_analysis(project, graph, cache, strict: bool) -> int:
 def _group_ignored_flags(args) -> list[str]:
     """The flags given that a ``.cm`` target would ignore:
     :class:`~repro.cm.group.GroupBuilder` compiles serially into an
-    in-memory store and keeps no build history."""
+    in-memory store and keeps no build history, so there is neither a
+    pool nor a store to check."""
     flags = [(args.jobs > 1, f"--jobs {args.jobs}"),
              (args.retries is not None, "--retries"),
              (args.timeout is not None, "--timeout"),
              (bool(args.store_url), "--store-url"),
              (args.stats, "--stats"),
-             (args.explain_diff is not None, "--explain-diff")]
+             (args.explain_diff is not None, "--explain-diff"),
+             (args.fsck, "--fsck")]
     return [flag for given, flag in flags if given]
 
 

@@ -3,7 +3,7 @@
 :class:`repro.cm.store.BinStore` implements the *semantics* of the bin
 store -- integrity verification, the damage taxonomy, incremental
 saves, quarantine -- but delegates the *placement* of bytes to a
-:class:`StoreBackend`: get/put/has/list/delete over record pairs plus
+:class:`StoreBackend`: get/put/has/list over record pairs plus
 manifest read and write.  Everything the store guarantees (every
 corruption is a quarantined miss, two racing writers leave a healthy
 store) is therefore proven per backend by one parameterized conformance
@@ -16,7 +16,8 @@ There are two backends:
   ``<stem>.bin`` / ``<stem>.bin.json`` pairs next to ``MANIFEST.json``.
   Every local store is one.
 - :class:`~repro.cm.remote.RemoteBackend` -- a store server fronted by
-  a local write-through cache (itself a :class:`DirectoryBackend`).
+  a local write-through cache (itself a :class:`DirectoryBackend`)
+  that keeps every pair it fetched or wrote.
   :func:`configured_backend` picks it when a store URL is given, which
   is the one choice the CLI and the daemon make.
 
@@ -62,16 +63,12 @@ MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = "store.lock"
 #: Where damaged record files are moved aside (``quarantine=True``).
 QUARANTINE_DIR = "quarantine"
-#: The remote backend's local-cache LRU index; rides in the cache
-#: directory but is not a record (see :mod:`repro.cm.remote`).
-CACHE_INDEX_NAME = "CACHE_INDEX.json"
 
 #: Store-directory entries that are never record files and are left
 #: alone by listing and pruning (``PROFILE_DIR`` is the build-history
 #: ring, :mod:`repro.obs.history`).
 _SKIP_ENTRIES = frozenset({
-    MANIFEST_NAME, LOCK_NAME, QUARANTINE_DIR,
-    CACHE_INDEX_NAME, PROFILE_DIR,
+    MANIFEST_NAME, LOCK_NAME, QUARANTINE_DIR, PROFILE_DIR,
 })
 
 
@@ -272,7 +269,7 @@ def lock_owner(fs: FileSystem, lock_path: str) -> int | None:
 class StoreBackend:
     """Where one bin store's bytes live (see the module docstring).
 
-    The core surface is get/put/has/list/delete over record *pairs*
+    The core surface is get/put/has/list over record *pairs*
     (header bytes + payload bytes, keyed by the escaped-name stem) plus
     manifest read and write; the rest -- the store lock, pruning,
     quarantine, signatures -- exists so fsck, the daemon's change
@@ -329,10 +326,6 @@ class StoreBackend:
             payload: bytes) -> None:
         """Write one record pair, payload first, each half atomically;
         a disk-full aborts cleanly as :class:`StoreFullError`."""
-        raise NotImplementedError
-
-    def delete(self, stem: str) -> None:
-        """Remove both halves of a pair (absence is not an error)."""
         raise NotImplementedError
 
     # -- manifest ----------------------------------------------------------
@@ -396,15 +389,6 @@ class StoreBackend:
         this backend?  (The supervisor and daemon address checkpoints
         by the store directory; the store routes them here.)"""
         return os.path.abspath(path) == os.path.abspath(self.root)
-
-    # -- save-session hooks (eviction safety) ------------------------------
-
-    def begin_save(self) -> None:
-        """Hook: a save is starting; records put until :meth:`end_save`
-        must survive it (the remote cache must not evict them)."""
-
-    def end_save(self) -> None:
-        """Hook: the save committed."""
 
 
 # -- the directory backend -----------------------------------------------
@@ -483,6 +467,7 @@ class DirectoryBackend(StoreBackend):
                 f"{err}") from err
 
     def delete(self, stem: str) -> None:
+        """Remove both halves of a pair (absence is not an error)."""
         self.fs.remove(self.path_of(stem, HEADER_SUFFIX))
         self.fs.remove(self.path_of(stem, PAYLOAD_SUFFIX))
 
@@ -525,23 +510,17 @@ class DirectoryBackend(StoreBackend):
                 f"disk full while writing manifest in {self.root}: "
                 f"{err}") from err
 
-    def merge_manifest(self, adds: dict[str, str],
-                       removes: set[str]) -> int:
-        """Read-modify-write: drop ``removes``, add ``adds``, keep
-        everything else.  The remote backend keeps its cache's manifest
-        this way (it names exactly the cached stems).  Returns the new
-        manifest's byte size."""
+    def merge_manifest(self, adds: dict[str, str]) -> None:
+        """Read-modify-write: add ``adds``, keep everything else.  The
+        remote backend keeps its cache's manifest this way (it names
+        exactly the cached stems)."""
         try:
             raw = self.read_manifest_bytes()
             merged = parse_manifest(raw) if raw is not None else {}
         except (OSError, ValueError):
             merged = {}
-        for stem in removes:
-            merged.pop(stem, None)
         merged.update(adds)
-        data = encode_manifest(merged)
-        self.write_manifest(data)
-        return len(data)
+        self.write_manifest(encode_manifest(merged))
 
     # -- locks -------------------------------------------------------------
 

@@ -43,6 +43,10 @@ all of that warm across requests:
   group's lock, so a duplicate request waits for the build in flight
   and then finds its units ``cached``; disjoint groups build
   concurrently.
+- **Always counting.**  Unless given another meter, the daemon counts
+  with a :class:`~repro.obs.meter.CounterMeter`, whose aggregates stay
+  O(distinct names) however long it serves, so the ``stats`` request
+  always reports hit rate, occupancy and the raw telemetry.
 
 The stdio front end (``python -m repro.cm --serve``) speaks
 newline-delimited JSON, one request object in, one ``sort_keys``
@@ -70,7 +74,7 @@ from repro.cm.store import BinStore
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
 from repro.obs.history import BuildHistory, BuildProfile, profile_from_report
-from repro.obs.meter import NULL_METER
+from repro.obs.meter import CounterMeter
 
 #: The manager table the CLI and the daemon share.
 MANAGERS = {
@@ -81,7 +85,7 @@ MANAGERS = {
 
 #: Wire-protocol version spoken by :func:`serve` (bumped on any
 #: incompatible change to the request/response shapes).
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Request keys that would reconfigure the daemon, each with the
 #: start-up flag that sets it (the pool kind follows from ``--jobs``).
@@ -157,7 +161,7 @@ class BuildDaemon:
 
     def __init__(self, manager: str = "cutoff", jobs: int = 1,
                  policy: SupervisePolicy | None = None, meter=None,
-                 store_url: str | None = None, trace_sample: int = 0):
+                 store_url: str | None = None):
         if manager not in MANAGERS:
             raise DaemonError(f"unknown manager {manager!r} "
                               f"(want one of {sorted(MANAGERS)})")
@@ -165,13 +169,7 @@ class BuildDaemon:
         self.jobs = max(1, jobs)
         self.store_url = store_url
         self.policy = policy if policy is not None else SupervisePolicy()
-        if meter is None and trace_sample > 0:
-            # Sampled always-on tracing: full spans 1-in-N builds,
-            # cheap aggregate counters for everything (the ``stats``
-            # request's data source).
-            from repro.obs.sampling import SamplingMeter
-            meter = SamplingMeter(sample=trace_sample)
-        self.meter = meter if meter is not None else NULL_METER
+        self.meter = meter if meter is not None else CounterMeter()
         self._lock = threading.Lock()
         self._states: dict[str, _GroupState] = {}
         #: The warm worker pool, ``(executor, kind)``, made by the
@@ -195,21 +193,19 @@ class BuildDaemon:
         with self._lock:
             self._request_seq += 1
             request_id = self._request_seq
-        if self.meter.enabled:
-            self.meter.counter("daemon.requests")
+        self.meter.counter("daemon.requests")
         with state.lock:
             report, reloaded, refreshed = self._build(state)
         wall = time.perf_counter() - t0
-        if self.meter.enabled:
-            self.meter.counter("daemon.builds")
-            # The worker-seconds this build had to fill: the ``stats``
-            # occupancy's denominator.
-            self.meter.counter("daemon.capacity_seconds",
-                               self.jobs * report.wall_seconds)
-            self.meter.complete_span(
-                "daemon-request", t0, time.perf_counter(), cat="daemon",
-                track="daemon", group=state.srcdir, manager=self.manager,
-                compiled=len(report.compiled))
+        self.meter.counter("daemon.builds")
+        # The worker-seconds this build had to fill: the ``stats``
+        # occupancy's denominator.
+        self.meter.counter("daemon.capacity_seconds",
+                           self.jobs * report.wall_seconds)
+        self.meter.complete_span(
+            "daemon-request", t0, time.perf_counter(), cat="daemon",
+            track="daemon", group=state.srcdir, manager=self.manager,
+            compiled=len(report.compiled))
         return DaemonReply(group=state.srcdir, report=report,
                            request_id=request_id,
                            store_reloaded=reloaded,
@@ -234,9 +230,10 @@ class BuildDaemon:
 
     def stats(self) -> dict:
         """The daemon's rolled-up telemetry: request/build counts,
-        cache hit rate, worker occupancy -- cheap enough to
-        serve permanently (the counters tier of ``--trace-sample``
-        keeps them for *every* build, sampled or not)."""
+        cache hit rate, worker occupancy -- cheap enough to serve
+        permanently, since the daemon's meter keeps aggregates only.
+        A meter without a ``rollup`` (a caller's own tracer) leaves
+        just the request counts."""
         with self._lock:
             out: dict = {
                 "groups": len(self._states),
@@ -299,8 +296,8 @@ class BuildDaemon:
     def _open(self, state: _GroupState) -> None:
         """First contact with a group: load the store."""
         backend = self._backend_for(state)
-        state.store = BinStore.open_directory(state.bin_dir, backend,
-                                              self.meter)
+        state.store = BinStore.load_directory(
+            state.bin_dir, meter=self.meter, backend=backend)
         state.store_sig = BinStore.disk_signature(state.bin_dir,
                                                   backend=backend)
         # Profile IO rides the store's fs seam, so fault injection on
@@ -357,14 +354,13 @@ class BuildDaemon:
         sig = BinStore.disk_signature(state.bin_dir, backend=backend)
         if sig == state.store_sig:
             return False
-        state.store = BinStore.open_directory(state.bin_dir, backend,
-                                              self.meter)
+        state.store = BinStore.load_directory(
+            state.bin_dir, meter=self.meter, backend=backend)
         if state.builder is not None:
             state.builder.store = state.store
             state.builder.health = state.store.health
         state.store_sig = sig
-        if self.meter.enabled:
-            self.meter.counter("daemon.store_reloads")
+        self.meter.counter("daemon.store_reloads")
         return True
 
     # -- one build --------------------------------------------------------

@@ -17,8 +17,12 @@ some other client compiled.  This module supplies the three pieces:
   handed to the store.
 - :class:`RemoteBackend` -- the client: a
   :class:`~repro.cm.backend.StoreBackend` fronting the server with a
-  local write-through cache (flat directory + LRU index with a size
-  cap) and optional wire compression.
+  local write-through cache (a plain store directory) that keeps every
+  pair it fetched or wrote.  Pids are intrinsic, so a cached record
+  stays valid until its unit changes, and the cache needs no size cap.
+
+The frame codec compresses each blob that zlib makes smaller, in both
+directions, so records cross the wire compressed with no flag to set.
 
 **Failure semantics** (the PR 2 contract, extended over the network):
 
@@ -37,16 +41,11 @@ some other client compiled.  This module supplies the three pieces:
   stays healthy and the last save's manifest wins.  A build never
   removes a record its project lacks (the backend is ``shared``): it
   may be another client's, and server-side GC is an operator action.
-
-Eviction safety: between ``begin_save``/``end_save`` every record the
-save writes is pinned -- the LRU can never evict a record dirty in the
-current save out from under its own checkpoint.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
 import socketserver
 import struct
@@ -54,10 +53,8 @@ import threading
 import zlib
 
 from repro.cm.backend import (
-    CACHE_INDEX_NAME,
     HEADER_SUFFIX,
     MANIFEST_NAME,
-    PAYLOAD_SUFFIX,
     DirectoryBackend,
     StoreBackend,
     StoreError,
@@ -83,10 +80,16 @@ _MAGIC = b"RBS1"
 
 def encode_frame(meta: dict, blob: bytes = b"") -> bytes:
     """``MAGIC + u32(meta_len) + meta + u32(blob_len) + blob + crc``.
-    The trailing CRC-128 (hex, 32 bytes) covers everything before it;
-    :func:`decode_frame` rejects any frame that fails it, which is how
-    wire truncation/garbling becomes a typed transport error instead of
-    bytes the store has to guess about."""
+    The blob is zlib-compressed whenever that makes it smaller, and the
+    meta then carries ``"z": 1``.  The trailing CRC-128 (hex, 32 bytes)
+    covers everything before it; :func:`decode_frame` rejects any frame
+    that fails it, which is how wire truncation/garbling becomes a
+    typed transport error instead of bytes the store has to guess
+    about."""
+    if blob:
+        packed = zlib.compress(blob, 6)
+        if len(packed) < len(blob):
+            meta, blob = dict(meta, z=1), packed
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = (_MAGIC + struct.pack(">I", len(meta_bytes)) + meta_bytes
             + struct.pack(">I", len(blob)) + blob)
@@ -94,9 +97,9 @@ def encode_frame(meta: dict, blob: bytes = b"") -> bytes:
 
 
 def decode_frame(data: bytes) -> tuple[dict, bytes]:
-    """Inverse of :func:`encode_frame`; raises
-    :class:`~repro.cm.faults.TransportError` on any framing or
-    integrity failure."""
+    """Inverse of :func:`encode_frame` (the blob comes back
+    decompressed); raises :class:`~repro.cm.faults.TransportError` on
+    any framing, integrity or compression failure."""
     if len(data) < len(_MAGIC) + 4 + 4 + 32:
         raise TransportError("short frame")
     body, crc = data[:-32], data[-32:]
@@ -118,6 +121,11 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except ValueError as err:
         raise TransportError(f"unparsable frame meta: {err}") from err
+    if meta.pop("z", 0):
+        try:
+            blob = zlib.decompress(blob)
+        except zlib.error as err:
+            raise TransportError(f"bad frame compression: {err}") from err
     return meta, blob
 
 
@@ -156,26 +164,11 @@ class StoreServer:
             response = encode_frame({"error": f"bad request frame: {err}"})
             self.bytes_out += len(response)
             return response
-        if meta.pop("z", 0):
-            try:
-                blob = zlib.decompress(blob)
-            except zlib.error as err:
-                meta = {"op": "?"}
-                response = encode_frame(
-                    {"error": f"bad request compression: {err}"})
-                self.bytes_out += len(response)
-                return response
-        accept_z = bool(meta.pop("az", 0))
         try:
             out_meta, out_blob = self.handle(meta, blob)
         except Exception as err:  # travels back as an op error
             out_meta, out_blob = (
                 {"error": f"{type(err).__name__}: {err}"}, b"")
-        if accept_z and out_blob:
-            packed = zlib.compress(out_blob, 6)
-            if len(packed) < len(out_blob):
-                out_meta["z"] = 1
-                out_blob = packed
         response = encode_frame(out_meta, out_blob)
         self.bytes_out += len(response)
         return response
@@ -218,10 +211,6 @@ class StoreServer:
                 backend.open()
                 backend.put(meta["stem"], blob[:header_len],
                             blob[header_len:])
-                self.rev += 1
-                return {"ok": True}, b""
-            if op == "delete":
-                backend.delete(meta["stem"])
                 self.rev += 1
                 return {"ok": True}, b""
             if op == "manifest_read":
@@ -391,12 +380,9 @@ def transport_for_url(url: str):
 
 
 def remote_backend_from_url(url: str, cache_dir: str,
-                            fs: FileSystem | None = None,
-                            cache_cap_bytes: int | None = None,
-                            compress: bool = True) -> "RemoteBackend":
-    return RemoteBackend(url, cache_dir, transport_for_url(url), fs=fs,
-                         cache_cap_bytes=cache_cap_bytes,
-                         compress=compress)
+                            fs: FileSystem | None = None
+                            ) -> "RemoteBackend":
+    return RemoteBackend(url, cache_dir, transport_for_url(url), fs=fs)
 
 
 # -- the client backend --------------------------------------------------
@@ -415,8 +401,7 @@ class RemoteBackend(StoreBackend):
     purely locally -- every consequence is a note plus a clean local
     miss, never an exception.
 
-    The cache evicts least-recently-used pairs past ``cache_cap_bytes``
-    (records written by an in-flight save are pinned), and its manifest
+    The cache keeps every pair it fetched or wrote, and its manifest
     always names exactly the cached stems, so an offline load of the
     cache is a *healthy* store, just a smaller one.
     """
@@ -424,9 +409,7 @@ class RemoteBackend(StoreBackend):
     shared = True
 
     def __init__(self, url: str, cache_dir: str, transport,
-                 fs: FileSystem | None = None,
-                 cache_cap_bytes: int | None = None,
-                 compress: bool = True):
+                 fs: FileSystem | None = None):
         self.fs = fs if fs is not None else REAL_FS
         self.url = url
         self.root = cache_dir
@@ -434,44 +417,23 @@ class RemoteBackend(StoreBackend):
         self.label = url
         self.transport = transport
         self.cache = DirectoryBackend(cache_dir, fs=self.fs)
-        self.cache_cap_bytes = cache_cap_bytes
-        self.compress = compress
         self.offline = False
         self.notes: list[str] = []
         #: At-rest-damaged fetches served raw this session (never
         #: cached): stem -> (header bytes | None, payload bytes | None).
         self._raw: dict[str, tuple[bytes | None, bytes | None]] = {}
-        #: LRU bookkeeping: stem -> pair byte size, in recency order
-        #: (oldest first).  Persisted best-effort to CACHE_INDEX.json.
-        self._lru: dict[str, int] | None = None
-        self._pinned: set[str] | None = None  # in-flight save's records
         #: Session stats for the fleet benchmark.
         self.cache_hits = 0
         self.remote_fetches = 0
-        self.evictions = 0
 
     # -- the wire ---------------------------------------------------------
 
     def _call(self, meta: dict, blob: bytes = b"") -> tuple[dict, bytes]:
-        """One request/response, with compression and the offline
-        latch.  Raises :class:`TransportError` only to `_call` callers,
-        all of whom catch it via :meth:`_try_call`."""
-        if self.compress:
-            meta = dict(meta)
-            meta["az"] = 1
-            if blob:
-                packed = zlib.compress(blob, 6)
-                if len(packed) < len(blob):
-                    meta["z"] = 1
-                    blob = packed
+        """One request/response.  Raises :class:`TransportError` only
+        to `_call` callers, all of whom catch it via
+        :meth:`_try_call`."""
         response = self.transport.send(encode_frame(meta, blob))
         out_meta, out_blob = decode_frame(response)
-        if out_meta.pop("z", 0):
-            try:
-                out_blob = zlib.decompress(out_blob)
-            except zlib.error as err:
-                raise TransportError(
-                    f"bad response compression: {err}") from err
         if "error" in out_meta:
             raise OSError(f"remote store error: {out_meta['error']}")
         return out_meta, out_blob
@@ -496,87 +458,6 @@ class RemoteBackend(StoreBackend):
         self.notes.append(
             f"remote store {self.url} offline after {op!r} ({why}); "
             f"continuing with the local cache")
-
-    # -- LRU index ---------------------------------------------------------
-
-    def _index_path(self) -> str:
-        return os.path.join(self.root, CACHE_INDEX_NAME)
-
-    def _load_lru(self) -> dict[str, int]:
-        if self._lru is not None:
-            return self._lru
-        order: list[str] = []
-        try:
-            data = json.loads(self.fs.read_bytes(self._index_path()))
-            if isinstance(data, dict) and isinstance(data.get("order"),
-                                                     list):
-                order = [s for s in data["order"] if isinstance(s, str)]
-        except (OSError, ValueError):
-            pass
-        lru: dict[str, int] = {}
-        try:
-            headers, payloads = self.cache.list_pairs()
-        except OSError:
-            headers, payloads = set(), set()
-        present = headers & payloads
-        sizes = {}
-        for stem in present:
-            size = 0
-            for suffix in (HEADER_SUFFIX, PAYLOAD_SUFFIX):
-                sig = self.fs.stat_signature(
-                    self.cache.path_of(stem, suffix))
-                size += sig[1] if sig else 0
-            sizes[stem] = size
-        for stem in order:  # remembered recency first...
-            if stem in sizes:
-                lru[stem] = sizes.pop(stem)
-        for stem in sorted(sizes):  # ...then anything unremembered
-            lru[stem] = sizes[stem]
-        self._lru = lru
-        return lru
-
-    def _save_lru(self) -> None:
-        if self._lru is None:
-            return
-        try:
-            self.fs.write_bytes(
-                self._index_path(),
-                json.dumps({"order": list(self._lru)},
-                           indent=1).encode("utf-8"))
-        except OSError:
-            pass
-
-    def _touch(self, stem: str, size: int) -> None:
-        lru = self._load_lru()
-        lru.pop(stem, None)
-        lru[stem] = size  # dict order = recency order, newest last
-        self._evict()
-
-    def _evict(self) -> None:
-        cap = self.cache_cap_bytes
-        if cap is None:
-            return
-        lru = self._load_lru()
-        total = sum(lru.values())
-        evicted: list[str] = []
-        for stem in list(lru):
-            if total <= cap:
-                break
-            if self._pinned is not None and stem in self._pinned:
-                continue  # dirty in the current save: never evicted
-            total -= lru.pop(stem)
-            try:
-                self.cache.delete(stem)
-            except OSError:
-                pass
-            evicted.append(stem)
-            self.evictions += 1
-        if evicted:
-            try:  # heal the cache manifest: it names cached stems only
-                self.cache.merge_manifest({}, set(evicted))
-            except (OSError, StoreError):
-                pass
-            self._save_lru()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -638,9 +519,6 @@ class RemoteBackend(StoreBackend):
                 self.cache_hits += 1
                 seen_headers.add(stem)
                 seen_payloads.add(stem)
-                lru = self._load_lru()
-                if stem in lru:
-                    self._touch(stem, lru[stem])
                 continue
             fetched = self._try_call({"op": "fetch", "stem": stem})
             if fetched is None:
@@ -669,13 +547,11 @@ class RemoteBackend(StoreBackend):
             self.cache.put(stem, header, payload)
             if name is not None:
                 fresh_names[stem] = name
-            self._touch(stem, len(header) + len(payload))
         if fresh_names:
             try:  # keep the cache manifest = exactly the cached stems
-                self.cache.merge_manifest(fresh_names, set())
+                self.cache.merge_manifest(fresh_names)
             except (OSError, StoreError):
                 pass
-        self._save_lru()
         return seen_headers, seen_payloads
 
     def read_header(self, stem: str) -> bytes:
@@ -714,19 +590,9 @@ class RemoteBackend(StoreBackend):
     def put(self, stem: str, header_bytes: bytes, payload: bytes) -> None:
         self.cache.open()
         self.cache.put(stem, header_bytes, payload)
-        if self._pinned is not None:
-            self._pinned.add(stem)
-        self._touch(stem, len(header_bytes) + len(payload))
         self._try_call({"op": "put", "stem": stem,
                         "header_len": len(header_bytes)},
                        header_bytes + payload)
-
-    def delete(self, stem: str) -> None:
-        self.cache.delete(stem)
-        lru = self._load_lru()
-        lru.pop(stem, None)
-        self._raw.pop(stem, None)
-        self._try_call({"op": "delete", "stem": stem})
 
     # -- manifest ----------------------------------------------------------
 
@@ -783,13 +649,7 @@ class RemoteBackend(StoreBackend):
         # client no longer has may be exactly what another client
         # needs.  Server-side GC is an operator action, not a save
         # side effect.
-        pruned = self.cache.prune(live_stems)
-        lru = self._load_lru()
-        for stem in list(lru):
-            if stem not in live_stems:
-                lru.pop(stem)
-        self._save_lru()
-        return pruned
+        return self.cache.prune(live_stems)
 
     def ensure_quarantine_dir(self) -> str | None:
         got = self._try_call({"op": "quarantine_ensure"})
@@ -821,12 +681,3 @@ class RemoteBackend(StoreBackend):
 
     def describe(self, stem: str, suffix: str) -> str:
         return f"{self.url}/{stem}{suffix}"
-
-    # -- save-session hooks ------------------------------------------------
-
-    def begin_save(self) -> None:
-        self._pinned = set()
-
-    def end_save(self) -> None:
-        self._pinned = None
-        self._save_lru()

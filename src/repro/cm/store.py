@@ -23,7 +23,9 @@ every kind of damage is detected and named:
   unparsable JSON becomes a typed :class:`CorruptRecord` in the store's
   :class:`StoreHealthReport` and the unit silently degrades to a cache
   miss.  Records of another format version are reported stale and
-  recompile once.  ``load_directory`` never raises on damage.
+  recompile once.  ``load_directory`` never raises on damage, and a
+  missing store loads empty with a note; it is the one way the CLI and
+  the daemon open a store.
 - **Atomicity.** Records are written payload-first via tmp-file +
   ``os.replace`` under a pid-stamped lock file (stale locks -- dead
   owner or torn content -- are detected and broken).  A crash between
@@ -53,7 +55,6 @@ import os
 from dataclasses import dataclass, field
 
 from repro.cm.backend import (  # noqa: F401  (re-exported surface)
-    CACHE_INDEX_NAME,
     COMPAT_FORMATS,
     FORMAT_VERSION,
     HEADER_SUFFIX,
@@ -352,11 +353,7 @@ class BinStore:
         """
         backend = self._backend_for(path)
         with self.meter.span("store.save", cat="store", path=path) as sp:
-            backend.begin_save()
-            try:
-                stats = self._save(backend, lock_timeout)
-            finally:
-                backend.end_save()
+            stats = self._save(backend, lock_timeout)
             sp.set(records=stats.records_written,
                    bytes=stats.bytes_written, pruned=len(stats.pruned))
             if self.meter.enabled:
@@ -413,7 +410,9 @@ class BinStore:
         """Load a store, quarantining every kind of damage.
 
         ``path`` names a local store directory; pass ``backend``
-        explicitly for a remote store.  Never raises on damage: a corrupt, torn,
+        explicitly for a remote store.  A missing directory is an empty
+        store whose health notes say so; the first save creates it.
+        Never raises on damage: a corrupt, torn,
         orphaned or unreadable record becomes a :class:`CorruptRecord`
         in ``store.health`` and the affected unit is simply absent (a
         cache miss).  ``meter`` observes the scan and every quarantine
@@ -437,19 +436,6 @@ class BinStore:
                     meter.event("store.quarantine", cat="store",
                                 unit=c.name, kind=c.kind)
             return store
-
-    @classmethod
-    def open_directory(cls, path: str,
-                       backend: StoreBackend | None = None,
-                       meter: BuildMeter = NULL_METER) -> "BinStore":
-        """The store a build starts from: loaded through ``backend``
-        when one is configured, else from the directory at ``path`` if
-        it exists, else empty.  ``meter`` stays attached either way."""
-        if backend is None and not os.path.isdir(path):
-            store = cls()
-            store.meter = meter
-            return store
-        return cls.load_directory(path, meter=meter, backend=backend)
 
     @classmethod
     def _load_directory(cls, path: str, fs: FileSystem | None,

@@ -4,7 +4,9 @@ The build pipeline is instrumented through a single seam, the
 :class:`~repro.obs.meter.BuildMeter` protocol.  Every instrumented call
 site talks to a meter; the default :data:`~repro.obs.meter.NULL_METER`
 does nothing (and costs almost nothing -- see
-``benchmarks/test_bench_trace_overhead.py``), while a
+``benchmarks/test_bench_trace_overhead.py``), a
+:class:`~repro.obs.meter.CounterMeter` keeps per-name aggregates only
+(the build daemon always runs one, for its ``stats`` request), and a
 :class:`~repro.obs.tracer.Tracer` records nested spans, instant events
 and counters, renders a human tree report, and exports Chrome
 ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.
@@ -24,13 +26,18 @@ Across builds, :mod:`repro.obs.history` persists a compact
 :class:`~repro.obs.history.BuildProfile` per build (a ring buffer
 under ``.bin/profiles/``), :mod:`repro.obs.diff` structurally compares
 the current ledger against the prior profile (``--explain-diff``:
-"why did this unit rebuild today but not yesterday"),
+"why did this unit rebuild today but not yesterday"), and
 :mod:`repro.obs.export` serializes spans to OTLP/JSON with zero new
-dependencies, and :mod:`repro.obs.sampling` keeps full spans for
-1-in-N builds with cheap always-on counters for the rest.
+dependencies.
 """
 
-from repro.obs.meter import NULL_METER, BuildMeter, NullMeter, NullSpan
+from repro.obs.meter import (
+    NULL_METER,
+    BuildMeter,
+    CounterMeter,
+    NullMeter,
+    NullSpan,
+)
 from repro.obs.tracer import Span, Tracer
 from repro.obs.ledger import (
     BuildDecision,
@@ -54,13 +61,13 @@ from repro.obs.history import (
 )
 from repro.obs.diff import ProfileDiff, UnitDiff, diff_against_profile
 from repro.obs.export import to_otlp, validate_otlp
-from repro.obs.sampling import CounterMeter, SamplingMeter
 
 __all__ = [
     "BuildMeter",
     "NullMeter",
     "NullSpan",
     "NULL_METER",
+    "CounterMeter",
     "Tracer",
     "Span",
     "BuildDecision",
@@ -82,6 +89,4 @@ __all__ = [
     "diff_against_profile",
     "to_otlp",
     "validate_otlp",
-    "CounterMeter",
-    "SamplingMeter",
 ]

@@ -8,14 +8,23 @@ nobody is listening is a handful of no-op method calls:
     with meter.span("parse", cat="phase", unit=name):
         ...
 
-:data:`NULL_METER` is the default listener; it allocates nothing and
-returns a single shared no-op span.  ``benchmarks/
-test_bench_trace_overhead.py`` gates its cost at under 5% of a build.
-:class:`repro.obs.tracer.Tracer` is the real implementation.
+There are three listeners:
+
+- :data:`NULL_METER` is the default; it allocates nothing and returns a
+  single shared no-op span.  ``benchmarks/
+  test_bench_trace_overhead.py`` gates its cost at under 5% of a build.
+- :class:`CounterMeter` keeps only aggregates -- per-name span counts
+  and seconds, event counts, counter totals -- so its memory is
+  O(distinct names) however many builds flow through it.  The build
+  daemon always counts with one; its ``stats`` request reports the
+  rollup (:meth:`repro.cm.daemon.BuildDaemon.stats`).
+- :class:`repro.obs.tracer.Tracer` records every span of one run.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from typing import ContextManager, Protocol, runtime_checkable
 
 
@@ -97,3 +106,87 @@ class NullMeter:
 
 #: The process-wide default listener.
 NULL_METER = NullMeter()
+
+
+class _CountingSpan:
+    """One live span of a :class:`CounterMeter`: measures its own
+    duration, stores nothing else."""
+
+    __slots__ = ("_meter", "_name", "_start")
+
+    def __init__(self, meter: "CounterMeter", name: str):
+        self._meter = meter
+        self._name = name
+        self._start = 0.0
+
+    def set(self, **args) -> "_CountingSpan":
+        return self  # aggregates keep no args
+
+    def __enter__(self) -> "_CountingSpan":
+        self._start = self._meter._clock()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._meter._add_span(self._name,
+                              self._meter._clock() - self._start)
+        return False
+
+
+class CounterMeter:
+    """The aggregate listener (see the module docstring).
+
+    Thread-safe; O(distinct names) memory however many builds flow
+    through it.
+    """
+
+    enabled = True
+
+    def __init__(self, clock=time.perf_counter):
+        self._clock = clock
+        self._lock = threading.Lock()
+        #: span name -> {"count": n, "seconds": total}.
+        self.spans: dict[str, dict] = {}
+        #: event name -> count.
+        self.events: dict[str, int] = {}
+        #: the ordinary monotonic counters.
+        self.counters: dict[str, float] = {}
+
+    def _add_span(self, name: str, seconds: float) -> None:
+        with self._lock:
+            bucket = self.spans.setdefault(
+                name, {"count": 0, "seconds": 0.0})
+            bucket["count"] += 1
+            bucket["seconds"] += max(0.0, seconds)
+
+    # -- the BuildMeter protocol ------------------------------------------
+
+    def span(self, name: str, cat: str = "build",
+             **args) -> _CountingSpan:
+        return _CountingSpan(self, name)
+
+    def event(self, name: str, cat: str = "build", **args) -> None:
+        with self._lock:
+            self.events[name] = self.events.get(name, 0) + 1
+
+    def counter(self, name: str, value: float = 1) -> None:
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def complete_span(self, name: str, start: float, end: float,
+                      cat: str = "build", track: str | None = None,
+                      **args) -> None:
+        self._add_span(name, end - start)
+
+    # -- the rollup -------------------------------------------------------
+
+    def rollup(self) -> dict:
+        """The aggregate snapshot: spans, events, counters (rounded,
+        key-sorted -- wire-stable for the daemon's ``stats`` reply)."""
+        with self._lock:
+            spans = {name: {"count": b["count"],
+                            "seconds": round(b["seconds"], 6)}
+                     for name, b in sorted(self.spans.items())}
+            events = dict(sorted(self.events.items()))
+            counters = {name: (int(v) if v == int(v) else round(v, 6))
+                        for name, v in sorted(self.counters.items())}
+        return {"spans": spans, "events": events, "counters": counters}

@@ -210,4 +210,10 @@ class TestBuildDriverIntegration:
 
     def test_strict_without_analyze_changes_nothing(self, dirty_dir,
                                                     capsys):
-        assert cm_main([dirty_dir, "--strict", "--no-link"]) == 0
+        """``--strict`` only gates ``--analyze``: alone it is refused
+        before anything is built."""
+        with pytest.raises(SystemExit) as excinfo:
+            cm_main([dirty_dir, "--strict", "--no-link"])
+        assert excinfo.value.code == 2
+        assert "--strict needs --analyze" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(dirty_dir, ".bin"))

@@ -148,12 +148,15 @@ class TestCmFiles:
         (["--store-url", "rbs://127.0.0.1:1"], "--store-url"),
         (["--stats"], "--stats"),
         (["--explain-diff"], "--explain-diff"),
+        (["--fsck"], "--fsck"),
     ], ids=["jobs", "retries", "timeout", "store-url", "stats",
-            "explain-diff"])
+            "explain-diff", "fsck"])
     def test_cm_target_refuses_flags_it_ignores(self, tmp_path, capsys,
                                                 flags, named):
         """A group builds serially into an in-memory store and keeps no
-        build history, so these flags would be silently ignored."""
+        build history, so these flags would be silently ignored (and
+        ``--fsck`` would check ``g.cm/.bin``, which never holds a
+        store)."""
         (tmp_path / "s.sml").write_text(
             "structure S = struct val v = 7 end")
         desc = tmp_path / "g.cm"
@@ -345,14 +348,26 @@ class TestScheduleAndServe:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_trace_sample_without_serve_is_a_usage_error(self, srcdir,
-                                                         capsys):
-        """Sampling feeds the daemon's ``stats`` request; a batch build
-        has no reader for it, so the flag is refused."""
+
+class TestQualifierFlags:
+    @pytest.mark.parametrize("flags, needed", [
+        (["--json"], "--fsck"),
+        (["--quarantine"], "--fsck"),
+        (["--strict"], "--analyze"),
+        (["--trace-format", "otlp"], "--trace-out"),
+        (["--trace-format", "chrome"], "--trace-out"),
+    ], ids=["json", "quarantine", "strict", "trace-format-otlp",
+            "trace-format-chrome"])
+    def test_flag_without_the_flag_it_qualifies_is_a_usage_error(
+            self, srcdir, capsys, flags, needed):
+        """A flag that only qualifies another would be silently ignored
+        without it: the build is refused, naming both flags."""
         with pytest.raises(SystemExit) as excinfo:
-            main([srcdir, "--trace-sample", "2"])
+            main([srcdir, *flags, "--no-link"])
         assert excinfo.value.code == 2
-        assert "--serve" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flags[0]} needs {needed}" in err
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
 
 
 class TestStoreUrl:
@@ -446,6 +461,46 @@ class TestOldShardedStore:
         assert sorted(os.path.join(d, f)
                       for d, _dirs, files in os.walk(shards)
                       for f in files) == sharded
+
+
+class TestOldCacheIndex:
+    """An older checkout's remote cache kept an LRU index,
+    ``CACHE_INDEX.json``, next to its records.  It gets no special
+    case: builds leave it alone and fsck notes it like any other
+    stranger in the store directory."""
+
+    def test_old_cache_index_is_an_unrecognized_file(self, srcdir,
+                                                     tmp_path, capsys):
+        from repro.cm import (
+            StoreServer,
+            register_loopback,
+            unregister_loopback,
+        )
+
+        url = register_loopback("old-cache-index",
+                                StoreServer(str(tmp_path / "server")))
+        try:
+            assert main([srcdir, "--store-url", url, "--no-link"]) == 0
+            assert "2 compiled" in capsys.readouterr().out
+            index = os.path.join(srcdir, ".bin", "CACHE_INDEX.json")
+            with open(index, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps({"order": ["base", "main"]},
+                                    indent=1))
+            with open(index, "rb") as fh:
+                written = fh.read()
+
+            assert main([srcdir, "--store-url", url, "--no-link"]) == 0
+            assert "0 compiled, 2 loaded" in capsys.readouterr().out
+            with open(index, "rb") as fh:
+                assert fh.read() == written
+        finally:
+            unregister_loopback("old-cache-index")
+
+        assert main([srcdir, "--fsck", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["loaded"] == ["base", "main"]
+        assert report["notes"] == [
+            "ignoring unrecognized file CACHE_INDEX.json"]
 
 
 class TestSourceEncoding:

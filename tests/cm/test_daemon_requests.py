@@ -194,9 +194,9 @@ class TestWireFormat:
         assert rc == 0
         assert lines == [
             '{"id":"c1","ok":true,"op":"ping","result":'
-            '{"manager":"cutoff","protocol":3}}'
+            '{"manager":"cutoff","protocol":4}}'
         ]
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
 
     def test_build_response_golden(self, tmp_path):
         """The whole build envelope, byte-stable modulo wall clock."""
@@ -295,8 +295,8 @@ class TestWireFormat:
     @pytest.mark.parametrize("op", ["build", "explain", "explain-diff"])
     def test_requests_cannot_reconfigure_the_daemon(self, tmp_path, op,
                                                     key, value, flag):
-        """Protocol 3 fixes the manager, the jobs count and with it the
-        pool kind when the daemon starts: a request naming one is
+        """The daemon's start-up flags fix the manager, the jobs count
+        and with it the pool kind: a request naming one is
         refused, naming the key and the flag, and never builds."""
         srcdir = str(tmp_path / "grp")
         make_group(srcdir, chain(3))
@@ -311,7 +311,7 @@ class TestWireFormat:
             "id": "r", "ok": False,
             "error": {"type": "DaemonError",
                       "message": f"request key {key!r} is not accepted "
-                                 f"(protocol 3): {flag} sets it when "
+                                 f"(protocol 4): {flag} sets it when "
                                  f"the daemon starts"}}
         assert ping["ok"] is True
         assert daemon.stats()["requests_served"] == 0
@@ -377,10 +377,10 @@ class TestTelemetryOps:
     def test_explain_diff_trace_and_stats_over_the_wire(self, tmp_path):
         """One daemon session: build, edit an interface on disk, build
         again with an inline trace, then ask what changed and for the
-        rolled-up stats."""
+        rolled-up stats, which a daemon given no meter always counts."""
         srcdir = str(tmp_path / "grp")
         workload = make_group(srcdir, chain(3))
-        daemon = BuildDaemon(jobs=2, policy=POLICY, trace_sample=2)
+        daemon = BuildDaemon(jobs=2, policy=POLICY)
 
         def requests():
             yield json.dumps({"op": "build", "id": "b1"})
@@ -419,13 +419,16 @@ class TestTelemetryOps:
         assert "u000" in by_id["d1"]["result"]["text"]
         assert "u001" not in by_id["d1"]["result"]["text"]
 
-        # Stats: always-on counters, hit rate, sampling bookkeeping.
+        # Stats: always-on counters, hit rate, occupancy (protocol 4
+        # has no sampling bookkeeping).
         stats = by_id["s"]["result"]
+        assert sorted(stats) == ["groups", "hit_rate", "occupancy",
+                                 "requests_served", "telemetry"]
         assert stats["groups"] == 1
         assert stats["requests_served"] == 2
         telemetry = stats["telemetry"]
-        assert telemetry["builds_seen"] == 2
-        assert telemetry["sampled_builds"] == 1  # 1-in-2: build 1
+        assert sorted(telemetry) == ["counters", "events", "spans"]
+        assert telemetry["spans"]["build"]["count"] == 2
         # Build 1 compiles all 3; build 2 recompiles u000 (source) and
         # u001 (import pid), but cutoff stops the cascade at u002.
         counters = telemetry["counters"]
@@ -448,7 +451,7 @@ class TestTelemetryOps:
         b_dir = str(tmp_path / "b")
         make_group(a_dir, fanout(4))
         make_group(b_dir, fanout(4))
-        daemon = BuildDaemon(jobs=2, policy=POLICY, trace_sample=1)
+        daemon = BuildDaemon(jobs=2, policy=POLICY)
         try:
             a = daemon.request(a_dir)
             b = daemon.request(b_dir)

@@ -18,7 +18,7 @@ the faulted session must:
 
 import pytest
 
-from repro.cm import BinStore, CutoffBuilder, Project
+from repro.cm import BinRecord, BinStore, CutoffBuilder, Project
 from repro.cm.faults import FaultyTransport, TransportPlan
 from repro.cm.remote import LoopbackTransport, RemoteBackend, StoreServer
 from repro.obs.ledger import RECOMPILE_CAUSES, REUSE_CAUSES
@@ -270,3 +270,33 @@ class TestSharedStore:
         assert sorted(report.loaded) == ["app", "base"]
         exports = builder.link()
         assert exports["app"].structures["App"].values["answer"] == ANSWER
+
+
+class TestCompression:
+    def test_compressible_record_crosses_the_wire_compressed(
+            self, tmp_path):
+        """No flag switches compression on: a record zlib shrinks goes
+        up compressed on its put and comes back compressed on a fresh
+        client's fetch."""
+        payload = b"structure Big = struct end " * 2428  # 65,556 B
+        record = BinRecord(name="big", source_digest="0" * 32,
+                           export_pid="1" * 32, imports=[],
+                           payload=payload)
+        server = StoreServer(str(tmp_path / "server"))
+
+        writer = str(tmp_path / "writer")
+        store = BinStore(backend=RemoteBackend(
+            URL, writer, LoopbackTransport(server)))
+        store.put(record)
+        bytes_in = server.bytes_in
+        assert store.save_directory(writer).records_written == 1
+        assert server.bytes_in - bytes_in < len(payload)
+
+        reader = str(tmp_path / "reader")
+        backend = RemoteBackend(URL, reader, LoopbackTransport(server))
+        bytes_out = server.bytes_out
+        loaded = BinStore.load_directory(reader, backend=backend)
+        assert backend.remote_fetches == 1
+        assert server.bytes_out - bytes_out < len(payload)
+        assert loaded.health.ok, loaded.health.render_text()
+        assert loaded.get("big").payload == payload

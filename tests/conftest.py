@@ -57,8 +57,7 @@ class BackendHarness:
             register_loopback(self._loopback, self.server)
             self.url = f"loopback://{self._loopback}"
 
-    def backend(self, fs=None, fresh_cache=False,
-                cache_cap_bytes=None, compress=True):
+    def backend(self, fs=None, fresh_cache=False):
         """A client backend over this harness's store.
 
         ``fs`` routes the *client-side* writes (cache writes for
@@ -76,9 +75,7 @@ class BackendHarness:
         if fresh_cache:
             self._clients += 1
         cache_dir = os.path.join(self.base, f"cache{self._clients}", ".bin")
-        return remote_backend_from_url(self.url, cache_dir, fs=fs,
-                                       cache_cap_bytes=cache_cap_bytes,
-                                       compress=compress)
+        return remote_backend_from_url(self.url, cache_dir, fs=fs)
 
     @property
     def at_rest_dir(self) -> str:

@@ -1,7 +1,6 @@
-"""Sampled always-on tracing: the counter tier and the 1-in-N tracer."""
+"""The aggregate meter the build daemon always counts with."""
 
-from repro.obs.meter import BuildMeter
-from repro.obs.sampling import CounterMeter, SamplingMeter
+from repro.obs.meter import BuildMeter, CounterMeter
 
 from tests.obs.test_tracer import FakeClock
 
@@ -37,52 +36,3 @@ class TestCounterMeter:
             with meter.span("unit", unit="x"):
                 clock.tick(0.001)
         assert len(meter.spans) == 1  # O(names), not O(spans)
-
-
-class TestSamplingMeter:
-    def meter(self, sample):
-        clock = FakeClock()
-        return clock, SamplingMeter(sample=sample, clock=clock)
-
-    def run_build(self, clock, meter):
-        with meter.span("build", cat="build"):
-            with meter.span("unit", unit="a"):
-                clock.tick(1.0)
-            meter.counter("units.compiled", 1)
-
-    def test_samples_one_in_n_builds(self):
-        clock, meter = self.meter(sample=3)
-        tracers = []
-        for _ in range(7):
-            self.run_build(clock, meter)
-            tracers.append(meter.last_tracer)
-        roll = meter.rollup()
-        assert roll["builds_seen"] == 7
-        assert roll["sampled_builds"] == 3  # builds 1, 4, 7
-        # Aggregates cover every build, sampled or not.
-        assert roll["spans"]["build"]["count"] == 7
-        assert roll["counters"]["units.compiled"] == 7
-
-    def test_sampled_build_gets_full_span_tree(self):
-        clock, meter = self.meter(sample=2)
-        self.run_build(clock, meter)
-        tracer = meter.last_tracer
-        assert tracer is not None
-        (build,) = tracer.roots
-        assert build.name == "build"
-        assert [c.name for c in build.children] == ["unit"]
-        # Between samples there is no in-flight tracer.
-        assert meter.tracer is None
-
-    def test_unsampled_build_keeps_no_spans(self):
-        clock, meter = self.meter(sample=2)
-        self.run_build(clock, meter)  # build 1: sampled
-        first = meter.last_tracer
-        self.run_build(clock, meter)  # build 2: counters only
-        assert meter.last_tracer is first
-
-    def test_sample_one_traces_everything(self):
-        clock, meter = self.meter(sample=1)
-        for _ in range(3):
-            self.run_build(clock, meter)
-        assert meter.rollup()["sampled_builds"] == 3
