@@ -39,8 +39,11 @@ def test_phase_breakdown_sweep(benchmark):
             hash_s = sum(o.times.hash for o in report.outcomes)
             dehydrate_s = sum(o.times.dehydrate for o in report.outcomes)
             # Rehydration timing: reload everything in a fresh session.
+            # A null build decodes no payload, so link to decode them all
+            # (each loaded outcome's times count its unit's decode).
             fresh = CutoffBuilder(builder.project, store=builder.store)
             null_report = fresh.build()
+            fresh.link()
             rehydrate_s = sum(o.times.rehydrate
                               for o in null_report.outcomes)
             results.append(
@@ -127,5 +130,12 @@ def test_micro_rehydrate(benchmark, sample_unit):
     session, _w, graph, by_name, last = sample_unit
     imports = [by_name[d] for d in graph.deps[last.name]]
     payload = last.payload
-    benchmark(lambda: load_unit(last.name, last.export_pid, imports,
-                                payload, session))
+
+    def load_and_decode():
+        # load_unit only reads the header; decode() rehydrates.
+        unit = load_unit(last.name, last.export_pid, imports, payload,
+                         session)
+        unit.decode()
+        return unit
+
+    benchmark(load_and_decode)

@@ -48,8 +48,9 @@ Options:
     --serve                         run as a resident build daemon:
                                     JSON-lines requests on stdin, one
                                     JSON response per line on stdout
-                                    (see repro.cm.daemon); --manager
-                                    and --jobs hold for every request;
+                                    (see repro.cm.daemon); --manager,
+                                    --jobs, --retries, --timeout and
+                                    --store-url hold for every request;
                                     its stats request always counts
 
 A flag that only qualifies another -- ``--json`` and ``--quarantine``
@@ -58,7 +59,11 @@ A flag that only qualifies another -- ``--json`` and ``--quarantine``
 error (exit 2) without it.  A ``.cm`` group target builds in memory
 and serially: it refuses ``--jobs N > 1``, ``--retries``,
 ``--timeout``, ``--store-url``, ``--stats``, ``--explain-diff`` and
-``--fsck`` (exit 2) instead of ignoring them.
+``--fsck`` (exit 2) instead of ignoring them.  ``--serve`` likewise
+refuses the flags that shape one batch build's output (``--print``,
+``--no-link``, ``--stats``, ``--analyze``, ``--fsck``, ``--explain``,
+``--explain-diff``, ``--trace``, ``--trace-out`` and their
+qualifiers).
 """
 
 from __future__ import annotations
@@ -166,9 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             transport_for_url(args.store_url)  # parses; connects to nothing
         except StoreError as err:
             parser.error(f"--store-url: {err}")
-    if args.serve:
-        return _run_serve(args)
-    if args.srcdir is None:
+    if args.srcdir is None and not args.serve:
         parser.error("srcdir is required unless --serve is given")
     # A flag that only qualifies another would be silently ignored
     # without it.  (The inline tier runs each compile at submit time,
@@ -183,6 +186,13 @@ def main(argv: list[str] | None = None) -> int:
              "--jobs N > 1")):
         if given and not present:
             parser.error(f"{flag} needs {needed}")
+    if args.serve:
+        ignored = _serve_ignored_flags(args)
+        if ignored:
+            parser.error(f"{', '.join(ignored)} not supported with "
+                         f"--serve (they shape one batch build's "
+                         f"output)")
+        return _run_serve(args)
     group_file = (os.path.isfile(args.srcdir)
                   and args.srcdir.endswith(".cm"))
     if group_file:
@@ -243,12 +253,7 @@ def _build_directory(args, tracer):
     history = BuildHistory(bin_dir, fs=store.fs)
     prior_profile = history.latest(args.manager)
 
-    policy = None
-    if args.retries is not None or args.timeout is not None:
-        from repro.cm.supervise import SupervisePolicy
-        policy = SupervisePolicy(
-            retries=args.retries if args.retries is not None else 2,
-            timeout=args.timeout)
+    policy = _policy(args)
     try:
         report = builder.build(
             jobs=max(1, args.jobs), policy=policy,
@@ -312,6 +317,19 @@ def _build_directory(args, tracer):
     except Exception as err:
         print(f"link error: {err}", file=sys.stderr)
         return 1, builder, report
+    mended = set(store.dirty_names())
+    if mended:
+        # Linking decoded a payload that failed: the unit was
+        # recompiled, and its healed record is saved too.
+        for outcome in report.outcomes:
+            if outcome.name in mended:
+                print(f"  [{outcome.action:>8}] {outcome.name}"
+                      f"  ({outcome.reason})")
+        try:
+            store.save_directory(bin_dir)
+        except StoreLockedError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1, builder, report
     print(f"linked {len(exports)} units")
     return _print_binding(args.print_path, exports), builder, report
 
@@ -414,11 +432,41 @@ def _run_serve(args) -> int:
     from repro.cm.daemon import BuildDaemon, serve
 
     daemon = BuildDaemon(manager=args.manager, jobs=max(1, args.jobs),
-                         store_url=args.store_url)
+                         policy=_policy(args), store_url=args.store_url)
     default_group = args.srcdir if args.srcdir \
         and os.path.isdir(args.srcdir) else None
     return serve(daemon, sys.stdin, sys.stdout,
                  default_group=default_group)
+
+
+def _policy(args):
+    """The supervision policy ``--retries``/``--timeout`` ask for, or
+    None when neither is given."""
+    if args.retries is None and args.timeout is None:
+        return None
+    from repro.cm.supervise import SupervisePolicy
+    return SupervisePolicy(
+        retries=args.retries if args.retries is not None else 2,
+        timeout=args.timeout)
+
+
+def _serve_ignored_flags(args) -> list[str]:
+    """The flags given that ``--serve`` would ignore: they shape one
+    batch build's output, and the daemon answers requests instead."""
+    flags = [(args.print_path is not None, "--print"),
+             (args.no_link, "--no-link"),
+             (args.stats, "--stats"),
+             (args.analyze, "--analyze"),
+             (args.strict, "--strict"),
+             (args.fsck, "--fsck"),
+             (args.json, "--json"),
+             (args.quarantine, "--quarantine"),
+             (args.explain is not None, "--explain"),
+             (args.explain_diff is not None, "--explain-diff"),
+             (args.trace, "--trace"),
+             (args.trace_out is not None, "--trace-out"),
+             (args.trace_format is not None, "--trace-format")]
+    return [flag for given, flag in flags if given]
 
 
 def _run_fsck(args) -> int:

@@ -11,12 +11,13 @@ from repro.cm.store import BinRecord, BinStore
 from repro.linker.link import Linker
 from repro.obs.ledger import ExplanationLedger, explain_decision
 from repro.obs.meter import NULL_METER, BuildMeter
+from repro.pickle import UnresolvedStubError
 from repro.units.pipeline import compile_unit, load_unit, source_digest
 from repro.units.session import Session
-from repro.units.unit import CompiledUnit, DynExport
+from repro.units.unit import CompiledUnit, DynExport, UnitDecodeError
 
-#: The reason a load that fell back to compiling gives for a damaged
-#: payload (as opposed to a stale one).
+#: The reason a unit whose payload failed to decode gives for its
+#: recompile (damage, as opposed to a stale record).
 UNREADABLE = "bin file unreadable"
 
 
@@ -52,6 +53,9 @@ class BaseBuilder:
         self.session = session if session is not None else Session()
         self.units: dict[str, CompiledUnit] = {}
         self.last_graph: DepGraph | None = None
+        #: The latest build's report.  A payload mended after it was
+        #: returned (at link) amends the unit's outcome here.
+        self.last_report: BuildReport | None = None
         self.restrict = restrict
         self.visible = visible
         #: Dependency-analysis memo, keyed by unit and source text (§9:
@@ -98,7 +102,7 @@ class BaseBuilder:
                               checkpoint_dir=checkpoint_dir).run(self)
         meter = self.meter
         t0 = time.perf_counter()
-        report = BuildReport()
+        report = self.last_report = BuildReport()
         with meter.span("build", cat="build",
                         manager=type(self).__name__, jobs=1) as sp:
             self._begin_build()
@@ -128,12 +132,13 @@ class BaseBuilder:
     # -- stable libraries ---------------------------------------------------
 
     def add_stable_archive(self, blob: bytes) -> None:
-        """Register a stable-library archive; its units are rehydrated on
-        the next build and serve as providers without sources."""
+        """Register a stable-library archive; its units are loaded and
+        decoded on the next build and serve as providers without
+        sources."""
         self._stable_pending.append(blob)
 
     def _load_pending_stables(self, report: BuildReport) -> None:
-        """Rehydrate pending stable archives, quarantining damage.
+        """Load and decode pending stable archives, quarantining damage.
 
         A damaged archive (or a single unreadable unit inside one) never
         aborts the build: the failure is recorded in :attr:`health`, the
@@ -142,8 +147,6 @@ class BaseBuilder:
         when the project has them.
         """
         from repro.cm.stable import StableArchiveError, parse_archive
-        from repro.pickle import UnpickleError
-        from repro.units.pipeline import load_unit
 
         for blob in self._stable_pending:
             try:
@@ -166,17 +169,20 @@ class BaseBuilder:
                     continue
                 imports = [self.units[i_name]
                            for i_name, _pid in stable.imports]
+                # Decoded now: there is no source to fall back to at
+                # first demand.
+                unit = load_unit(stable.name, stable.export_pid,
+                                 imports, stable.payload, self.session)
                 try:
-                    unit = load_unit(stable.name, stable.export_pid,
-                                     imports, stable.payload, self.session)
-                except UnpickleError as err:
+                    unit.decode()
+                except UnitDecodeError as err:
                     failed.add(stable.name)
                     self.health.add(stable.name,
                                     "stable-rehydrate-failed",
-                                    detail=str(err))
+                                    detail=str(err.cause))
                     report.add(UnitOutcome(stable.name, "skipped",
                                            f"stable unit unreadable: "
-                                           f"{err}"))
+                                           f"{err.cause}"))
                     continue
                 self.install(stable.name, unit)
                 self.stable_names.add(stable.name)
@@ -385,8 +391,12 @@ class BaseBuilder:
     def compile(self, name: str, imports: list[CompiledUnit],
                 reason: str) -> UnitOutcome:
         source = self.project.source(name)
-        unit = compile_unit(name, source, imports, self.session,
-                            meter=self.meter)
+        # Compiling decodes the imports' closure; a payload that fails
+        # on the way is mended first, and the compile reruns against
+        # the live units.
+        unit = self._demand(lambda: compile_unit(
+            name, source, [self.units[imp.name] for imp in imports],
+            self.session, meter=self.meter))
         previous = self.store.get(name)
         pid_changed = previous is None or previous.export_pid != unit.export_pid
         self.install(name, unit)
@@ -401,19 +411,22 @@ class BaseBuilder:
         if its recompile fails, dropped when the next build starts),
         and nothing dehydrates against the retired interface.
 
-        A replacement with the *same* pid keeps the live unit's export
-        objects: cached dependents were elaborated against them, and a
-        unit compiled next must meet the same ones.  Only the new code,
-        payload, digests, times and binding pids are taken, and the pid
-        is registered to the kept objects alone."""
+        A replacement with the *same* pid keeps a decoded live unit's
+        export objects: cached dependents were elaborated against them,
+        and a unit compiled next must meet the same ones.  Only the new
+        code, payload, digests, times and binding pids are taken, and
+        the pid is registered to the kept objects alone.  A live unit
+        never decoded had nothing elaborated against it, so the new
+        unit's objects stand for the pid.  Either way, units loaded
+        against the old unit decode against the new one."""
         previous = self.units.get(name)
         if previous is not None and previous.export_pid == unit.export_pid:
-            self.session.retire(unit.export_pid)
-            self.session.register_exports(unit.export_pid,
-                                          previous.export_index)
-            unit.static_env = previous.static_env
-            unit.export_index = previous.export_index
-            unit.owned_stamp_ids = previous.owned_stamp_ids
+            if previous.decoded:
+                unit.adopt_exports(previous)
+                self.session.retire(unit.export_pid)
+                self.session.register_exports(unit.export_pid,
+                                              previous.export_index)
+            previous.replace_with(unit)
         elif previous is not None:
             self.session.retire(previous.export_pid)
         self.units[name] = unit
@@ -433,31 +446,81 @@ class BaseBuilder:
 
     def load(self, name: str, record: BinRecord,
              imports: list[CompiledUnit]) -> UnitOutcome:
-        from repro.pickle import UnpickleError, UnresolvedStubError
-
-        try:
-            unit = load_unit(name, record.export_pid, imports,
-                             record.payload, self.session,
-                             record.source_digest, meter=self.meter,
-                             binding_pids=record.binding_pids)
-        except UnresolvedStubError as err:
-            # The payload passed its digest check, so a pid the session
-            # does not know is an interface this record was compiled
-            # against that is no longer live: a stale record, not damage.
-            provider = next((n for n, pid in record.imports
-                             if pid == err.pid), f"pid {err.pid}")
-            return self.compile(name, imports,
-                                f"bin file uses a superseded interface "
-                                f"of {provider}")
-        except UnpickleError as err:
-            # A corrupt bin file is a cache miss, not a build failure --
-            # but it is damage the checksums should have caught
-            # earlier, so put it on the health report too.
-            self.health.add(name, "rehydrate-failed", detail=str(err))
-            return self.compile(name, imports, UNREADABLE)
+        """Reuse ``record`` as a header-backed unit: nothing is decoded
+        until a compile, the link or a stub first needs it."""
+        unit = load_unit(name, record.export_pid, imports,
+                         record.payload, self.session,
+                         record.source_digest, meter=self.meter,
+                         binding_pids=record.binding_pids)
+        if record.imports != unit.imports:
+            # A slice-stable reuse (the smart builder): its stubs may
+            # name a provider pid this session has retired, so decode
+            # now, while that is still a stale record.
+            try:
+                self._demand(unit.decode)
+            except UnitDecodeError as err:
+                if err.unit is not unit:
+                    raise
+                if isinstance(err.cause, UnresolvedStubError):
+                    # The payload passed its digest check, so a pid the
+                    # session does not know is an interface this record
+                    # was compiled against that is no longer live.
+                    provider = next((n for n, pid in record.imports
+                                     if pid == err.cause.pid),
+                                    f"pid {err.cause.pid}")
+                    return self.compile(name, imports,
+                                        f"bin file uses a superseded "
+                                        f"interface of {provider}")
+                self.health.add(name, "rehydrate-failed",
+                                detail=str(err.cause))
+                return self.compile(name, imports, UNREADABLE)
         self.install(name, unit)
         return UnitOutcome(name, "loaded", "bin file current", False,
                            unit.times)
+
+    # -- decoding on demand -------------------------------------------------
+
+    def decoded(self, name: str) -> CompiledUnit:
+        """The live unit ``name``, decoded (its import closure too).  A
+        payload that fails to decode on the way is mended first."""
+        self._demand(lambda: self.units[name].decode())
+        return self.units[name]
+
+    def _demand(self, action):
+        """Run ``action``, which may decode live units' payloads.  A
+        payload that passed its digests but does not decode is damage:
+        the unit is mended (:meth:`_mend`) and ``action`` runs again."""
+        while True:
+            try:
+                return action()
+            except UnitDecodeError as err:
+                if self.units.get(err.unit.name) is not err.unit:
+                    raise
+                self._mend(err.unit.name, str(err.cause))
+
+    def _mend(self, name: str, detail: str) -> None:
+        """Recompile the live unit ``name`` from source because its
+        payload failed to decode on first demand: damage on the health
+        report, the outcome and ledger decision ``compiled`` with reason
+        :data:`UNREADABLE`, and a healed record in the store for the
+        next save."""
+        self.health.add(name, "rehydrate-failed", detail=detail)
+        imports = [self.units[dep] for dep, _pid in self.units[name].imports]
+        with self.meter.span("unit", cat="unit", unit=name,
+                             action="compile") as sp:
+            outcome = self.compile(name, imports, UNREADABLE)
+            sp.set(action=outcome.action, reason=outcome.reason)
+        self.explain(name, "compile", UNREADABLE, None, imports)
+        if self.last_graph is not None and name in self.last_graph.deps:
+            self.on_compiled(name, self.last_graph)
+        report = self.last_report
+        if report is not None:
+            for k, prior in enumerate(report.outcomes):
+                if prior.name == name:
+                    report.outcomes[k] = outcome
+                    break
+            else:
+                report.add(outcome)
 
     def source_current(self, name: str, record: BinRecord | None) -> bool:
         return (record is not None
@@ -478,9 +541,10 @@ class BaseBuilder:
 
     def link(self, verify: bool = True) -> dict[str, DynExport]:
         """Type-safe link + execute of all live units (stable libraries
-        first) in dependency order."""
+        first) in dependency order.  Each unit is decoded as it runs;
+        one whose payload fails to decode is mended first."""
         graph = self.last_graph if self.last_graph is not None else self.analyze()
-        linker = Linker(self.session)
+        linker = _MendingLinker(self)
         ordered = [self.units[name] for name in self._stable_order]
         ordered.extend(self.units[name] for name in graph.order)
         with self.meter.span("link", cat="build", units=len(ordered)):
@@ -489,3 +553,16 @@ class BaseBuilder:
     def build_and_run(self) -> tuple[BuildReport, dict[str, DynExport]]:
         report = self.build()
         return report, self.link()
+
+
+class _MendingLinker(Linker):
+    """The linker over a builder's live units: each unit runs as
+    :meth:`BaseBuilder.decoded` gives it, mended if its payload failed
+    to decode."""
+
+    def __init__(self, builder: BaseBuilder):
+        super().__init__(builder.session)
+        self.builder = builder
+
+    def execute(self, unit: CompiledUnit) -> DynExport:
+        return super().execute(self.builder.decoded(unit.name))

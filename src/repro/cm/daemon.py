@@ -10,8 +10,10 @@ all of that warm across requests:
   per group survives between requests, so an unchanged unit is a
   ``cached`` verdict -- no store read, no rehydration.  The daemon's
   one worker pool persists too (``Supervisor``'s ``keep_executor``
-  seam), which keeps the workers' own sessions and rehydrated import
+  seam), which keeps the workers' own sessions and decoded import
   closures warm (:func:`repro.cm.parallel.compile_task`'s cache).
+  The builder's own units stay header-backed: every compile runs on
+  a worker, so the daemon decodes no payload in its builder.
 - **One configuration.**  The manager, the jobs count (and with it the
   pool kind), the store URL and the supervision policy are fixed when
   the daemon starts; a request names only its group.  Each group's

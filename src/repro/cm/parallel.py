@@ -13,17 +13,20 @@ order itself reproducible.
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
 1. A worker compiles a unit *hermetically*: it builds a fresh session,
-   rehydrates the unit's transitive imports from their dehydrated
-   payloads (in dependency order), and runs the same
-   :func:`~repro.units.pipeline.compile_unit` the serial builder runs.
+   loads the unit's transitive imports from their dehydrated payloads
+   (decoding what the compile demands, imports first), and runs the
+   same :func:`~repro.units.pipeline.compile_unit` the serial builder
+   runs.
 2. Export pids are *intrinsic*: stamps are alpha-converted and extern
    references are named by ``(pid, export index)``, so neither the pid
    nor the payload bytes depend on session history, process identity,
    or the order in which other units were compiled.
 3. The parent applies each result (:func:`_apply_result`) only after
-   all of the unit's providers were applied -- rehydrating the worker's
-   payload into its own session and writing the same
-   :class:`~repro.cm.store.BinRecord` a serial compile would write.
+   all of the unit's providers were applied -- installing a
+   header-backed unit for the worker's payload (decoded only when the
+   parent itself needs it: to link, or to compile a dependent) and
+   writing the same :class:`~repro.cm.store.BinRecord` a serial
+   compile would write.
 
 Hence statenv, store contents and export pids are equal for every jobs
 count and every completion order; the differential determinism matrix
@@ -50,7 +53,7 @@ from dataclasses import dataclass, field
 from repro.cm.depend import DepGraph
 from repro.cm.report import UnitOutcome
 from repro.units.pipeline import compile_unit, load_unit
-from repro.units.unit import PhaseTimes
+from repro.units.unit import PhaseTimes, UnitDecodeError
 
 
 class ParallelBuildError(Exception):
@@ -139,14 +142,16 @@ class ReadySet:
 # -- the worker ----------------------------------------------------------
 #
 # Workers are hermetic: each carries its own Session and a cache of
-# rehydrated units, at most one per unit name, so later tasks do not
-# re-pay rehydration.  The worker session registers exactly the cached
-# units' pids plus the basis: a cached unit superseded by a task's
-# closure is evicted and its pid retired, and a unit the worker compiles
-# is retired once its result is built.  State is thread-local, which
-# covers both pool kinds: a process-pool worker is a single thread, a
-# thread-pool worker must not share a session (stamp registries are not
-# thread-safe) with siblings.
+# loaded units, at most one per unit name, so later tasks do not re-pay
+# rehydration.  A cached unit is decoded when a compile first demands
+# it.  The worker session registers exactly the cached units' pids plus
+# the basis: a cached unit superseded by a task's closure (another pid,
+# or other payload bytes while it is still undecoded), or whose payload
+# failed to decode, is evicted and its pid retired, and a unit the
+# worker compiles is retired once its result is built.  State is
+# thread-local, which covers both pool kinds: a process-pool worker is
+# a single thread, a thread-pool worker must not share a session (stamp
+# registries are not thread-safe) with siblings.
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,10 @@ class CompileResult:
     worker: str = ""
     #: Echo of the task's attempt number (supervisor staleness checks).
     attempt: int = 0
+    #: The closure unit whose payload failed to decode, if that is why
+    #: the compile failed: damage in the parent's record, which the
+    #: pump mends there.
+    damaged: str = ""
 
 
 _tls = threading.local()
@@ -218,12 +227,14 @@ def compile_task(task: CompileTask) -> CompileResult:
     """
     started = time.perf_counter()
     worker = worker_label()
+    damaged = ""
     try:
         session, cache = _worker_state()
         live = {}
         for dep in task.closure:
             unit = cache.get(dep.name)
-            if unit is None or unit.export_pid != dep.pid:
+            if unit is None or unit.export_pid != dep.pid or (
+                    not unit.decoded and unit.payload != dep.payload):
                 if unit is not None:
                     _evict(session, cache, dep.name)
                 unit = load_unit(dep.name, dep.pid,
@@ -232,7 +243,12 @@ def compile_task(task: CompileTask) -> CompileResult:
                 cache[dep.name] = unit
             live[dep.name] = unit
         imports = [live[d] for d in task.imports]
-        unit = compile_unit(task.name, task.source, imports, session)
+        try:
+            unit = compile_unit(task.name, task.source, imports, session)
+        except UnitDecodeError as err:
+            damaged = err.unit.name
+            _evict(session, cache, damaged)
+            raise
         result = CompileResult(task.name, unit.export_pid, unit.payload,
                                unit.source_digest, unit.times,
                                binding_pids=unit.binding_pids,
@@ -243,21 +259,25 @@ def compile_task(task: CompileTask) -> CompileResult:
         cached = cache.get(task.name)
         if cached is not None and cached.export_pid == unit.export_pid:
             # Same interface as the cached copy: point the pid back at
-            # the objects the cache (and its dependents) were built on.
-            session.register_exports(cached.export_pid,
-                                     cached.export_index)
+            # the objects the cache (and its dependents) were built on,
+            # or, not decoded yet, at the cached unit itself.
+            if cached.decoded:
+                session.register_exports(cached.export_pid,
+                                         cached.export_index)
+            else:
+                session.defer(cached)
         return result
     except Exception as err:
         return CompileResult(task.name,
                              error=(type(err).__name__, str(err)),
                              started=started,
                              ended=time.perf_counter(), worker=worker,
-                             attempt=task.attempt)
+                             attempt=task.attempt, damaged=damaged)
 
 
 def _evict(session, cache: dict, name: str) -> None:
-    """Drop the superseded cached unit ``name`` and every cached unit
-    rehydrated against it, retiring their pids.  The cache lists each
+    """Drop the superseded (or undecodable) cached unit ``name`` and
+    every cached unit loaded against it, retiring their pids.  The cache lists each
     unit after its imports (a unit is cached only once its imports are,
     and an evicted import takes its dependents with it), so one pass in
     insertion order finds every dependent."""
@@ -359,12 +379,14 @@ def _import_closure(builder, roots: list[str]) -> list[str]:
 
 def _apply_result(builder, graph: DepGraph, name: str, reason: str,
                   result: CompileResult) -> UnitOutcome:
-    """Land a worker's compile in the parent, exactly as a serial
-    compile would have: rehydrate the payload into the parent session,
-    write the record, run the builder's post-compile hook."""
+    """Land a worker's compile in the parent, as a serial compile
+    would have: install a header-backed unit for the payload (the
+    parent decodes it only if it links or compiles a dependent), write
+    the record, run the builder's post-compile hook."""
     imports = [builder.units[d] for d in graph.deps[name]]
     unit = load_unit(name, result.export_pid, imports, result.payload,
                      builder.session, result.source_digest,
+                     meter=builder.meter,
                      binding_pids=result.binding_pids)
     unit.times = result.times  # report the worker's compile timings
     previous = builder.store.get(name)

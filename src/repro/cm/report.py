@@ -18,7 +18,8 @@ class UnitOutcome:
 
     action is one of:
         "compiled" -- source was (re)compiled;
-        "loaded"   -- bin file rehydrated into this session;
+        "loaded"   -- bin file reused in this session (its payload is
+                      decoded when something first needs it);
         "cached"   -- already live in memory and current;
         "failed"   -- (supervised builds) exhausted its retry budget;
         "skipped"  -- (supervised builds) an import failed, so this

@@ -58,8 +58,9 @@ class SmartBuilder(BaseBuilder):
             # rightly rejects.  Stubs resolve by (pid, index), not by
             # name, so this works only for a record with no stub into
             # the changed provider.  One that has such a stub names the
-            # superseded pid, which the session has retired; the load
-            # then fails and ``load`` recompiles the unit as stale.
+            # superseded pid, which the session has retired; ``load``
+            # decodes such a record at once, the decode fails, and the
+            # unit recompiles as stale.
             return "load", ""
         if self.is_live_and_current(name, record):
             return "cached", ""

@@ -10,8 +10,9 @@ without ever seeing the library's sources.  This module implements that:
   archive: per-unit header (name, export pid, import pids, the module
   names it provides) plus the dehydrated payloads, in dependency order.
 - :meth:`repro.cm.base.BaseBuilder.add_stable_archive` registers an
-  archive with a builder; its units are rehydrated on the next build and
-  act as providers for source units, no sources required.
+  archive with a builder; its units are loaded and decoded on the next
+  build (there is no source to fall back to at first demand) and act
+  as providers for source units, no sources required.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ def stabilize(builder, names: list[str]) -> bytes:
                 raise ValueError(
                     f"stable archive not closed: {name} imports "
                     f"{import_name}, which is outside the archive")
+        unit = builder.decoded(name)  # the code names what it provides
         defined = defined_module_names(unit.code)
         provides = sorted(
             set().union(*defined.values())) if defined else []

@@ -168,7 +168,7 @@ class Supervisor:
         """The whole build: analyze, start the pool, pump, report."""
         meter = self.meter = builder.meter
         t0 = time.perf_counter()
-        report = self.report
+        report = builder.last_report = self.report
         with meter.span("build", cat="build",
                         manager=type(builder).__name__, jobs=self.jobs,
                         supervised=self.policy is not None) as bsp:
@@ -235,6 +235,8 @@ class Supervisor:
         active: dict[str, tuple] = {}
         pending: list[tuple] = []  # (launch_at, name, attempt, reason)
         done = False  # a unit finished since the last checkpoint
+        #: (unit, closure unit) pairs relaunched for a damaged payload.
+        mended: set[tuple[str, str]] = set()
         timed = policy is not None and policy.timeout is not None
 
         def finish(name: str) -> None:
@@ -310,6 +312,16 @@ class Supervisor:
                 finish(name)
                 return
             exc_type, message = result.error
+            if result.damaged and (name, result.damaged) not in mended:
+                # A closure unit's payload passed its digests but did
+                # not decode on the worker: damage in the parent's live
+                # unit.  Decoding it here mends it (a recompile in the
+                # parent), and the unit relaunches at no cost to the
+                # retry budget.
+                mended.add((name, result.damaged))
+                builder.decoded(result.damaged)
+                launch(name, attempt, reason)
+                return
             if policy is None:
                 raise ParallelBuildError(name, exc_type, message)
             retryable = exc_type in policy.retryable

@@ -73,7 +73,8 @@ class VisibleCompiler:
                   imports: list[CompiledUnit],
                   source_text: str = "") -> CompiledUnit:
         """Load a bin payload produced earlier (possibly by another
-        session over the same sources)."""
+        session over the same sources).  The unit decodes the payload
+        when first compiled against or executed."""
         digest = source_digest(source_text) if source_text else ""
         return load_unit(name, pid, imports, payload, self.session, digest)
 

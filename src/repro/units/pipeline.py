@@ -2,7 +2,8 @@
 
 ``compile_unit`` is the paper's ``compile : source × statenv →
 codeUnit``; ``execute_unit`` is ``execute : codeUnit × dynenv → dynenv``;
-``load_unit`` rehydrates a bin payload produced in an earlier session.
+``load_unit`` turns a bin payload produced in an earlier session into a
+header-backed unit, which rehydrates the payload on first demand.
 """
 
 from __future__ import annotations
@@ -14,20 +15,15 @@ from repro.lang.parser import parse_program
 from repro.elab.topdec import elaborate_decs
 from repro.obs.meter import NULL_METER, BuildMeter
 from repro.digest import content_digest
-from repro.pickle.pickler import Unpickler, Pickler, context_chain_ids
+from repro.pickle.pickler import Pickler, context_chain_ids
 from repro.pids.intrinsic import binding_pids, intrinsic_pid
 from repro.units.session import Session
-from repro.units.unit import CompiledUnit, DynExport, PhaseTimes
-from repro.semant.env import Env
-
-
-def layer_context(session: Session, imports: list[CompiledUnit]) -> Env:
-    """Build the compilation context: import environments layered over
-    the pervasive basis, in import order (later imports shadow)."""
-    env = session.basis.static_env
-    for unit in imports:
-        env = unit.static_env.atop(env)
-    return env
+from repro.units.unit import (
+    CompiledUnit,
+    DynExport,
+    PhaseTimes,
+    layer_context,
+)
 
 
 def compile_unit(
@@ -110,41 +106,25 @@ def load_unit(
     meter: BuildMeter = NULL_METER,
     binding_pids: dict[str, str] | None = None,
 ) -> CompiledUnit:
-    """Rehydrate a bin payload from an earlier session.
+    """A header-backed unit for a bin payload from an earlier session.
 
-    The unit's imports must already be live (compiled or loaded) so the
-    rehydrater can resolve stubs through the session registry.
+    Nothing is decoded here: the unit carries its header and payload,
+    and rehydrates the payload the first time its static environment,
+    code or export index is read (or a stub names its pid), in
+    ``session``, against ``imports`` -- the live units it was compiled
+    against, which need not be decoded yet either.  The ``rehydrate``
+    span then fires under whatever demanded it; ``times.rehydrate``
+    counts this call and that decode.  A caller that must know at once
+    whether the payload decodes calls ``unit.decode()`` itself.
     ``binding_pids`` carries the record's per-binding slice pids onto
-    the live unit (empty for stable-library units); rehydration never
+    the unit (empty for stable-library units); rehydration never
     recomputes them.
     """
-    times = PhaseTimes()
     t0 = time.perf_counter()
-    with meter.span("rehydrate", cat="phase", unit=name,
-                    bytes=len(payload)):
-        context = layer_context(session, imports).child()
-        unpickler = Unpickler(payload, resolve=session.resolve,
-                              context_env=context)
-        export_env, decs = unpickler.run()
-    times.rehydrate = time.perf_counter() - t0
-    if meter.enabled:
-        meter.counter("pickle.bytes_in", unpickler.bytes_in)
-
-    unit = CompiledUnit(
-        name=name,
-        export_pid=export_pid,
-        imports=[(imp.name, imp.export_pid) for imp in imports],
-        static_env=export_env,
-        code=decs,
-        payload=payload,
-        export_index=unpickler.export_index,
-        source_digest=source_digest_value,
-        times=times,
-        owned_stamp_ids=frozenset(
-            obj.stamp.id for obj in unpickler.export_index),
-        binding_pids=dict(binding_pids or {}),
-    )
-    session.register_exports(export_pid, unpickler.export_index)
+    unit = CompiledUnit.header_backed(
+        name, export_pid, imports, payload, session, meter,
+        source_digest=source_digest_value, binding_pids=binding_pids)
+    unit.times.rehydrate = time.perf_counter() - t0
     return unit
 
 

@@ -370,6 +370,82 @@ class TestQualifierFlags:
         assert not os.path.exists(os.path.join(srcdir, ".bin"))
 
 
+class TestServeFlags:
+    """``--serve`` honours the flags that configure its builds and
+    refuses the ones that shape a single batch build's output."""
+
+    @staticmethod
+    def feed(monkeypatch):
+        import io
+
+        requests = "\n".join([json.dumps({"op": "build"}),
+                              json.dumps({"op": "shutdown"})]) + "\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(requests))
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--print", "Main.answer"], "--print"),
+        (["--no-link"], "--no-link"),
+        (["--stats"], "--stats"),
+        (["--analyze"], "--analyze"),
+        (["--analyze", "--strict"], "--strict"),
+        (["--fsck"], "--fsck"),
+        (["--fsck", "--json"], "--json"),
+        (["--fsck", "--quarantine"], "--quarantine"),
+        (["--explain"], "--explain"),
+        (["--explain-diff"], "--explain-diff"),
+        (["--trace"], "--trace"),
+        (["--trace-out", "t.json"], "--trace-out"),
+        (["--trace-out", "t.json", "--trace-format", "otlp"],
+         "--trace-format"),
+    ], ids=["print", "no-link", "stats", "analyze", "strict", "fsck",
+            "json", "quarantine", "explain", "explain-diff", "trace",
+            "trace-out", "trace-format"])
+    def test_batch_only_flag_is_refused(self, srcdir, capsys, monkeypatch,
+                                        flags, named):
+        self.feed(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--serve", srcdir, *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "--serve" in captured.err
+        assert captured.out == ""  # no request was served
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
+
+    def test_timeout_needs_jobs(self, srcdir, capsys, monkeypatch):
+        self.feed(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--serve", srcdir, "--timeout", "1"])
+        assert excinfo.value.code == 2
+        assert "--timeout needs --jobs N > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, policy", [
+        ([], SupervisePolicy()),
+        (["--retries", "5"], SupervisePolicy(retries=5)),
+        (["--jobs", "2", "--timeout", "30"],
+         SupervisePolicy(timeout=30.0)),
+        (["--jobs", "2", "--retries", "0", "--timeout", "30"],
+         SupervisePolicy(retries=0, timeout=30.0)),
+    ], ids=["default", "retries", "timeout", "both"])
+    def test_retries_and_timeout_set_the_daemon_policy(
+            self, srcdir, capsys, monkeypatch, flags, policy):
+        from repro.cm import daemon as daemon_mod
+
+        made = []
+
+        class RecordingDaemon(daemon_mod.BuildDaemon):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(daemon_mod, "BuildDaemon", RecordingDaemon)
+        self.feed(monkeypatch)
+        assert main(["--serve", srcdir, *flags]) == 0
+        build, _bye = [json.loads(line) for line
+                       in capsys.readouterr().out.splitlines()]
+        assert build["ok"] and build["result"]["stats"]["compiled"] == 2
+        assert [d.policy for d in made] == [policy]
+
+
 class TestStoreUrl:
     """``--store-url`` is checked once, before any build, fsck or
     daemon start: a malformed URL is a usage error."""
