@@ -12,11 +12,13 @@ order itself reproducible.
 
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
-1. A worker compiles a unit *hermetically*: it builds a fresh session,
-   loads the unit's transitive imports from their dehydrated payloads
-   (decoding what the compile demands, imports first), and runs the
-   same :func:`~repro.units.pipeline.compile_unit` the serial builder
-   runs.
+1. A worker compiles a unit *hermetically*, against imports of
+   exactly the pids the task's closure names: each comes from the
+   worker's cache -- a unit it loaded from its dehydrated payload
+   (decoded when a compile first demands it, imports first) or one it
+   compiled itself -- and a cached copy under any other pid is evicted
+   first.  It runs the same :func:`~repro.units.pipeline.compile_unit`
+   the serial builder runs against its live units.
 2. Export pids are *intrinsic*: stamps are alpha-converted and extern
    references are named by ``(pid, export index)``, so neither the pid
    nor the payload bytes depend on session history, process identity,
@@ -142,16 +144,19 @@ class ReadySet:
 # -- the worker ----------------------------------------------------------
 #
 # Workers are hermetic: each carries its own Session and a cache of
-# loaded units, at most one per unit name, so later tasks do not re-pay
-# rehydration.  A cached unit is decoded when a compile first demands
-# it.  The worker session registers exactly the cached units' pids plus
-# the basis: a cached unit superseded by a task's closure (another pid,
-# or other payload bytes while it is still undecoded), or whose payload
-# failed to decode, is evicted and its pid retired, and a unit the
-# worker compiles is retired once its result is built.  State is
-# thread-local, which covers both pool kinds: a process-pool worker is
-# a single thread, a thread-pool worker must not share a session (stamp
-# registries are not thread-safe) with siblings.
+# units, at most one per unit name, so later tasks do not re-pay
+# rehydration.  The cache holds the units the worker loaded for a
+# task's closure, decoded when a compile first demands them, and the
+# units it compiled itself (:func:`_keep`), so a task whose closure
+# holds a unit this worker compiled decodes nothing for it.  The worker
+# session registers exactly the cached units' pids plus the basis: a
+# cached unit superseded by a task's closure or by a compile (another
+# pid, or other payload bytes while it is still undecoded), or whose
+# payload failed to decode, is evicted with the cached units built
+# against it, and their pids retired.  State is thread-local, which
+# covers both pool kinds: a process-pool worker is a single thread, a
+# thread-pool worker must not share a session (stamp registries are
+# not thread-safe) with siblings.
 
 
 @dataclass(frozen=True)
@@ -255,17 +260,7 @@ def compile_task(task: CompileTask) -> CompileResult:
                                started=started,
                                ended=time.perf_counter(), worker=worker,
                                attempt=task.attempt)
-        session.retire(unit.export_pid)
-        cached = cache.get(task.name)
-        if cached is not None and cached.export_pid == unit.export_pid:
-            # Same interface as the cached copy: point the pid back at
-            # the objects the cache (and its dependents) were built on,
-            # or, not decoded yet, at the cached unit itself.
-            if cached.decoded:
-                session.register_exports(cached.export_pid,
-                                         cached.export_index)
-            else:
-                session.defer(cached)
+        _keep(session, cache, unit)
         return result
     except Exception as err:
         return CompileResult(task.name,
@@ -275,12 +270,33 @@ def compile_task(task: CompileTask) -> CompileResult:
                              attempt=task.attempt, damaged=damaged)
 
 
+def _keep(session, cache: dict, unit) -> None:
+    """Cache the unit this worker just compiled, as a builder keeps
+    its live units, so a later task whose closure holds it decodes
+    nothing.  A cached unit of that name under another pid is evicted
+    first, with its cached dependents.  Under the same pid the cached
+    copy stays: the pid points back at the objects it (and its cached
+    dependents) were built on or, not decoded yet, at the cached unit
+    itself."""
+    cached = cache.get(unit.name)
+    if cached is None or cached.export_pid != unit.export_pid:
+        if cached is not None:
+            _evict(session, cache, unit.name)
+        cache[unit.name] = unit
+        return
+    session.retire(unit.export_pid)
+    if cached.decoded:
+        session.register_exports(cached.export_pid, cached.export_index)
+    else:
+        session.defer(cached)
+
+
 def _evict(session, cache: dict, name: str) -> None:
     """Drop the superseded (or undecodable) cached unit ``name`` and
-    every cached unit loaded against it, retiring their pids.  The cache lists each
-    unit after its imports (a unit is cached only once its imports are,
-    and an evicted import takes its dependents with it), so one pass in
-    insertion order finds every dependent."""
+    every cached unit built against it, retiring their pids.  The cache
+    lists each unit after its imports (a unit is cached only once its
+    imports are, and an evicted import takes its dependents with it), so
+    one pass in insertion order finds every dependent."""
     doomed = {name}
     for other, unit in cache.items():
         if any(dep in doomed for dep, _pid in unit.imports):

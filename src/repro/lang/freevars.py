@@ -74,6 +74,21 @@ def _mention_path(out: Mentions, path: ast.Path, namespace: str) -> None:
         getattr(out, namespace).add(path[0])
 
 
+class _FieldNames(dict):
+    """``type -> field names`` for dataclasses, ``None`` for any other
+    type; filled on first sight of each type, so the walk asks
+    :mod:`dataclasses` once per class instead of once per node."""
+
+    def __missing__(self, cls: type) -> tuple[str, ...] | None:
+        names = (tuple(f.name for f in dataclasses.fields(cls))
+                 if dataclasses.is_dataclass(cls) else None)
+        self[cls] = names
+        return names
+
+
+_FIELD_NAMES = _FieldNames()
+
+
 def mentioned_names(node) -> Mentions:
     """All names mentioned by an AST node (or list of nodes)."""
     out = Mentions()
@@ -86,7 +101,8 @@ def _walk(node, out: Mentions) -> None:
         for item in node:
             _walk(item, out)
         return
-    if not dataclasses.is_dataclass(node):
+    names = _FIELD_NAMES[type(node)]
+    if names is None:
         return
 
     if isinstance(node, ast.VarExp):
@@ -119,11 +135,10 @@ def _walk(node, out: Mentions) -> None:
         for path in node.paths:
             _mention_path(out, path, "tycons")
 
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, (list, tuple)):
-            _walk(value, out)
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, (list, tuple)) or \
+                _FIELD_NAMES[type(value)] is not None:
             _walk(value, out)
 
 

@@ -5,15 +5,22 @@ real programs: nested ``(* ... *)`` comments, ``~`` negation in numeric
 literals, ``0x``/``0w`` forms, string escapes, character literals ``#"c"``,
 type variables ``'a``/``''a``, alphanumeric and symbolic identifiers, and
 the reserved words/symbols of the subset.
+
+One compiled pattern, :data:`_TOKEN`, matches a token together with the
+blanks before it; :func:`tokenize` walks its matches and tracks lines by
+counting the newlines in each blank run, the only matches that hold
+any.  What the pattern does not match alone goes to small scanners:
+comments (they nest), strings and character literals, identifiers that
+start with a non-ASCII letter, and every malformed token, which raises
+:class:`LexError` at the position the Definition's rules put it.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.lang.errors import LexError
 from repro.lang.tokens import KEYWORDS, RESERVED_SYMBOLIC, TokKind, Token
-
-#: Characters that may form symbolic identifiers, per the Definition.
-SYMBOL_CHARS = set("!%&$#+-/:<=>?@\\~`^|*")
 
 _ESCAPES = {
     "n": "\n",
@@ -27,35 +34,60 @@ _ESCAPES = {
     "\\": "\\",
 }
 
+# Alternatives of _TOKEN, in group order; each follows the blanks
+# (space, tab, CR, form feed) before the token.  ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``, the identifier-continuation rule, and
+# group 2's class holds the Definition's symbolic-identifier
+# characters.  The guards keep a literal's first character away from
+# the symbol and number alternatives that would otherwise take part of
+# it, so a malformed literal falls through to _OTHER and its scanner.
+# Giving back characters never helps a match (the pattern has no
+# possessive quantifiers, which Python 3.10 lacks): an integer refuses
+# to end before a digit, and _OTHER refuses a blank.
+_TOKEN = re.compile(r"""
+    [ \t\r\f]*
+    (?:
+        ([A-Za-z][\w']*)                                # 1 alphanumeric
+      | ((?!~[0-9]|\#")[!%&$\#+\-/:<=>?@\\~`^|*]+)      # 2 symbolic
+      | (\((?!\*)|[)\[\]{},;_]|\.(?:\.\.)?)            # 3 punctuation
+      | (~?(?!0[wx])[0-9]+(?![0-9]|[.][0-9]|[eE]~?[0-9]))  # 4 integer
+      | (\n[ \t\r\n\f]*)                               # 5 line break(s)
+      | ('{1,2}\w[\w']*)                               # 6 type variable
+      | (~?[0-9]+(?:\.[0-9]+(?:[eE]~?[0-9]+)?|[eE]~?[0-9]+))  # 7 real
+      | (~?0x[0-9a-fA-F]+)                             # 8 hex integer
+      | (~?0w(?:x[0-9a-fA-F]+|[0-9]+))                 # 9 word
+      | ([^ \t\r\f])                                   # 10 anything else
+    )
+    """, re.VERBOSE)
 
-class _Scanner:
-    """Mutable cursor over the source text with line/column tracking."""
+(_ALPHA, _SYMBOLIC, _PUNCT, _INT, _NEWLINE, _TYVAR, _REAL, _HEX, _WORD,
+ _OTHER) = range(1, 11)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+_ID, _SYMID, _KEYWORD = TokKind.ID, TokKind.SYMID, TokKind.KEYWORD
+_INT_KIND, _REAL_KIND, _WORD_KIND = TokKind.INT, TokKind.REAL, TokKind.WORD
+_STRING_KIND, _CHAR_KIND = TokKind.STRING, TokKind.CHAR
 
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
+#: Reserved words and reserved symbols -> KEYWORD.
+_RESERVED = dict.fromkeys(KEYWORDS | RESERVED_SYMBOLIC, _KEYWORD)
 
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+_PUNCT_KINDS = {
+    "(": TokKind.LPAREN,
+    ")": TokKind.RPAREN,
+    "[": TokKind.LBRACKET,
+    "]": TokKind.RBRACKET,
+    "{": TokKind.LBRACE,
+    "}": TokKind.RBRACE,
+    ",": TokKind.COMMA,
+    ";": TokKind.SEMICOLON,
+    ".": TokKind.DOT,
+    "...": TokKind.DOTDOTDOT,
+    "_": TokKind.UNDERSCORE,
+}
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
+_IDENT_REST = re.compile(r"[\w']*")
+_COMMENT_MARK = re.compile(r"\(\*|\*\)")
+_STRING_CHUNK = re.compile(r'[^"\\\n]*')
+_GAP = re.compile(r"[ \t\n\f\r]*")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -64,238 +96,189 @@ def tokenize(text: str) -> list[Token]:
     Raises:
         LexError: on malformed literals or unterminated comments/strings.
     """
-    sc = _Scanner(text)
     toks: list[Token] = []
+    append = toks.append
+    reserved = _RESERVED.get
+    line = 1
+    line_start = 0  # index of the current line's first character
+    pos = 0
+    # Matching stops at the last non-blank character: in trailing
+    # blanks no alternative can match, and the search would give the
+    # blanks back one by one at every position, quadratically.
+    limit = len(text.rstrip(" \t\r\f"))
     while True:
-        _skip_space_and_comments(sc)
-        if sc.at_end():
-            toks.append(Token(TokKind.EOF, "", sc.line, sc.col))
-            return toks
-        toks.append(_scan_token(sc))
-
-
-def _skip_space_and_comments(sc: _Scanner) -> None:
-    while not sc.at_end():
-        ch = sc.peek()
-        if ch in " \t\r\n\f":
-            sc.advance()
-        elif ch == "(" and sc.peek(1) == "*":
-            _skip_comment(sc)
+        for m in _TOKEN.finditer(text, pos, limit):
+            group = m.lastindex
+            if group == _ALPHA:
+                s = m[1]
+                append(Token(reserved(s, _ID), s, line,
+                             m.end() - len(s) - line_start + 1))
+            elif group == _SYMBOLIC:
+                s = m[2]
+                append(Token(reserved(s, _SYMID), s, line,
+                             m.end() - len(s) - line_start + 1))
+            elif group == _PUNCT:
+                s = m[3]
+                append(Token(_PUNCT_KINDS[s], s, line,
+                             m.end() - len(s) - line_start + 1))
+            elif group == _INT:
+                s = m[4]
+                col = m.end() - len(s) - line_start + 1
+                if s[0] == "~":
+                    s = s[1:]
+                    append(Token(_INT_KIND, s, line, col, -int(s)))
+                else:
+                    append(Token(_INT_KIND, s, line, col, int(s)))
+            elif group == _NEWLINE:
+                s = m[5]
+                line += s.count("\n")
+                line_start = m.start(5) + s.rindex("\n") + 1
+            else:
+                start = m.start(group)
+                if group == _OTHER:
+                    pos = start
+                    break  # a scanner takes over at pos
+                append(_literal(group, m[group], line,
+                                start - line_start + 1))
         else:
-            return
+            break  # only blanks, if anything, are left
+        # A token the pattern does not finish alone starts at pos.
+        tok, end = _scan_other(text, pos, line, pos - line_start + 1)
+        if tok is not None:
+            append(tok)
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, end) + 1
+        pos = end
+    append(Token(TokKind.EOF, "", line, len(text) - line_start + 1))
+    return toks
 
 
-def _skip_comment(sc: _Scanner) -> None:
-    start_line, start_col = sc.line, sc.col
-    sc.advance()  # (
-    sc.advance()  # *
-    depth = 1
-    while depth > 0:
-        if sc.at_end():
-            raise LexError("unterminated comment", start_line, start_col)
-        if sc.peek() == "(" and sc.peek(1) == "*":
-            sc.advance()
-            sc.advance()
-            depth += 1
-        elif sc.peek() == "*" and sc.peek(1) == ")":
-            sc.advance()
-            sc.advance()
-            depth -= 1
-        else:
-            sc.advance()
+def _literal(group: int, s: str, line: int, col: int) -> Token:
+    """The token for a match ``s`` of one of the rarer literal groups."""
+    if group == _TYVAR:
+        return Token(TokKind.TYVAR, s, line, col)
+    # A number's text leaves out a leading ~, which negates the value
+    # (but not a word's), and a word's text drops the x of 0wx.
+    negative = s[0] == "~"
+    body = s[1:] if negative else s
+    if group == _REAL:
+        body = body.replace("E", "e").replace("~", "-")
+        value = float(body)
+    elif group == _HEX:
+        value = int(body[2:], 16)
+    else:  # _WORD
+        hexadecimal = body[2] == "x"
+        body = "0w" + body[3 if hexadecimal else 2:]
+        return Token(_WORD_KIND, body, line, col,
+                     int(body[2:], 16 if hexadecimal else 10))
+    kind = _REAL_KIND if group == _REAL else _INT_KIND
+    return Token(kind, body, line, col, -value if negative else value)
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit() accepts Unicode digits (superscripts, Thai numerals,
-    # ...) that the literal scanners do not consume; SML digits are ASCII.
-    return "0" <= ch <= "9"
-
-
-def _scan_token(sc: _Scanner) -> Token:
-    line, col = sc.line, sc.col
-    ch = sc.peek()
-
-    if _is_ascii_digit(ch):
-        return _scan_number(sc, negative=False)
-    if ch == "~" and _is_ascii_digit(sc.peek(1)):
-        sc.advance()
-        return _scan_number(sc, negative=True, line=line, col=col)
+def _scan_other(text: str, pos: int, line: int,
+                col: int) -> tuple[Token | None, int]:
+    """The token (None for a comment) starting at ``pos`` that the
+    pattern left to a scanner, and the index just past it."""
+    ch = text[pos]
+    nxt = text[pos + 1:pos + 2]
+    if ch == "(" and nxt == "*":
+        return None, _skip_comment(text, pos, line, col)
     if ch == '"':
-        return _scan_string(sc)
-    if ch == "#" and sc.peek(1) == '"':
-        sc.advance()
-        tok = _scan_string(sc)
-        if len(tok.value) != 1:
-            raise LexError("character literal must hold one character", line, col)
-        return Token(TokKind.CHAR, tok.text, line, col, tok.value)
+        value, end = _scan_string(text, pos, line, col)
+        return Token(_STRING_KIND, '"' + value + '"', line, col, value), end
+    if ch == "#" and nxt == '"':
+        value, end = _scan_string(text, pos + 1, line, col + 1)
+        if len(value) != 1:
+            raise LexError("character literal must hold one character",
+                           line, col)
+        return Token(_CHAR_KIND, '"' + value + '"', line, col, value), end
     if ch == "'":
-        return _scan_tyvar(sc)
+        # Only a malformed type variable gets here: after one or two
+        # quotes comes no identifier character.
+        quotes = 2 if nxt == "'" else 1
+        raise LexError("malformed type variable", line, col + quotes)
+    if "0" <= ch <= "9" or ch == "~":
+        # Only a malformed word or hex literal gets here.
+        at = pos + (ch == "~")
+        if text.startswith("0w", at):
+            at += 3 if text.startswith("0wx", at) else 2
+            raise LexError("malformed word literal", line, col + at - pos)
+        raise LexError("malformed hex literal", line, col + at + 2 - pos)
     if ch.isalpha():
-        return _scan_alpha_ident(sc)
-
-    single = {
-        "(": TokKind.LPAREN,
-        ")": TokKind.RPAREN,
-        "[": TokKind.LBRACKET,
-        "]": TokKind.RBRACKET,
-        "{": TokKind.LBRACE,
-        "}": TokKind.RBRACE,
-        ",": TokKind.COMMA,
-        ";": TokKind.SEMICOLON,
-    }
-    if ch in single:
-        sc.advance()
-        return Token(single[ch], ch, line, col)
-    if ch == ".":
-        if sc.peek(1) == "." and sc.peek(2) == ".":
-            sc.advance()
-            sc.advance()
-            sc.advance()
-            return Token(TokKind.DOTDOTDOT, "...", line, col)
-        sc.advance()
-        return Token(TokKind.DOT, ".", line, col)
-    if ch == "_":
-        sc.advance()
-        return Token(TokKind.UNDERSCORE, "_", line, col)
-    if ch in SYMBOL_CHARS:
-        return _scan_symbolic(sc)
-    raise sc.error(f"illegal character {ch!r}")
+        end = _IDENT_REST.match(text, pos + 1).end()
+        word = text[pos:end]
+        return Token(_RESERVED.get(word, _ID), word, line, col), end
+    raise LexError(f"illegal character {ch!r}", line, col)
 
 
-def _scan_number(sc: _Scanner, negative: bool, line: int = 0, col: int = 0) -> Token:
-    if not line:
-        line, col = sc.line, sc.col
-    digits = []
-    if sc.peek() == "0" and sc.peek(1) == "w":
-        sc.advance()
-        sc.advance()
-        base = 16 if sc.peek() == "x" else 10
-        if base == 16:
-            sc.advance()
-        text = _scan_digits(sc, base)
-        if not text:
-            raise sc.error("malformed word literal")
-        return Token(TokKind.WORD, "0w" + text, line, col, int(text, base))
-    if sc.peek() == "0" and sc.peek(1) == "x":
-        sc.advance()
-        sc.advance()
-        text = _scan_digits(sc, 16)
-        if not text:
-            raise sc.error("malformed hex literal")
-        value = int(text, 16)
-        return Token(TokKind.INT, "0x" + text, line, col, -value if negative else value)
-
-    digits.append(_scan_digits(sc, 10))
-    is_real = False
-    if sc.peek() == "." and _is_ascii_digit(sc.peek(1)):
-        is_real = True
-        sc.advance()
-        digits.append("." + _scan_digits(sc, 10))
-    if sc.peek() in ("e", "E") and (
-        _is_ascii_digit(sc.peek(1))
-        or (sc.peek(1) == "~" and _is_ascii_digit(sc.peek(2)))
-    ):
-        is_real = True
-        sc.advance()
-        exp_sign = ""
-        if sc.peek() == "~":
-            sc.advance()
-            exp_sign = "-"
-        digits.append("e" + exp_sign + _scan_digits(sc, 10))
-    text = "".join(digits)
-    if is_real:
-        value = float(text)
-        return Token(TokKind.REAL, text, line, col, -value if negative else value)
-    value = int(text)
-    return Token(TokKind.INT, text, line, col, -value if negative else value)
+def _skip_comment(text: str, pos: int, line: int, col: int) -> int:
+    """The index just past the (nested) comment that opens at ``pos``."""
+    depth = 1
+    at = pos + 2
+    while depth:
+        m = _COMMENT_MARK.search(text, at)
+        if m is None:
+            raise LexError("unterminated comment", line, col)
+        at = m.end()
+        depth += 1 if text[at - 1] == "*" else -1
+    return at
 
 
-def _scan_digits(sc: _Scanner, base: int) -> str:
-    ok = "0123456789abcdefABCDEF" if base == 16 else "0123456789"
-    out = []
-    while sc.peek() and sc.peek() in ok:
-        out.append(sc.advance())
-    return "".join(out)
-
-
-def _scan_string(sc: _Scanner) -> Token:
-    line, col = sc.line, sc.col
-    sc.advance()  # opening quote
+def _scan_string(text: str, pos: int, line: int,
+                 col: int) -> tuple[str, int]:
+    """The value of the string literal whose opening quote is at
+    ``pos`` (at ``line``:``col``, where its errors point), and the
+    index just past its closing quote."""
     chars: list[str] = []
+    at = pos + 1
+    end = len(text)
     while True:
-        if sc.at_end():
+        chunk = _STRING_CHUNK.match(text, at)
+        chars.append(chunk[0])
+        at = chunk.end()
+        if at >= end:
             raise LexError("unterminated string", line, col)
-        ch = sc.advance()
+        ch = text[at]
+        at += 1
         if ch == '"':
-            break
+            return "".join(chars), at
         if ch == "\n":
             raise LexError("newline in string literal", line, col)
-        if ch == "\\":
-            chars.append(_scan_escape(sc, line, col))
-        else:
-            chars.append(ch)
-    value = "".join(chars)
-    return Token(TokKind.STRING, '"' + value + '"', line, col, value)
+        value, at = _scan_escape(text, at, line, col)
+        chars.append(value)
 
 
-def _scan_escape(sc: _Scanner, line: int, col: int) -> str:
-    if sc.at_end():
+def _scan_escape(text: str, at: int, line: int,
+                 col: int) -> tuple[str, int]:
+    """The character an escape stands for, its backslash just before
+    ``at``, and the index past the escape."""
+    if at >= len(text):
         raise LexError("unterminated escape", line, col)
-    ch = sc.advance()
+    ch = text[at]
+    at += 1
     if ch in _ESCAPES:
-        return _ESCAPES[ch]
-    if _is_ascii_digit(ch):
-        if sc.at_end():
+        return _ESCAPES[ch], at
+    if "0" <= ch <= "9":
+        if at + 2 > len(text):
             raise LexError("malformed decimal escape", line, col)
-        d2 = sc.advance()
-        if sc.at_end():
+        digits = ch + text[at:at + 2]
+        if not ("0" <= digits[1] <= "9" and "0" <= digits[2] <= "9"):
             raise LexError("malformed decimal escape", line, col)
-        d3 = sc.advance()
-        if not (_is_ascii_digit(d2) and _is_ascii_digit(d3)):
-            raise LexError("malformed decimal escape", line, col)
-        return chr(int(ch + d2 + d3))
+        return chr(int(digits)), at + 2
     if ch == "^":
-        ctrl = sc.advance()
-        return chr(ord(ctrl) - 64)
+        if at >= len(text):
+            raise LexError("unterminated escape", line, col)
+        code = ord(text[at]) - 64
+        if code < 0:
+            raise LexError(f"malformed control escape \\^{text[at]}",
+                           line, col)
+        return chr(code), at + 1
     if ch in " \t\n\f\r":
         # Gap escape: \ whitespace... \ splices lines together.
-        while not sc.at_end() and sc.peek() in " \t\n\f\r":
-            sc.advance()
-        if sc.at_end() or sc.advance() != "\\":
+        at = _GAP.match(text, at).end()
+        if at >= len(text) or text[at] != "\\":
             raise LexError("malformed string gap", line, col)
-        return ""
+        return "", at + 1
     raise LexError(f"unknown escape \\{ch}", line, col)
-
-
-def _scan_tyvar(sc: _Scanner) -> Token:
-    line, col = sc.line, sc.col
-    text = [sc.advance()]  # '
-    if sc.peek() == "'":
-        text.append(sc.advance())  # equality tyvar ''a
-    if not (sc.peek().isalnum() or sc.peek() == "_"):
-        raise sc.error("malformed type variable")
-    while sc.peek() and (sc.peek().isalnum() or sc.peek() in "_'"):
-        text.append(sc.advance())
-    return Token(TokKind.TYVAR, "".join(text), line, col)
-
-
-def _scan_alpha_ident(sc: _Scanner) -> Token:
-    line, col = sc.line, sc.col
-    chars = [sc.advance()]
-    while sc.peek() and (sc.peek().isalnum() or sc.peek() in "_'"):
-        chars.append(sc.advance())
-    text = "".join(chars)
-    if text in KEYWORDS:
-        return Token(TokKind.KEYWORD, text, line, col)
-    return Token(TokKind.ID, text, line, col)
-
-
-def _scan_symbolic(sc: _Scanner) -> Token:
-    line, col = sc.line, sc.col
-    chars = []
-    while sc.peek() in SYMBOL_CHARS:
-        chars.append(sc.advance())
-    text = "".join(chars)
-    if text in RESERVED_SYMBOLIC:
-        return Token(TokKind.KEYWORD, text, line, col)
-    return Token(TokKind.SYMID, text, line, col)

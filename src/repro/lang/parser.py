@@ -47,8 +47,12 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        # ``pos`` never passes the EOF token; only a lookahead can.
+        if not ahead:
+            return self.toks[self.pos]
+        toks = self.toks
+        i = self.pos + ahead
+        return toks[i] if i < len(toks) else toks[-1]
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -57,10 +61,11 @@ class Parser:
         return tok
 
     def at(self, kind: TokKind) -> bool:
-        return self.peek().kind is kind
+        return self.toks[self.pos].kind is kind
 
     def at_kw(self, word: str) -> bool:
-        return self.peek().is_keyword(word)
+        tok = self.toks[self.pos]
+        return tok.kind is TokKind.KEYWORD and tok.text == word
 
     def eat_kw(self, word: str) -> bool:
         if self.at_kw(word):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokKind(Enum):
@@ -58,9 +58,9 @@ KEYWORDS = frozenset(
 RESERVED_SYMBOLIC = frozenset(["=", "=>", "->", "|", ":", ":>", "#", "*"])
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token.
+class Token(NamedTuple):
+    """One lexical token (a named tuple: the lexer makes one per token,
+    so it must be cheap to build).
 
     Attributes:
         kind: the lexical class.

@@ -22,6 +22,17 @@ Export indices: every locally-owned stamped object is assigned the next
 index in encounter order.  The encoder and decoder perform the identical
 traversal, so indices agree across sessions -- they are the "stamps" of
 the paper's (pid, stamp) stubs.
+
+Decoding is the larger cost (a link decodes every unit, a pool worker
+every unit of a task's import closure that it does not hold), so
+:meth:`Unpickler.run` is written for it: one recursive closure over
+local state, so a value costs one Python call, a varint one more and a
+byte none; a varint under 128 (nearly every length, index, class tag
+and line number) is read without a loop; and each class tag's
+``(class, fields, stamped)`` is one index into the registry's
+``TAG_TO_ENTRY``.  Damage of any kind -- truncation, an unknown tag, a
+varint wider than :data:`_MAX_VARINT_BITS`, a reference out of range --
+raises :class:`UnpickleError` naming the byte offset.
 """
 
 from __future__ import annotations
@@ -56,10 +67,18 @@ _T_STAMP = 14
 _T_BYTES = 15
 _T_STRREF = 16
 
+#: A FLOAT's payload: eight bytes, a big-endian IEEE double.
+_FLOAT = struct.Struct(">d")
+
 #: Ceiling on a decoded varint's width.  Generous -- 64 Kibit covers any
 #: value a real program pickles -- while keeping a corrupt stream of
 #: continuation bytes from accumulating a multi-megabit bigint.
 _MAX_VARINT_BITS = 1 << 16
+
+
+# The decoder fills a shell's fields with plain ``setattr``.
+assert all(cls.__setattr__ is object.__setattr__
+           for cls, _, _ in TAG_TO_ENTRY)
 
 
 def _must_memoize(obj) -> bool:
@@ -109,10 +128,6 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 def _zigzag(value: int) -> int:
     return value << 1 if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return -( (value + 1) >> 1) if value & 1 else value >> 1
 
 
 class Pickler:
@@ -181,7 +196,7 @@ class Pickler:
             return
         if type(obj) is float:
             out.append(_T_FLOAT)
-            out.extend(struct.pack(">d", obj))
+            out.extend(_FLOAT.pack(obj))
             return
         if type(obj) is str:
             idx = self._strings.get(obj)
@@ -243,7 +258,6 @@ class Pickler:
             _write_varint(out, memo_idx)
             return
 
-        prim_table = prim_tycon_table()
         cls = type(obj)
         if cls.__name__ == "PrimTycon":
             out.append(_T_PRIM)
@@ -280,13 +294,11 @@ class Pickler:
         self._remember(obj)
         out.append(_T_OBJ)
         _write_varint(out, tag)
-        _, fields = TAG_TO_ENTRY[tag]
-        for field in fields:
+        for field in TAG_TO_ENTRY[tag][1]:
             value = getattr(obj, field)
             if field == "line" and self.normalize_lines:
                 value = 0
             self._encode(value)
-        _ = prim_table  # built lazily once; kept for clarity
 
     def _encode_stub(self, obj) -> None:
         if self.extern is None:
@@ -313,7 +325,8 @@ class Pickler:
 
 
 class Unpickler:
-    """One rehydration run over a byte stream."""
+    """One rehydration run over a byte stream (see the module notes:
+    :meth:`run` is the whole decoder)."""
 
     def __init__(
         self,
@@ -323,168 +336,184 @@ class Unpickler:
         stamps: StampGenerator | None = None,
     ):
         self._data = data
-        self._pos = 0
         self._resolve = resolve
         self._context_env = context_env
         self._stamps = stamps or default_generator()
-        self._memo: list[object] = []
-        self._strings: list[str] = []
         self.export_index: list[object] = []
         #: Bytes consumed (telemetry: rehydration input size).
         self.bytes_in = len(data)
 
     def run(self):
+        """Decode the stream.  Damage of any kind raises
+        :class:`UnpickleError` naming the byte offset it was met at: a
+        caller treats that as a cache miss, anything else as a bug."""
+        data = self._data
+        end = len(data)
+        resolve = self._resolve
+        context_env = self._context_env
+        fresh = self._stamps.fresh
+        exports = self.export_index
+        memo: list[object] = []
+        strings: list[str] = []
+        entries = TAG_TO_ENTRY
+        prims = prim_tycon_table()
+        pos = 0
+
+        def fail(message: str):
+            raise UnpickleError(f"{message} (at byte {pos} of {end})")
+
+        def uvarint() -> int:
+            """The unsigned varint at ``pos``; nearly every one (a
+            length, an index, a class tag, a line number) is one byte."""
+            nonlocal pos
+            value = data[pos]
+            pos += 1
+            if value < 0x80:
+                return value
+            value &= 0x7F
+            shift = 7
+            while True:
+                byte = data[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    return value
+                shift += 7
+                # SML ints are arbitrary precision, so varints have no
+                # fixed width -- but a continuation run this long is
+                # garbage, and without a cap the accumulating bigint
+                # makes decoding a corrupt megabyte stream quadratic.
+                if shift > _MAX_VARINT_BITS:
+                    fail("varint too long; corrupt bin stream")
+
+        def take(count: int) -> bytes:
+            nonlocal pos
+            if pos + count > end:
+                fail("truncated bin stream")
+            pos += count
+            return data[pos - count:pos]
+
+        def decode():
+            nonlocal pos
+            tag = data[pos]
+            pos += 1
+            if tag == _T_OBJ:
+                index = uvarint()
+                if index >= len(entries):
+                    fail(f"unknown class tag {index}")
+                cls, fields, stamped = entries[index]
+                shell = cls.__new__(cls)
+                memo.append(shell)
+                if stamped:
+                    exports.append(shell)
+                    for field in fields:
+                        value = decode()
+                        if value is None and field == "stamp":
+                            value = fresh()
+                        setattr(shell, field, value)
+                else:
+                    for field in fields:
+                        setattr(shell, field, decode())
+                return shell
+            if tag == _T_INT:
+                value = uvarint()
+                return -((value + 1) >> 1) if value & 1 else value >> 1
+            if tag == _T_STRREF:
+                index = uvarint()
+                if index >= len(strings):
+                    fail(f"string back-reference #{index} out of range")
+                return strings[index]
+            if tag == _T_TUPLE or tag == _T_LIST:
+                count = uvarint()
+                items = []
+                for _ in range(count):
+                    items.append(decode())
+                return tuple(items) if tag == _T_TUPLE else items
+            if tag == _T_PRIM:
+                name = decode()
+                if name not in prims:
+                    fail(f"unknown primitive tycon {name}")
+                return prims[name]
+            if tag == _T_NONE:
+                return None
+            if tag == _T_STR:
+                count = uvarint()
+                text = take(count).decode("utf-8")
+                strings.append(text)
+                return text
+            if tag == _T_DICT:
+                count = uvarint()
+                out = {}
+                for _ in range(count):
+                    key = decode()
+                    out[key] = decode()
+                return out
+            if tag == _T_REF:
+                index = uvarint()
+                if index >= len(memo):
+                    fail(f"back-reference #{index} out of range")
+                return memo[index]
+            if tag == _T_FALSE:
+                return False
+            if tag == _T_TRUE:
+                return True
+            if tag == _T_STAMP:
+                stamp = fresh()
+                memo.append(stamp)
+                return stamp
+            if tag == _T_STUB:
+                slot = len(memo)
+                memo.append(None)
+                pid = decode()
+                index = uvarint()
+                if resolve is None:
+                    fail(f"bin stream has external reference ({pid}, "
+                         f"{index}) but no resolver was provided")
+                try:
+                    obj = resolve(pid, index)
+                except KeyError:
+                    raise UnresolvedStubError(
+                        pid,
+                        f"unresolved external reference: unit {pid} "
+                        f"export #{index} is not in the context (at byte "
+                        f"{pos} of {end})") from None
+                memo[slot] = obj
+                return obj
+            if tag == _T_CONTEXT:
+                if context_env is None:
+                    fail("bin stream references its compilation context "
+                         "but none was provided")
+                return context_env
+            if tag == _T_FLOAT:
+                return _FLOAT.unpack(take(8))[0]
+            if tag == _T_BYTES:
+                count = uvarint()
+                return take(count)
+            fail(f"unknown tag {tag}")
+
         try:
-            value = self._decode()
+            value = decode()
         except UnpickleError:
             raise
-        except (IndexError, KeyError, TypeError, ValueError, struct.error,
+        except IndexError as err:
+            if pos >= end:
+                # Reading past the end is the only way to index out of
+                # the stream: every other index is range-checked.
+                raise UnpickleError(
+                    f"truncated bin stream (at byte {pos} of {end})"
+                ) from err
+            raise UnpickleError(
+                f"corrupt bin stream (IndexError: {err}) "
+                f"at byte {pos} of {end}") from err
+        except (KeyError, TypeError, ValueError, struct.error,
                 OverflowError, MemoryError, RecursionError) as err:
-            # A corrupt stream must surface as UnpickleError, never as a
-            # raw decoding exception: callers treat UnpickleError as a
-            # cache miss, anything else as a bug.
             raise UnpickleError(
                 f"corrupt bin stream ({type(err).__name__}: {err}) "
-                f"at byte {self._pos} of {len(self._data)}") from err
-        if self._pos != len(self._data):
+                f"at byte {pos} of {end}") from err
+        if pos != end:
             raise UnpickleError(
-                f"trailing bytes in bin stream ({len(self._data) - self._pos})")
+                f"trailing bytes in bin stream ({end - pos})")
         return value
-
-    # -- decoding ---------------------------------------------------------
-
-    def _fail(self, message: str):
-        raise UnpickleError(
-            f"{message} (at byte {self._pos} of {len(self._data)})")
-
-    def _read_byte(self) -> int:
-        if self._pos >= len(self._data):
-            self._fail("truncated bin stream")
-        byte = self._data[self._pos]
-        self._pos += 1
-        return byte
-
-    def _read_varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self._read_byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            # SML ints are arbitrary precision, so varints have no fixed
-            # width -- but a continuation run this long is garbage, and
-            # without a cap the accumulating bigint makes decoding a
-            # corrupt megabyte stream quadratic.
-            if shift > _MAX_VARINT_BITS:
-                self._fail("varint too long; corrupt bin stream")
-
-    def _read_bytes(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            self._fail("truncated bin stream")
-        data = self._data[self._pos:self._pos + count]
-        self._pos += count
-        return data
-
-    def _decode(self):
-        tag = self._read_byte()
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            return _unzigzag(self._read_varint())
-        if tag == _T_FLOAT:
-            return struct.unpack(">d", self._read_bytes(8))[0]
-        if tag == _T_STR:
-            text = self._read_bytes(self._read_varint()).decode("utf-8")
-            self._strings.append(text)
-            return text
-        if tag == _T_STRREF:
-            index = self._read_varint()
-            if index >= len(self._strings):
-                self._fail(f"string back-reference #{index} out of range")
-            return self._strings[index]
-        if tag == _T_BYTES:
-            return self._read_bytes(self._read_varint())
-        if tag == _T_REF:
-            index = self._read_varint()
-            if index >= len(self._memo):
-                self._fail(f"back-reference #{index} out of range")
-            return self._memo[index]
-        if tag == _T_TUPLE:
-            return tuple(
-                self._decode() for _ in range(self._read_varint()))
-        if tag == _T_LIST:
-            return [self._decode() for _ in range(self._read_varint())]
-        if tag == _T_DICT:
-            count = self._read_varint()
-            out = {}
-            for _ in range(count):
-                key = self._decode()
-                out[key] = self._decode()
-            return out
-        if tag == _T_PRIM:
-            name = self._decode()
-            table = prim_tycon_table()
-            if name not in table:
-                self._fail(f"unknown primitive tycon {name}")
-            return table[name]
-        if tag == _T_STAMP:
-            stamp = self._stamps.fresh()
-            self._memo.append(stamp)
-            return stamp
-        if tag == _T_STUB:
-            return self._decode_stub()
-        if tag == _T_CONTEXT:
-            if self._context_env is None:
-                self._fail(
-                    "bin stream references its compilation context but "
-                    "none was provided")
-            return self._context_env
-        if tag == _T_OBJ:
-            return self._decode_object()
-        self._fail(f"unknown tag {tag}")
-
-    def _decode_stub(self):
-        memo_slot = len(self._memo)
-        self._memo.append(None)
-        pid = self._decode()
-        index = self._read_varint()
-        if self._resolve is None:
-            self._fail(
-                f"bin stream has external reference ({pid}, {index}) but "
-                f"no resolver was provided")
-        try:
-            obj = self._resolve(pid, index)
-        except KeyError:
-            raise UnresolvedStubError(
-                pid,
-                f"unresolved external reference: unit {pid} export "
-                f"#{index} is not in the context") from None
-        self._memo[memo_slot] = obj
-        return obj
-
-    def _decode_object(self):
-        class_tag = self._read_varint()
-        entry = TAG_TO_ENTRY.get(class_tag)
-        if entry is None:
-            self._fail(f"unknown class tag {class_tag}")
-        cls, fields = entry
-        shell = cls.__new__(cls)
-        self._memo.append(shell)
-        if isinstance(shell, STAMPED_CLASSES):
-            self.export_index.append(shell)
-        for field in fields:
-            value = self._decode()
-            if field == "stamp" and value is None and isinstance(
-                    shell, STAMPED_CLASSES):
-                value = self._stamps.fresh()
-            object.__setattr__(shell, field, value)
-        return shell
 
 
 def dehydrate(

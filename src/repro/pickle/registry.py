@@ -14,6 +14,7 @@ guessing.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.lang import ast
 from repro.semant import env as env_mod
@@ -70,9 +71,6 @@ def _build() -> list[tuple[type, tuple[str, ...]]]:
 
 REGISTRY: list[tuple[type, tuple[str, ...]]] = _build()
 
-CLASS_TO_TAG: dict[type, int] = {cls: i for i, (cls, _) in enumerate(REGISTRY)}
-TAG_TO_ENTRY: dict[int, tuple[type, tuple[str, ...]]] = dict(enumerate(REGISTRY))
-
 #: Classes whose instances carry a generative stamp; these are the
 #: stub-able, export-indexable objects.
 STAMPED_CLASSES = (
@@ -83,8 +81,18 @@ STAMPED_CLASSES = (
     env_mod.Functor,
 )
 
-#: Primitive tycon singletons, serialized by name.
+CLASS_TO_TAG: dict[type, int] = {cls: i for i, (cls, _) in enumerate(REGISTRY)}
+#: Indexed by class tag: ``(class, field names, stamped)``, where
+#: ``stamped`` says the class is one of :data:`STAMPED_CLASSES`.
+TAG_TO_ENTRY: tuple[tuple[type, tuple[str, ...], bool], ...] = tuple(
+    (cls, fields, issubclass(cls, STAMPED_CLASSES))
+    for cls, fields in REGISTRY)
+
+
+@functools.cache
 def prim_tycon_table() -> dict[str, object]:
+    """Primitive tycon singletons by name (the PRIM tag serializes them
+    by name).  Built once: every call returns the same dict."""
     from repro.semant import prim
 
     return {

@@ -5,7 +5,8 @@ across every request.  A build that replaces a unit with a different
 pid retires the old pid, so after any number of edit-and-rebuild cycles
 the builder session registers exactly its live units' export pids plus
 the basis, and a worker session exactly its cached units' pids plus the
-basis -- memory follows the project, not the number of edits.
+basis -- memory follows the project, not the number of edits.  A worker
+caches the units it compiles as well as those it loads.
 """
 
 import pytest
@@ -24,8 +25,11 @@ from repro.cm.supervise import SupervisePolicy
 from repro.elab.errors import ElabError
 from repro.pickle import UnresolvedStubError, rehydrate
 from repro.units import Session, compile_unit
+from repro.units.unit import CompiledUnit
 from repro.workload import generate_workload
 from repro.workload.shapes import diamond
+
+from tests.helpers import store_files
 
 
 def leaky_workload():
@@ -118,6 +122,9 @@ def test_worker_evicts_dependents_of_a_superseded_unit(fresh_worker):
     # later task pairs a freshly rehydrated u000 with the u001 cached
     # against the retired objects, and ``z``, which applies
     # ``M001.probe : M000.t -> int`` to a fresh ``M000.t``, fails.
+    # The worker keeps what it compiles, so after recompiling u001
+    # against the edited u000 it caches that u001; the revert must
+    # evict it again.
     w = leaky_workload()
     w.project.add("z", "structure Z = struct "
                        "val q = M001.probe (M000.make 1) end")
@@ -137,9 +144,56 @@ def test_worker_evicts_dependents_of_a_superseded_unit(fresh_worker):
     original = w.project.source("u000")
     w.edit_interface("u000")
     run("u001")
-    assert set(parallel._tls.units) == {"u000"}
+    assert set(parallel._tls.units) == {"u000", "u001"}
+    assert (parallel._tls.units["u001"].export_pid
+            == builder.units["u001"].export_pid)
     w.project.edit("u000", original)
     run("z")
+
+
+class TestWorkerKeepsWhatItCompiles:
+    """A worker caches each unit it compiles, as a builder keeps its
+    live units, so a later task whose closure holds that unit meets the
+    worker's own objects instead of decoding the payload the worker
+    itself produced.  The bytes must not notice."""
+
+    def test_worker_decodes_nothing_it_compiled(self, fresh_worker,
+                                                monkeypatch):
+        builder = CutoffBuilder(leaky_workload().project)
+        builder.build()
+        graph = builder.last_graph
+        assert graph.deps["u001"] == ["u000"]
+        decoded = []
+        decode_own = CompiledUnit._decode_own
+
+        def counting(unit):
+            decoded.append(unit.name)
+            return decode_own(unit)
+
+        monkeypatch.setattr(CompiledUnit, "_decode_own", counting)
+        for name in ("u000", "u001"):
+            result = parallel.compile_task(
+                parallel._make_task(builder, graph, name))
+            assert result.error is None
+            assert result.payload == builder.units[name].payload
+        assert decoded == []
+        assert set(parallel._tls.units) == {"u000", "u001"}
+        assert_worker_flat()
+
+    def test_pooled_cold_build_matches_serial(self, tmp_path):
+        project = leaky_workload().project
+        serial = CutoffBuilder(project)
+        serial.build()
+        serial.store.save_directory(str(tmp_path / "serial"))
+        pooled = CutoffBuilder(project)
+        report = Supervisor(jobs=2).build(pooled)
+        assert report.pool in ("process", "thread")
+        assert sorted(report.compiled) == sorted(project.names())
+        pooled.store.save_directory(str(tmp_path / "pooled"))
+        assert ({n: u.export_pid for n, u in pooled.units.items()}
+                == {n: u.export_pid for n, u in serial.units.items()})
+        assert (store_files(str(tmp_path / "pooled"))
+                == store_files(str(tmp_path / "serial")))
 
 
 A1 = "structure A = struct datatype t = T of int fun get (T n) = n end"

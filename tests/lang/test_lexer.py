@@ -3,6 +3,7 @@
 import pytest
 
 from repro.lang.errors import LexError
+from repro.lang import lexer
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import TokKind
 
@@ -75,6 +76,20 @@ class TestStrings:
 
     def test_gap_escape(self):
         assert values('"ab\\\n   \\cd"') == ["abcd"]
+
+    def test_control_escape(self):
+        assert values(r'"\^A"') == ["\x01"]
+
+    def test_control_escape_at_end_of_input(self):
+        # Input that ends inside the escape is a LexError, not an
+        # IndexError.
+        with pytest.raises(LexError, match="unterminated escape"):
+            tokenize('"\\^')
+
+    def test_control_escape_below_at_sign(self):
+        # A control code below @ would be chr() of a negative number.
+        with pytest.raises(LexError, match="malformed control escape"):
+            tokenize('"\\^ "')
 
     def test_unterminated(self):
         with pytest.raises(LexError):
@@ -150,3 +165,18 @@ class TestPositions:
         toks = tokenize("")
         assert len(toks) == 1
         assert toks[0].kind is TokKind.EOF
+
+    def test_eof_after_trailing_blanks(self):
+        # Matching stops before trailing blanks, so a long run of them
+        # costs no more than a short one.
+        toks = tokenize("x" + " \t\f\r" * 2500)
+        assert [(t.kind, t.line, t.col) for t in toks] == [
+            (TokKind.ID, 1, 1), (TokKind.EOF, 1, 10002)]
+
+
+class TestPattern:
+    def test_no_regex_syntax_newer_than_python_310(self):
+        # Python 3.10's re rejects possessive quantifiers and atomic
+        # groups; the project supports 3.10.
+        for syntax in ("*+", "++", "?+", "}+", "(?>"):
+            assert syntax not in lexer._TOKEN.pattern, syntax
