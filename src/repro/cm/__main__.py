@@ -20,15 +20,14 @@ Options:
                                     why each unit (or one unit) was
                                     recompiled or reused
     --explain-diff [UNIT]           diff this build's decisions against
-                                    the previous recorded build profile:
-                                    what changed since last time and why
+                                    the profile the same manager's last
+                                    build left in .bin/profiles/: what
+                                    changed since last time and why
     --trace                         print the span-tree trace report and
                                     the critical path after building
-    --trace-out FILE                write a trace file after building
-                                    (chrome://tracing / ui.perfetto.dev,
-                                    or OTLP/JSON with --trace-format)
-    --trace-format {chrome,otlp}    with --trace-out: the trace file's
-                                    format (default chrome)
+    --trace-out FILE                write a Chrome trace_event JSON file
+                                    after building (chrome://tracing,
+                                    ui.perfetto.dev)
     --jobs N                        compile up to N ready units at once
                                     on a process pool (a thread pool
                                     where process pools do not work;
@@ -54,16 +53,19 @@ Options:
                                     its stats request always counts
 
 A flag that only qualifies another -- ``--json`` and ``--quarantine``
-(``--fsck``), ``--strict`` (``--analyze``), ``--trace-format``
-(``--trace-out``), ``--timeout`` (``--jobs N > 1``) -- is a usage
-error (exit 2) without it.  A ``.cm`` group target builds in memory
-and serially: it refuses ``--jobs N > 1``, ``--retries``,
-``--timeout``, ``--store-url``, ``--stats``, ``--explain-diff`` and
-``--fsck`` (exit 2) instead of ignoring them.  ``--serve`` likewise
-refuses the flags that shape one batch build's output (``--print``,
-``--no-link``, ``--stats``, ``--analyze``, ``--fsck``, ``--explain``,
-``--explain-diff``, ``--trace``, ``--trace-out`` and their
-qualifiers).
+(``--fsck``), ``--strict`` (``--analyze``), ``--timeout`` (``--jobs
+N > 1``) -- is a usage error (exit 2) without it.  A ``.cm`` group
+target builds in memory and serially: it refuses ``--jobs N > 1``,
+``--retries``, ``--timeout``, ``--store-url``, ``--stats``,
+``--explain-diff`` and ``--fsck`` (exit 2) instead of ignoring them.
+``--serve`` likewise refuses the flags that shape one batch build's
+output (``--print``, ``--no-link``, ``--stats``, ``--analyze``,
+``--fsck``, ``--explain``, ``--explain-diff``, ``--trace``,
+``--trace-out`` and their qualifiers).
+
+Each directory build, batch or daemon, replaces its manager's profile
+in ``.bin/profiles/`` (:mod:`repro.obs.history`), the baseline of the
+next ``--explain-diff``.
 """
 
 from __future__ import annotations
@@ -119,24 +121,16 @@ def main(argv: list[str] | None = None) -> int:
                         nargs="?", const="*", default=None,
                         metavar="UNIT",
                         help="diff this build's decisions against the "
-                             "previous recorded build profile: which "
-                             "units' verdicts or culprit imports "
-                             "changed since last time")
+                             "profile this manager's last build "
+                             "recorded: which units' verdicts or "
+                             "culprit imports changed since last time")
     parser.add_argument("--trace", action="store_true",
                         help="print the span-tree trace report and the "
                              "critical path after building")
     parser.add_argument("--trace-out", dest="trace_out", metavar="FILE",
-                        help="write a trace file (Chrome trace_event "
-                             "JSON embedding the decision ledger and "
-                             "critical path, or OTLP with "
-                             "--trace-format otlp)")
-    parser.add_argument("--trace-format", dest="trace_format",
-                        choices=["chrome", "otlp"], default=None,
-                        help="with --trace-out: the file format, Chrome "
-                             "trace_event JSON (default) or an "
-                             "OTLP/JSON ExportTraceServiceRequest "
-                             "with span links from recompiled units "
-                             "to their culprit imports")
+                        help="write a Chrome trace_event JSON file "
+                             "embedding the decision ledger and "
+                             "critical path")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="supervise the build: retry transient "
                              "worker failures up to N times per unit "
@@ -180,8 +174,6 @@ def main(argv: list[str] | None = None) -> int:
             (args.json, "--json", args.fsck, "--fsck"),
             (args.quarantine, "--quarantine", args.fsck, "--fsck"),
             (args.strict, "--strict", args.analyze, "--analyze"),
-            (args.trace_format is not None, "--trace-format",
-             args.trace_out, "--trace-out"),
             (args.timeout is not None, "--timeout", args.jobs > 1,
              "--jobs N > 1")):
         if given and not present:
@@ -249,9 +241,9 @@ def _build_directory(args, tracer):
 
     # Build history: the prior profile is the --explain-diff baseline;
     # this build's profile is recorded after a successful store save.
-    from repro.obs.history import BuildHistory, profile_from_report
-    history = BuildHistory(bin_dir, fs=store.fs)
-    prior_profile = history.latest(args.manager)
+    from repro.obs.history import BuildHistory
+    history = BuildHistory(bin_dir, args.manager, store.fs)
+    prior_profile = history.latest()
 
     policy = _policy(args)
     try:
@@ -281,11 +273,7 @@ def _build_directory(args, tracer):
     except StoreLockedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1, builder, report
-    history.record(profile_from_report(
-        report, ledger=builder.ledger,
-        export_pids={name: unit.export_pid
-                     for name, unit in builder.units.items()},
-        group=args.srcdir, manager=args.manager))
+    history.record(builder.ledger, prior_profile)
 
     if report.failed or report.skipped:
         # A supervised build finished what it could; the casualties
@@ -378,23 +366,20 @@ def _emit_trace(args, tracer, builder, report) -> int:
                   + " -> ".join(chain))
 
     if args.trace_out:
-        if args.trace_format == "otlp":
-            payload = _otlp_payload(args, tracer, builder)
-        else:
-            extra = {
-                "wallSeconds": round(tracer.wall(), 6),
-                "criticalPath": {
-                    "chain": chain,
-                    "seconds": round(chain_seconds, 6),
-                },
-                "phaseRollup": phase_rollup(tracer),
-            }
-            if report is not None:
-                extra["phaseTotals"] = report.phase_totals()
-                extra["buildStats"] = report.stats()
-            if builder is not None and builder.ledger is not None:
-                extra["buildDecisions"] = builder.ledger.to_json()
-            payload = tracer.to_chrome_trace(extra)
+        extra = {
+            "wallSeconds": round(tracer.wall(), 6),
+            "criticalPath": {
+                "chain": chain,
+                "seconds": round(chain_seconds, 6),
+            },
+            "phaseRollup": phase_rollup(tracer),
+        }
+        if report is not None:
+            extra["phaseTotals"] = report.phase_totals()
+            extra["buildStats"] = report.stats()
+        if builder is not None and builder.ledger is not None:
+            extra["buildDecisions"] = builder.ledger.to_json()
+        payload = tracer.to_chrome_trace(extra)
         try:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
                 json_mod.dump(payload, fh, indent=1, sort_keys=True)
@@ -405,25 +390,6 @@ def _emit_trace(args, tracer, builder, report) -> int:
             return 1
         print(f"trace written to {args.trace_out}")
     return 0
-
-
-def _otlp_payload(args, tracer, builder) -> dict:
-    """The OTLP/JSON export for ``--trace-format otlp``: spans with
-    resource attributes identifying the build, plus span links from
-    each recompiled unit to its culprit imports."""
-    import time
-
-    from repro.obs.export import to_otlp
-
-    resource = {
-        "build.group": args.srcdir,
-        "build.manager": args.manager,
-        "build.jobs": max(1, args.jobs),
-    }
-    ledger = builder.ledger if builder is not None else None
-    base = max(0, time.time_ns() - int(tracer.wall() * 1e9))
-    return to_otlp(tracer, resource=resource, ledger=ledger,
-                   base_unix_nano=base)
 
 
 def _run_serve(args) -> int:
@@ -464,8 +430,7 @@ def _serve_ignored_flags(args) -> list[str]:
              (args.explain is not None, "--explain"),
              (args.explain_diff is not None, "--explain-diff"),
              (args.trace, "--trace"),
-             (args.trace_out is not None, "--trace-out"),
-             (args.trace_format is not None, "--trace-format")]
+             (args.trace_out is not None, "--trace-out")]
     return [flag for given, flag in flags if given]
 
 

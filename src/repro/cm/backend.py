@@ -65,8 +65,8 @@ LOCK_NAME = "store.lock"
 QUARANTINE_DIR = "quarantine"
 
 #: Store-directory entries that are never record files and are left
-#: alone by listing and pruning (``PROFILE_DIR`` is the build-history
-#: ring, :mod:`repro.obs.history`).
+#: alone by listing and pruning (``PROFILE_DIR`` holds each manager's
+#: build profile, :mod:`repro.obs.history`).
 _SKIP_ENTRIES = frozenset({
     MANIFEST_NAME, LOCK_NAME, QUARANTINE_DIR, PROFILE_DIR,
 })

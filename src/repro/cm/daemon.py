@@ -75,7 +75,7 @@ from repro.cm.smart import SmartBuilder
 from repro.cm.store import BinStore
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
-from repro.obs.history import BuildHistory, BuildProfile, profile_from_report
+from repro.obs.history import BuildHistory, BuildProfile
 from repro.obs.meter import CounterMeter
 
 #: The manager table the CLI and the daemon share.
@@ -143,11 +143,9 @@ class _GroupState:
     texts: dict = field(default_factory=dict)
     #: the store directory's disk signature after our last load/save.
     store_sig: tuple = ()
-    #: the group's build-profile ring buffer (created on first open).
+    #: the group's profile for the daemon's manager (created on first
+    #: open).
     history: BuildHistory | None = None
-    #: The latest recorded profile (kept warm so explain-diff never
-    #: re-reads disk per request).
-    profile: BuildProfile | None = None
     #: The profile *before* the latest build -- what ``explain-diff``
     #: compares the latest ledger against.
     prior_profile: BuildProfile | None = None
@@ -304,7 +302,8 @@ class BuildDaemon:
                                                   backend=backend)
         # Profile IO rides the store's fs seam, so fault injection on
         # the store covers history writes too (best-effort either way).
-        state.history = BuildHistory(state.bin_dir, fs=state.store.fs)
+        state.history = BuildHistory(state.bin_dir, self.manager,
+                                     state.store.fs)
         state.opened = True
 
     def _refresh_sources(self, state: _GroupState) -> int:
@@ -385,7 +384,7 @@ class BuildDaemon:
         builder.store.save_directory(state.bin_dir)
         state.store_sig = BinStore.disk_signature(
             state.bin_dir, backend=self._backend_for(state))
-        self._record_profile(state, builder, report)
+        self._record_profile(state, builder)
         if report.degraded:
             # The supervisor shut our cached pool down on its way down
             # the ladder; forget it so the next request makes a new one.
@@ -393,22 +392,13 @@ class BuildDaemon:
                 self._pool = None
         return report, reloaded, refreshed
 
-    def _record_profile(self, state: _GroupState, builder,
-                        report) -> None:
-        """Persist this build's profile and roll the warm history
-        state forward: the previously-latest profile becomes the
-        ``explain-diff`` baseline.  Best effort -- profile IO never
-        fails a build."""
-        state.prior_profile = (
-            state.profile if state.profile is not None
-            else state.history.latest(self.manager))
-        profile = profile_from_report(
-            report, ledger=builder.ledger,
-            export_pids={name: unit.export_pid
-                         for name, unit in builder.units.items()},
-            group=state.srcdir, manager=self.manager)
-        state.history.record(profile)
-        state.profile = profile
+    def _record_profile(self, state: _GroupState, builder) -> None:
+        """Replace the profile, as a batch build does: the one on disk
+        (which a batch build of the same group may have written since
+        the last request) becomes the ``explain-diff`` baseline.  Best
+        effort -- profile IO never fails a build."""
+        state.prior_profile = state.history.latest()
+        state.history.record(builder.ledger, state.prior_profile)
 
     def _executor_factory(self, jobs: int):
         """Warm-pool seam handed to the supervisor: the daemon's one

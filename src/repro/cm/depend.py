@@ -19,6 +19,7 @@ types; :func:`analyze` enforces this.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -300,30 +301,34 @@ def _check_module_only(name: str, decs: list[ast.Dec]) -> None:
 
 
 def _topo_order(names: list[str], deps: dict[str, list[str]]) -> list[str]:
-    """Stable topological sort (alphabetical among ready units).
+    """Stable topological sort: Kahn's algorithm over in-degree
+    counters, taking the alphabetically smallest ready unit first.
 
     Dependencies outside ``names`` (stable-library units, already live)
     do not gate ordering.
     """
     name_set = set(names)
-    remaining = {
-        name: {d for d in deps[name] if d in name_set} for name in names
-    }
+    waiting: dict[str, int] = {}
+    dependents: dict[str, list[str]] = {name: [] for name in names}
+    for name in names:
+        gates = {d for d in deps[name] if d in name_set}
+        waiting[name] = len(gates)
+        for dep in gates:
+            dependents[dep].append(name)
+    ready = [name for name, gates in waiting.items() if not gates]
+    heapq.heapify(ready)
     order: list[str] = []
-    ready = sorted(name for name, d in remaining.items() if not d)
     while ready:
-        node = ready.pop(0)
+        node = heapq.heappop(ready)
         order.append(node)
-        del remaining[node]
-        newly = []
-        for name, d in remaining.items():
-            d.discard(node)
-            if not d and name not in ready:
-                newly.append(name)
-        if newly:
-            ready = sorted(ready + newly)
-    if remaining:
-        cycle = find_cycle(remaining)
+        for name in dependents[node]:
+            waiting[name] -= 1
+            if not waiting[name]:
+                heapq.heappush(ready, name)
+    if len(order) < len(waiting):
+        stuck = {name for name, gates in waiting.items() if gates}
+        cycle = find_cycle({name: {d for d in deps[name] if d in stuck}
+                            for name in stuck})
         raise DependencyError(
             f"dependency cycle among units: {format_cycle(cycle)}",
             cycle=cycle)

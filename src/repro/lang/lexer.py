@@ -124,11 +124,14 @@ def tokenize(text: str) -> list[Token]:
             elif group == _INT:
                 s = m[4]
                 col = m.end() - len(s) - line_start + 1
-                if s[0] == "~":
-                    s = s[1:]
-                    append(Token(_INT_KIND, s, line, col, -int(s)))
-                else:
-                    append(Token(_INT_KIND, s, line, col, int(s)))
+                try:
+                    if s[0] == "~":
+                        s = s[1:]
+                        append(Token(_INT_KIND, s, line, col, -int(s)))
+                    else:
+                        append(Token(_INT_KIND, s, line, col, int(s)))
+                except ValueError:
+                    raise _too_long(s, line, col) from None
             elif group == _NEWLINE:
                 s = m[5]
                 line += s.count("\n")
@@ -171,10 +174,21 @@ def _literal(group: int, s: str, line: int, col: int) -> Token:
     else:  # _WORD
         hexadecimal = body[2] == "x"
         body = "0w" + body[3 if hexadecimal else 2:]
-        return Token(_WORD_KIND, body, line, col,
-                     int(body[2:], 16 if hexadecimal else 10))
+        try:
+            value = int(body[2:], 16 if hexadecimal else 10)
+        except ValueError:
+            raise _too_long(body[2:], line, col) from None
+        return Token(_WORD_KIND, body, line, col, value)
     kind = _REAL_KIND if group == _REAL else _INT_KIND
     return Token(kind, body, line, col, -value if negative else value)
+
+
+def _too_long(digits: str, line: int, col: int) -> LexError:
+    """The error for a decimal literal past CPython's int-string
+    conversion limit (``sys.get_int_max_str_digits``); hexadecimal
+    conversions have no limit."""
+    return LexError(f"integer literal too long ({len(digits)} digits)",
+                    line, col)
 
 
 def _scan_other(text: str, pos: int, line: int,

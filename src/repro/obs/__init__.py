@@ -20,15 +20,14 @@ damage, or pure builder policy (make's transitive cascade).
 
 Post-build analytics live in :mod:`repro.obs.critical`: critical-path
 extraction over the dependency DAG (the chain that bounds parallel
-wall-clock), per-phase rollups and worker occupancy.
+wall-clock), per-phase rollups, worker idle time and span coverage.
 
-Across builds, :mod:`repro.obs.history` persists a compact
-:class:`~repro.obs.history.BuildProfile` per build (a ring buffer
-under ``.bin/profiles/``), :mod:`repro.obs.diff` structurally compares
-the current ledger against the prior profile (``--explain-diff``:
-"why did this unit rebuild today but not yesterday"), and
-:mod:`repro.obs.export` serializes spans to OTLP/JSON with zero new
-dependencies.
+Across builds, :mod:`repro.obs.history` keeps one
+:class:`~repro.obs.history.BuildProfile` per manager under
+``.bin/profiles/`` -- the latest build's decisions -- and
+:mod:`repro.obs.diff` structurally compares the current ledger against
+it (``--explain-diff``: "why did this unit rebuild today but not
+yesterday").
 """
 
 from repro.obs.meter import (
@@ -48,19 +47,11 @@ from repro.obs.ledger import (
 from repro.obs.critical import (
     critical_path,
     phase_rollup,
-    request_rollup,
     span_coverage,
     worker_idle,
-    worker_occupancy,
 )
-from repro.obs.history import (
-    BuildHistory,
-    BuildProfile,
-    UnitProfile,
-    profile_from_report,
-)
+from repro.obs.history import BuildHistory, BuildProfile, decision_entry
 from repro.obs.diff import ProfileDiff, UnitDiff, diff_against_profile
-from repro.obs.export import to_otlp, validate_otlp
 
 __all__ = [
     "BuildMeter",
@@ -76,17 +67,12 @@ __all__ = [
     "explain_decision",
     "critical_path",
     "phase_rollup",
-    "request_rollup",
     "span_coverage",
     "worker_idle",
-    "worker_occupancy",
     "BuildHistory",
     "BuildProfile",
-    "UnitProfile",
-    "profile_from_report",
+    "decision_entry",
     "ProfileDiff",
     "UnitDiff",
     "diff_against_profile",
-    "to_otlp",
-    "validate_otlp",
 ]

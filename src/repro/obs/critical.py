@@ -4,13 +4,8 @@
   durations bound the wall-clock of an infinitely parallel build --
   the thing to shorten before adding workers helps.
 - :func:`phase_rollup`: total seconds and call counts per span name.
-- :func:`worker_occupancy`: busy seconds per track, for judging how
-  well the build pump kept the pool fed.
 - :func:`worker_idle`: the schedule-quality rollup -- worker-compile
   busy seconds vs ``jobs x build wall``.
-- :func:`request_rollup`: daemon request analytics from the
-  ``daemon-request`` spans on the ``daemon`` track (count and latency
-  spread).
 - :func:`span_coverage`: the fraction of a tracer's wall-clock covered
   by root spans -- the acceptance gate that tracing sees (almost)
   everything the build did.
@@ -78,22 +73,6 @@ def phase_rollup(tracer) -> dict[str, dict]:
     return dict(sorted(out.items()))
 
 
-def worker_occupancy(tracer) -> dict[str, float]:
-    """Busy seconds per track, from each track's root spans.
-
-    Overlapping spans on one track (retried attempts landing on the
-    supervisor track, abandoned-then-finished workers) are counted by
-    *interval union*, not summed -- a track can never report more busy
-    time than wall clock.
-    """
-    by_track: dict[str, list[tuple[float, float]]] = {}
-    for span in tracer.roots:
-        by_track.setdefault(span.track, []).append(
-            (span.start, span.end))
-    return {track: round(_union_length(intervals), 6)
-            for track, intervals in sorted(by_track.items())}
-
-
 def worker_idle(tracer, jobs: int) -> dict:
     """How well a schedule kept ``jobs`` workers fed.
 
@@ -127,24 +106,6 @@ def worker_idle(tracer, jobs: int) -> dict:
         "idle_seconds": round(max(0.0, capacity - busy), 6),
         "occupancy": round(occupancy, 6),
     }
-
-
-def request_rollup(tracer) -> dict:
-    """Daemon request analytics from ``daemon-request`` spans.
-
-    Returns the request count and the latency spread -- the daemon
-    benchmark's warm-request headline.
-    """
-    spans = [s for s in tracer.all_spans() if s.name == "daemon-request"]
-    out: dict = {"requests": len(spans)}
-    if spans:
-        latencies = sorted(s.duration for s in spans)
-        out["latency_seconds"] = {
-            "min": round(latencies[0], 6),
-            "mean": round(sum(latencies) / len(latencies), 6),
-            "max": round(latencies[-1], 6),
-        }
-    return out
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:

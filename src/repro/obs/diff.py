@@ -30,20 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.history import BuildProfile, UnitProfile, _decision_culprit
+from repro.obs.history import BuildProfile, decision_entry
 
 
 def _changes_text(changes) -> str:
-    """Render a decision's pid changes compactly (dict or PidChange)."""
+    """Render a decision entry's pid changes compactly."""
     bits = []
     for change in changes:
-        if isinstance(change, dict):
-            unit = change.get("unit", "")
-            kind = change.get("kind", "changed")
-            old, new = change.get("old_pid", ""), change.get("new_pid", "")
-        else:
-            unit, kind = change.unit, change.kind
-            old, new = change.old_pid, change.new_pid
+        unit, kind = change["unit"], change["kind"]
+        old, new = change["old_pid"], change["new_pid"]
         if kind == "new-import":
             bits.append(f"{unit} (new import, pid {new})")
         elif kind == "dropped-import":
@@ -158,27 +153,27 @@ class ProfileDiff:
         }
 
 
-def _diff_unit(name: str, old: UnitProfile | None,
-               decision) -> UnitDiff:
+def _diff_unit(name: str, old: dict | None, new: dict | None) -> UnitDiff:
+    """Compare two :func:`~repro.obs.history.decision_entry` dicts."""
     diff = UnitDiff(unit=name, kind="unchanged")
     if old is not None:
-        diff.old_verdict = old.verdict
-        diff.old_cause = old.cause
-        diff.old_culprit = old.culprit
-        diff.old_changes = list(old.changes)
-    if decision is not None:
-        diff.new_verdict = decision.verdict
-        diff.new_cause = decision.cause
-        diff.new_culprit = _decision_culprit(decision)
-        diff.new_changes = [c.to_json() for c in decision.changes]
-    if old is None or not old.verdict:
+        diff.old_verdict = old["verdict"]
+        diff.old_cause = old["cause"]
+        diff.old_culprit = old["culprit"]
+        diff.old_changes = list(old["changes"])
+    if new is not None:
+        diff.new_verdict = new["verdict"]
+        diff.new_cause = new["cause"]
+        diff.new_culprit = new["culprit"]
+        diff.new_changes = list(new["changes"])
+    if not diff.old_verdict:
         diff.kind = "new-unit"
-    elif decision is None:
+    elif new is None:
         diff.kind = "dropped-unit"
-    elif (old.verdict != decision.verdict
-          or old.cause != decision.cause):
+    elif (diff.old_verdict != diff.new_verdict
+          or diff.old_cause != diff.new_cause):
         diff.kind = "decision-changed"
-    elif (old.cause == "import-pid-changed"
+    elif (diff.old_cause == "import-pid-changed"
           and diff.old_culprit != diff.new_culprit):
         diff.kind = "culprit-changed"
     return diff
@@ -198,6 +193,8 @@ def diff_against_profile(ledger,
     seen = set(names)
     names.extend(n for n in sorted(profile.units) if n not in seen)
     for name in names:
-        out.diffs[name] = _diff_unit(name, profile.unit(name),
-                                     ledger.get(name))
+        decision = ledger.get(name)
+        out.diffs[name] = _diff_unit(
+            name, profile.units.get(name),
+            decision_entry(decision) if decision is not None else None)
     return out

@@ -116,6 +116,17 @@ class TestCli:
         health = BinStore.fsck(bin_dir)
         assert health.ok and health.loaded == ["base"]
 
+    def test_trace_format_is_not_an_option(self, srcdir, tmp_path,
+                                           capsys):
+        """``--trace-out`` writes Chrome trace JSON only; there is no
+        format to choose."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([srcdir, "--trace-out", str(tmp_path / "t.json"),
+                  "--trace-format", "otlp"])
+        assert excinfo.value.code == 2
+        assert "--trace-format" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
+
 
 class TestCmFiles:
     def test_cm_file_build(self, tmp_path, capsys):
@@ -354,10 +365,7 @@ class TestQualifierFlags:
         (["--json"], "--fsck"),
         (["--quarantine"], "--fsck"),
         (["--strict"], "--analyze"),
-        (["--trace-format", "otlp"], "--trace-out"),
-        (["--trace-format", "chrome"], "--trace-out"),
-    ], ids=["json", "quarantine", "strict", "trace-format-otlp",
-            "trace-format-chrome"])
+    ], ids=["json", "quarantine", "strict"])
     def test_flag_without_the_flag_it_qualifies_is_a_usage_error(
             self, srcdir, capsys, flags, needed):
         """A flag that only qualifies another would be silently ignored
@@ -395,11 +403,9 @@ class TestServeFlags:
         (["--explain-diff"], "--explain-diff"),
         (["--trace"], "--trace"),
         (["--trace-out", "t.json"], "--trace-out"),
-        (["--trace-out", "t.json", "--trace-format", "otlp"],
-         "--trace-format"),
     ], ids=["print", "no-link", "stats", "analyze", "strict", "fsck",
             "json", "quarantine", "explain", "explain-diff", "trace",
-            "trace-out", "trace-format"])
+            "trace-out"])
     def test_batch_only_flag_is_refused(self, srcdir, capsys, monkeypatch,
                                         flags, named):
         self.feed(monkeypatch)

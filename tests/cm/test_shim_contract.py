@@ -11,7 +11,10 @@ attributes time by span nesting, so the build must keep these promises:
 - dependency analysis runs through ``repro.cm.base.analyze`` and parses
   through ``repro.cm.depend.parse_program``, and a new session parses
   only the sources edited since the last one (the others' summaries
-  come from their bin headers).
+  come from their bin headers);
+- each build writes its profile through one call of
+  ``repro.obs.history.BuildHistory.record`` (the ``obs.history.record``
+  layer; a workload in which a wrapped site never fires fails).
 """
 
 import json
@@ -95,3 +98,12 @@ def test_new_session_parses_only_edited_sources(tmp_path):
 
     write_units(project, {"b": "(* edited *)\n" + UNITS["b"]})
     assert analysis_parses(run_shim(tmp_path, project)) == 1
+
+
+def test_a_build_records_its_profile_once(tmp_path):
+    project = tmp_path / "proj"
+    write_units(project)
+    dump = run_shim(tmp_path, project)
+    assert dump["fired"]["repro.obs.history.BuildHistory.record"] == 1
+    assert [span[0] for span in dump["spans"]].count(
+        "obs.history.record") == 1

@@ -1,5 +1,7 @@
 """Unit tests for the SML lexer."""
 
+import sys
+
 import pytest
 
 from repro.lang.errors import LexError
@@ -44,6 +46,26 @@ class TestIntegers:
 
     def test_zero(self):
         assert values("0") == [0]
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)(),
+                        reason="this interpreter converts decimal "
+                               "strings of any length")
+    @pytest.mark.parametrize("text, line, col", [
+        ("val x = " + "1" * 5000, 1, 9),
+        ("val x =\n  ~" + "2" * 5000, 2, 3),
+        ("val w = 0w" + "3" * 5000, 1, 9),
+    ], ids=["decimal", "negated", "word"])
+    def test_decimal_past_the_int_string_limit(self, text, line, col):
+        # CPython refuses to convert longer decimal strings; the lexer
+        # reports it at the literal instead of raising ValueError.
+        with pytest.raises(LexError, match="integer literal too long") \
+                as excinfo:
+            tokenize(text)
+        assert (excinfo.value.line, excinfo.value.col) == (line, col)
+
+    def test_long_hex_literal_still_converts(self):
+        assert values("0x" + "f" * 5000) == [16 ** 5000 - 1]
 
 
 class TestReals:

@@ -14,6 +14,7 @@ import re
 import pytest
 
 from repro.cm.__main__ import main
+from repro.cm.faults import REAL_FS
 from repro.obs.diff import UnitDiff, diff_against_profile
 from repro.obs.history import BuildHistory
 from repro.obs.ledger import BuildDecision, ExplanationLedger
@@ -100,14 +101,10 @@ class TestDiffAPI:
         assert "first recorded build" in diff.render_text("a")
 
     def test_dropped_and_new_units(self, tmp_path):
-        history = BuildHistory(str(tmp_path))
         ledger = ExplanationLedger()
         ledger.record(self.decision("old", "recompiled", "store-miss"))
-        from repro.cm.report import BuildReport, UnitOutcome
-        from repro.obs.history import profile_from_report
-        report = BuildReport()
-        report.add(UnitOutcome(name="old", action="compiled"))
-        profile = profile_from_report(report, ledger=ledger)
+        profile = BuildHistory(str(tmp_path), "cutoff", REAL_FS).record(
+            ledger, None)
 
         after = ExplanationLedger()
         after.record(self.decision("new", "recompiled", "store-miss"))

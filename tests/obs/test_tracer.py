@@ -11,7 +11,6 @@ from repro.obs import (
     phase_rollup,
     span_coverage,
     worker_idle,
-    worker_occupancy,
 )
 
 
@@ -155,21 +154,34 @@ class TestAnalytics:
         assert roll["parse"] == {"count": 2, "seconds": 2.0}
 
     def test_worker_occupancy(self):
-        tr = Tracer(clock=FakeClock())
-        tr.complete_span("c", 100.0, 101.0, track="w1")
-        tr.complete_span("c", 101.0, 103.0, track="w1")
-        tr.complete_span("c", 100.0, 100.5, track="w2")
-        assert worker_occupancy(tr) == {"w1": 3.0, "w2": 0.5}
+        # Back-to-back compiles on one track add up, and tracks sum.
+        clock = FakeClock()
+        tr = Tracer(clock=clock)
+        with tr.span("build"):
+            clock.tick(4.0)
+        tr.complete_span("worker-compile", 100.0, 101.0, track="w1")
+        tr.complete_span("worker-compile", 101.0, 103.0, track="w1")
+        tr.complete_span("worker-compile", 100.0, 100.5, track="w2")
+        idle = worker_idle(tr, jobs=2)
+        assert idle["busy_seconds"] == 3.5
+        assert idle["occupancy"] == 0.4375
 
     def test_worker_occupancy_unions_overlapping_attempts(self):
         # A timed-out attempt and its retry can overlap on the same
         # track (the supervisor records abandoned attempts too): busy
         # time is the interval union, never more than wall clock.
-        tr = Tracer(clock=FakeClock())
-        tr.complete_span("c", 100.0, 104.0, track="sup")
-        tr.complete_span("c", 102.0, 106.0, track="sup")
-        tr.complete_span("c", 103.0, 105.0, track="sup")
-        assert worker_occupancy(tr) == {"sup": 6.0}
+        clock = FakeClock()
+        tr = Tracer(clock=clock)
+        with tr.span("build"):
+            clock.tick(8.0)
+        tr.complete_span("worker-compile", 100.0, 104.0, track="sup")
+        tr.complete_span("worker-compile", 102.0, 106.0, track="sup")
+        tr.complete_span("worker-compile", 103.0, 105.0, track="sup")
+        idle = worker_idle(tr, jobs=1)
+        assert idle["compiles"] == 3
+        assert idle["busy_seconds"] == 6.0
+        assert idle["idle_seconds"] == 2.0
+        assert idle["occupancy"] == 0.75
 
     def test_worker_idle_occupancy_never_exceeds_one(self):
         # Two fully-overlapping attempt spans on one track must not

@@ -10,12 +10,17 @@ Three claims, over arbitrary DAGs:
    imports -- and covers every unit exactly once.
 3. On random DAGs, a ready-set build produces the same final store
    bytes and export pids as a serial build.
+
+Alongside them, ``depend._topo_order`` (the serial build order) is
+checked against the quadratic definition it replaces: among the units
+whose in-graph imports are all placed, take the smallest name next.
 """
 
 import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cm import (
@@ -25,7 +30,7 @@ from repro.cm import (
     ReadySet,
     Supervisor,
 )
-from repro.cm.depend import _topo_order
+from repro.cm.depend import DependencyError, _topo_order, find_cycle
 from repro.workload import generate_workload, random_dag
 
 from tests.helpers import store_files
@@ -169,3 +174,53 @@ def test_ready_build_matches_serial_store_bytes(deps_by_index):
         assert ready == serial
     finally:
         shutil.rmtree(base, ignore_errors=True)
+
+
+def reference_order(names, deps):
+    """Smallest ready name first, rescanning every remaining unit after
+    each step.  Returns the order and the units left stuck (each mapped
+    to its stuck imports): empty unless there is a cycle."""
+    in_graph = set(names)
+    remaining = {n: {d for d in deps[n] if d in in_graph} for n in names}
+    order = []
+    while True:
+        ready = [n for n, gates in remaining.items() if not gates]
+        if not ready:
+            return order, remaining
+        node = min(ready)
+        order.append(node)
+        del remaining[node]
+        for gates in remaining.values():
+            gates.discard(node)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A random DAG under shuffled names, with imports outside the graph
+    and sometimes one extra edge that may close a cycle."""
+    shape = draw(dags)
+    n = len(shape)
+    labels = draw(st.permutations(range(n)))
+    names = [f"m{label:02d}" for label in labels]
+    deps = {names[k]: [names[d] for d in shape[k]] for k in range(n)}
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        deps[names[k]].append(f"lib{k}")  # a stable-library import
+    if n > 1 and draw(st.booleans()):
+        low, high = sorted(draw(st.lists(st.integers(0, n - 1),
+                                         min_size=2, max_size=2,
+                                         unique=True)))
+        deps[names[low]].append(names[high])
+    return names, deps
+
+
+@given(labelled_graphs())
+@settings(max_examples=300, deadline=None)
+def test_topo_order_is_smallest_ready_first(graph):
+    names, deps = graph
+    want, stuck = reference_order(names, deps)
+    if stuck:
+        with pytest.raises(DependencyError) as excinfo:
+            _topo_order(names, deps)
+        assert excinfo.value.cycle == find_cycle(stuck)
+    else:
+        assert _topo_order(names, deps) == want
