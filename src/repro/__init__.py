@@ -27,64 +27,36 @@ Quickstart::
     print(builder.build().summary())          # 2 compiled
     exports = builder.link()
     print(exports["app"].structures["App"].values["answer"])   # 42
+
+The names above load on first use: ``import repro`` imports none of the
+subsystems, and ``from repro import CutoffBuilder`` imports only what
+the builder needs (:mod:`repro._lazy`).  So a directory build never
+loads the daemon, the fault harness, the REPL or the workload
+generator.
 """
 
-from repro.basis import BASIS_PID, Basis, make_basis
-from repro.cm import (
-    BinRecord,
-    BinStore,
-    BuildReport,
-    CutoffBuilder,
-    DependencyError,
-    Group,
-    GroupBuilder,
-    Project,
-    SmartBuilder,
-    TimestampBuilder,
-)
-from repro.elab import ElabError
-from repro.interactive import REPL, VisibleCompiler
-from repro.lang import LexError, ParseError
-from repro.linker import LinkError, Linker, check_consistency
-from repro.pickle import PickleError, UnpickleError, dehydrate, rehydrate
-from repro.pids import crc128_hex, intrinsic_pid
-from repro.units import CompiledUnit, Session, compile_unit, execute_unit
-from repro.workload import generate_workload
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Basis",
-    "BASIS_PID",
-    "make_basis",
-    "Project",
-    "BinStore",
-    "BinRecord",
-    "BuildReport",
-    "CutoffBuilder",
-    "TimestampBuilder",
-    "SmartBuilder",
-    "Group",
-    "GroupBuilder",
-    "DependencyError",
-    "ElabError",
-    "LexError",
-    "ParseError",
-    "LinkError",
-    "Linker",
-    "check_consistency",
-    "PickleError",
-    "UnpickleError",
-    "dehydrate",
-    "rehydrate",
-    "crc128_hex",
-    "intrinsic_pid",
-    "CompiledUnit",
-    "Session",
-    "compile_unit",
-    "execute_unit",
-    "REPL",
-    "VisibleCompiler",
-    "generate_workload",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.basis": ("Basis", "BASIS_PID", "make_basis"),
+    "repro.cm": ("Project", "BinStore", "BinRecord", "BuildReport",
+                 "CutoffBuilder", "TimestampBuilder", "SmartBuilder",
+                 "Group", "GroupBuilder", "DependencyError"),
+    "repro.elab": ("ElabError",),
+    "repro.lang": ("LexError", "ParseError"),
+    "repro.linker": ("LinkError", "Linker", "check_consistency"),
+    "repro.pickle": ("PickleError", "UnpickleError", "dehydrate",
+                     "rehydrate"),
+    "repro.pids": ("crc128_hex", "intrinsic_pid"),
+    "repro.units": ("CompiledUnit", "Session", "compile_unit",
+                    "execute_unit"),
+    "repro.interactive": ("REPL", "VisibleCompiler"),
+    "repro.workload": ("generate_workload",),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

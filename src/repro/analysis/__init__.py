@@ -19,44 +19,25 @@ or programmatically::
         print(diag.render_text())
 
 Diagnostic codes are stable (``SC001``...); see the README's
-"Static analysis" section for the table.
+"Static analysis" section for the table.  Each name below loads on
+first use (:mod:`repro._lazy`).
 """
 
-from repro.analysis.cascade import CascadeReport, UnitRisk, cascade_report
-from repro.analysis.context import AnalysisConfig, AnalysisContext
-from repro.analysis.diagnostics import (SCHEMA, Diagnostic, Severity, Span,
-                                        render_json, render_text)
-from repro.analysis.registry import RULES, Rule, rule, run_rules
-from repro.analysis.runner import AnalysisResult, analyze_project
-from repro.analysis.scopes import (ModuleBind, ModuleRef, ScanResult,
-                                   UseDefAnalysis, binding_key,
-                                   scan_module_refs, split_binding_key,
-                                   uses_from_mentions)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA",
-    "AnalysisConfig",
-    "AnalysisContext",
-    "AnalysisResult",
-    "CascadeReport",
-    "Diagnostic",
-    "ModuleBind",
-    "ModuleRef",
-    "RULES",
-    "Rule",
-    "ScanResult",
-    "Severity",
-    "Span",
-    "UnitRisk",
-    "UseDefAnalysis",
-    "analyze_project",
-    "binding_key",
-    "cascade_report",
-    "render_json",
-    "render_text",
-    "rule",
-    "run_rules",
-    "scan_module_refs",
-    "split_binding_key",
-    "uses_from_mentions",
-]
+_EXPORTS = {
+    "repro.analysis.cascade": ("CascadeReport", "UnitRisk", "cascade_report"),
+    "repro.analysis.context": ("AnalysisConfig", "AnalysisContext"),
+    "repro.analysis.diagnostics": ("SCHEMA", "Diagnostic", "Severity", "Span",
+                                   "render_json", "render_text"),
+    "repro.analysis.registry": ("RULES", "Rule", "rule", "run_rules"),
+    "repro.analysis.runner": ("AnalysisResult", "analyze_project"),
+    "repro.analysis.scopes": ("ModuleBind", "ModuleRef", "ScanResult",
+                              "UseDefAnalysis", "binding_key",
+                              "scan_module_refs", "split_binding_key",
+                              "uses_from_mentions"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,10 +26,11 @@ by :func:`repro.cm.depend.analyze`.
 unit, the set of exported module-level bindings (the *def* set) and the
 set of ``(import_unit, binding)`` pairs the unit references (the *use*
 set) -- conservatively (the dependency analyzer's view, via
-:func:`uses_from_mentions`, which :func:`repro.cm.depend.analyze` shares)
-and precisely (only escaping references).  The build's per-binding
-cutoff and smlint's SC001/SC006 rules both consume it, so "what does
-this unit actually use?" has exactly one answer in the system.
+:func:`~repro.lang.freevars.uses_from_mentions`, which
+:func:`repro.cm.depend.analyze` shares) and precisely (only escaping
+references).  The build's per-binding cutoff and smlint's SC001/SC006
+rules both consume it, so "what does this unit actually use?" has
+exactly one answer in the system.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.lang import ast
-from repro.lang.freevars import (MODULE_NAMESPACES, Mentions,
-                                 binding_key, defined_module_names,
-                                 module_level_mentions, split_binding_key)
+from repro.lang.freevars import (  # noqa: F401  (re-exported)
+    MODULE_NAMESPACES, Mentions, binding_key, defined_module_names,
+    module_level_mentions, split_binding_key, uses_from_mentions)
 
 
 @dataclass(frozen=True)
@@ -284,29 +285,6 @@ class _Scanner:
 
 
 # -- use/def sets --------------------------------------------------------
-
-
-def uses_from_mentions(mentions: Mentions, providers: dict[str, str],
-                       self_name: str) -> dict[str, set[str]]:
-    """The conservative use-set: provider unit -> the binding keys of
-    ``providers`` that ``mentions`` references.
-
-    ``providers`` maps a module-level name to its defining unit (the
-    dependency analyzer's provider table); mentions resolving to
-    ``self_name`` are dropped (a unit does not use itself).  This is THE
-    use-set computation: :func:`repro.cm.depend.analyze` derives both
-    the dependency edges and ``DepGraph.uses`` from it, and
-    :class:`UseDefAnalysis` re-exposes it to the lint rules, so the
-    build and the analyzer can never disagree about what a unit uses.
-    """
-    uses: dict[str, set[str]] = {}
-    for ns in MODULE_NAMESPACES:
-        for module_name in getattr(mentions, ns):
-            provider = providers.get(module_name)
-            if provider is not None and provider != self_name:
-                uses.setdefault(provider, set()).add(
-                    binding_key(ns, module_name))
-    return uses
 
 
 class UseDefAnalysis:

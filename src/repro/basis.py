@@ -2,10 +2,11 @@
 
 Like SML/NJ, most of the pervasive environment is written in the source
 language and *bootstrapped through the compiler itself* -- every session
-begins by parsing, elaborating, and evaluating :data:`PRELUDE`.  The
-result is a :class:`Basis` pairing a static environment with the matching
-dynamic environment; compilation units are compiled and executed relative
-to it.
+begins by parsing and elaborating :data:`PRELUDE`, and the first run of
+any code evaluates it.  The result is a :class:`Basis` pairing a static
+environment with the matching dynamic environment; compilation units are
+compiled and executed relative to it.  Compiling needs only the static
+half, so a build that does not link never loads the evaluator.
 
 The basis plays the role of the paper's "pervasive" unit: its stamps are
 owned by the pseudo-pid ``BASIS_PID`` so that dehydration can stub
@@ -14,13 +15,17 @@ references to pervasive objects.
 
 from __future__ import annotations
 
-from repro.dynamic.builtins import primitive_dynenv
-from repro.dynamic.evaluate import eval_decs
-from repro.dynamic.values import DynEnv
+import threading
+from typing import TYPE_CHECKING
+
 from repro.elab.topdec import elaborate_decs
+from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.semant import prim
 from repro.semant.env import Env, stamp_index
+
+if TYPE_CHECKING:  # the dynamic semantics load on the first run
+    from repro.dynamic.values import DynEnv
 
 #: The reserved pid (hex digest string) of the pervasive basis.
 BASIS_PID = "0" * 32
@@ -221,17 +226,40 @@ class Basis:
 
     Attributes:
         static_env: layered static environment (primitives + prelude).
-        dyn_env: the matching dynamic environment.
+        dyn_env: the matching dynamic environment, built on first read
+            (compiling never reads it).
         owned_stamp_ids: stamps owned by the basis pseudo-unit.
         stamp_idx: stamp id -> semantic object, for rehydration.
     """
 
-    def __init__(self, static_env: Env, dyn_env: DynEnv,
-                 owned_stamp_ids: set[int]):
+    def __init__(self, static_env: Env, owned_stamp_ids: set[int],
+                 prelude: list[ast.Dec], print_sink=None):
         self.static_env = static_env
-        self.dyn_env = dyn_env
         self.owned_stamp_ids = owned_stamp_ids
         self.stamp_idx = stamp_index(static_env)
+        #: The elaborated prelude and the primitives' print sink, which
+        #: the first read of :attr:`dyn_env` evaluates.
+        self._prelude = prelude
+        self._print_sink = print_sink
+        self._dyn_env: DynEnv | None = None
+        self._dyn_lock = threading.Lock()
+
+    @property
+    def dyn_env(self) -> DynEnv:
+        """The primitive dynamic environment with the prelude evaluated
+        into a child frame.  Built once, by the first reader (under a
+        lock, so two threads get the same one): every read returns that
+        environment."""
+        if self._dyn_env is None:
+            with self._dyn_lock:
+                if self._dyn_env is None:
+                    from repro.dynamic.builtins import primitive_dynenv
+                    from repro.dynamic.evaluate import eval_decs
+
+                    env = primitive_dynenv(self._print_sink).child()
+                    eval_decs(self._prelude, env)
+                    self._dyn_env = env
+        return self._dyn_env
 
     def child_envs(self) -> tuple[Env, DynEnv]:
         """Fresh frames layered on the basis, for a client session."""
@@ -246,19 +274,17 @@ def make_basis(print_sink=None, fresh: bool = False) -> Basis:
 
     The basis is deterministic and shared across the process by default;
     ``fresh=True`` forces a rebuild (used by tests that replace the print
-    sink).
+    sink).  Only the static half is built here: the prelude is parsed and
+    elaborated now and evaluated when :attr:`Basis.dyn_env` is first
+    read.
     """
     global _CACHED
     if _CACHED is not None and not fresh and print_sink is None:
         return _CACHED
 
     static_env = prim.primitive_static_env()
-    dyn_env = primitive_dynenv(print_sink)
-
     decs = parse_program(PRELUDE)
     prelude_static, elaborator = elaborate_decs(decs, static_env)
-    prelude_dyn = dyn_env.child()
-    eval_decs(decs, prelude_dyn)
 
     full_static = prelude_static.atop(static_env)
     owned = set(elaborator.new_stamps)
@@ -269,7 +295,7 @@ def make_basis(print_sink=None, fresh: bool = False) -> Basis:
     owned.update(
         struct.stamp.id for struct in prim.primitive_structures().values()
     )
-    basis = Basis(full_static, prelude_dyn, owned)
+    basis = Basis(full_static, owned, decs, print_sink)
     if print_sink is None and not fresh:
         _CACHED = basis
     return basis

@@ -16,82 +16,36 @@ Three builders implement the recompilation spectrum the paper discusses:
 - :class:`repro.cm.smart.SmartBuilder` -- Tichy-style smart
   recompilation at per-exported-name granularity, the upper bound the
   paper positions cutoff against.
+
+Each name below loads on first use (:mod:`repro._lazy`): a directory
+build imports the builders and the store, never the daemon, the remote
+store client, the pool or the fault harness.
 """
 
-from repro.cm.project import Project
-from repro.cm.depend import DependencyError, DepGraph, analyze
-from repro.cm.backend import DirectoryBackend, StoreBackend
-from repro.cm.store import (
-    BinRecord,
-    BinStore,
-    CorruptRecord,
-    SaveStats,
-    StoreError,
-    StoreFullError,
-    StoreHealthReport,
-    StoreLockedError,
-)
-from repro.cm.remote import (
-    RemoteBackend,
-    StoreServer,
-    register_loopback,
-    serve_socket,
-    unregister_loopback,
-)
-from repro.cm.report import BuildReport, UnitOutcome
-from repro.cm.make import TimestampBuilder
-from repro.cm.manager import CutoffBuilder
-from repro.cm.smart import SmartBuilder
-from repro.cm.parallel import ParallelBuildError, ReadySet
-from repro.cm.supervise import SupervisePolicy, Supervisor
-from repro.cm.daemon import (
-    BuildDaemon,
-    DaemonError,
-    DaemonReply,
-    serve,
-)
-from repro.cm.group import Group, GroupBuilder
-from repro.cm.descfile import DescFileError, load_group_file
-from repro.cm.stable import StableArchiveError, parse_archive, stabilize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Project",
-    "DepGraph",
-    "DependencyError",
-    "analyze",
-    "BinRecord",
-    "BinStore",
-    "StoreBackend",
-    "DirectoryBackend",
-    "RemoteBackend",
-    "StoreServer",
-    "register_loopback",
-    "unregister_loopback",
-    "serve_socket",
-    "CorruptRecord",
-    "SaveStats",
-    "StoreError",
-    "StoreFullError",
-    "StoreHealthReport",
-    "StoreLockedError",
-    "BuildReport",
-    "UnitOutcome",
-    "TimestampBuilder",
-    "CutoffBuilder",
-    "SmartBuilder",
-    "ParallelBuildError",
-    "ReadySet",
-    "SupervisePolicy",
-    "Supervisor",
-    "BuildDaemon",
-    "DaemonError",
-    "DaemonReply",
-    "serve",
-    "Group",
-    "GroupBuilder",
-    "DescFileError",
-    "load_group_file",
-    "StableArchiveError",
-    "stabilize",
-    "parse_archive",
-]
+_EXPORTS = {
+    "repro.cm.project": ("Project",),
+    "repro.cm.depend": ("DepGraph", "DependencyError", "analyze"),
+    "repro.cm.backend": ("StoreBackend", "DirectoryBackend"),
+    "repro.cm.store": ("BinRecord", "BinStore", "CorruptRecord",
+                       "SaveStats", "StoreError", "StoreFullError",
+                       "StoreHealthReport", "StoreLockedError"),
+    "repro.cm.remote": ("RemoteBackend", "StoreServer", "register_loopback",
+                        "unregister_loopback", "serve_socket"),
+    "repro.cm.report": ("BuildReport", "UnitOutcome"),
+    "repro.cm.make": ("TimestampBuilder",),
+    "repro.cm.manager": ("CutoffBuilder",),
+    "repro.cm.smart": ("SmartBuilder",),
+    "repro.cm.parallel": ("ParallelBuildError", "ReadySet"),
+    "repro.cm.supervise": ("SupervisePolicy", "Supervisor"),
+    "repro.cm.daemon": ("BuildDaemon", "DaemonError", "DaemonReply",
+                        "serve"),
+    "repro.cm.group": ("Group", "GroupBuilder"),
+    "repro.cm.descfile": ("DescFileError", "load_group_file"),
+    "repro.cm.stable": ("StableArchiveError", "stabilize", "parse_archive"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -74,11 +74,15 @@ import argparse
 import os
 import sys
 
-from repro.cm import BinStore, Project, StoreError, StoreLockedError
 from repro.cm.backend import configured_backend
-from repro.cm.daemon import MANAGERS
-from repro.cm.remote import transport_for_url
-from repro.dynamic.values import format_value
+from repro.cm.manager import MANAGERS
+from repro.cm.project import Project
+from repro.cm.store import BinStore, StoreError, StoreLockedError
+
+# Everything else -- the daemon, the remote store client, the
+# supervisor, tracing, the profile diff, the analyzer, ``.cm`` groups and
+# the value printer -- is imported on the branch that uses it, so a
+# directory build loads only what it runs.
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.store_url:
+        from repro.cm.remote import transport_for_url
         try:
             transport_for_url(args.store_url)  # parses; connects to nothing
         except StoreError as err:
@@ -327,6 +332,8 @@ def _print_binding(path, exports) -> int:
     exit code (0 also when no path was asked for)."""
     if not path:
         return 0
+    from repro.dynamic.values import format_value
+
     try:
         struct_name, member = path.split(".", 1)
     except ValueError:

@@ -26,7 +26,7 @@ opaque blobs here.  Verification (checksums, digests, manifest
 reconciliation) stays in :class:`~repro.cm.store.BinStore`, so every
 backend inherits the PR 2 damage taxonomy by construction.  The
 directory backend routes all IO through the
-:class:`repro.cm.faults.FileSystem` seam, so the crash/ENOSPC/
+:class:`repro.cm.seam.FileSystem` seam, so the crash/ENOSPC/
 interleaving fault harnesses drive it, and the remote backend's cache,
 unchanged.
 """
@@ -38,7 +38,7 @@ import json
 import os
 import time
 
-from repro.cm.faults import REAL_FS, FileSystem
+from repro.cm.seam import REAL_FS, FileSystem
 from repro.obs.history import PROFILE_DIR
 
 #: On-disk header format version; bump when the pickle registry or the

@@ -8,7 +8,6 @@ from repro.cm.depend import DepGraph, analyze, memo_summary
 from repro.cm.project import Project
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import BinRecord, BinStore
-from repro.linker.link import Linker
 from repro.obs.ledger import ExplanationLedger, explain_decision
 from repro.obs.meter import NULL_METER, BuildMeter
 from repro.pickle import UnresolvedStubError
@@ -109,8 +108,6 @@ class BaseBuilder:
             if self._stable_pending:
                 with meter.span("stable-load", cat="build"):
                     self._load_pending_stables(report)
-            else:
-                self._load_pending_stables(report)
             with meter.span("analyze", cat="build"):
                 graph = self.analyze()
             for name in graph.order:
@@ -146,6 +143,8 @@ class BaseBuilder:
         providers -- the build falls back to compiling them from sources
         when the project has them.
         """
+        if not self._stable_pending:
+            return
         from repro.cm.stable import StableArchiveError, parse_archive
 
         for blob in self._stable_pending:
@@ -543,8 +542,12 @@ class BaseBuilder:
         """Type-safe link + execute of all live units (stable libraries
         first) in dependency order.  Each unit is decoded as it runs;
         one whose payload fails to decode is mended first."""
+        # The linker brings the dynamic semantics: a build that does not
+        # link never loads them.
+        from repro.linker.link import MendingLinker
+
         graph = self.last_graph if self.last_graph is not None else self.analyze()
-        linker = _MendingLinker(self)
+        linker = MendingLinker(self)
         ordered = [self.units[name] for name in self._stable_order]
         ordered.extend(self.units[name] for name in graph.order)
         with self.meter.span("link", cat="build", units=len(ordered)):
@@ -553,16 +556,3 @@ class BaseBuilder:
     def build_and_run(self) -> tuple[BuildReport, dict[str, DynExport]]:
         report = self.build()
         return report, self.link()
-
-
-class _MendingLinker(Linker):
-    """The linker over a builder's live units: each unit runs as
-    :meth:`BaseBuilder.decoded` gives it, mended if its payload failed
-    to decode."""
-
-    def __init__(self, builder: BaseBuilder):
-        super().__init__(builder.session)
-        self.builder = builder
-
-    def execute(self, unit: CompiledUnit) -> DynExport:
-        return super().execute(self.builder.decoded(unit.name))

@@ -21,7 +21,7 @@ all of that warm across requests:
   server fronted by that directory as a write-through cache.
 - **Incremental refresh.**  Sources are re-read only when their
   ``(mtime_ns, size)`` signature moved
-  (:meth:`~repro.cm.faults.FileSystem.stat_signature`); the store is
+  (:meth:`~repro.cm.seam.FileSystem.stat_signature`); the store is
   reloaded only when its on-disk
   :meth:`~repro.cm.store.BinStore.disk_signature` moved (another
   process wrote it).  A *touch* -- new mtime, identical text -- leaves
@@ -66,24 +66,15 @@ from dataclasses import dataclass, field
 
 from repro.cm.backend import configured_backend
 from repro.cm.base import BaseBuilder
-from repro.cm.manager import CutoffBuilder
-from repro.cm.make import TimestampBuilder
+from repro.cm.manager import MANAGERS
 from repro.cm.parallel import make_executor
 from repro.cm.project import Project
 from repro.cm.report import BuildReport
-from repro.cm.smart import SmartBuilder
 from repro.cm.store import BinStore
 from repro.cm.supervise import SupervisePolicy, Supervisor
 from repro.obs.diff import diff_against_profile
 from repro.obs.history import BuildHistory, BuildProfile
 from repro.obs.meter import CounterMeter
-
-#: The manager table the CLI and the daemon share.
-MANAGERS = {
-    "cutoff": CutoffBuilder,
-    "make": TimestampBuilder,
-    "smart": SmartBuilder,
-}
 
 #: Wire-protocol version spoken by :func:`serve` (bumped on any
 #: incompatible change to the request/response shapes).

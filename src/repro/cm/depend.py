@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.lang import ast
 from repro.lang.freevars import (MODULE_NAMESPACES, Mentions, binding_key,
                                  defined_module_names, module_level_mentions,
-                                 split_binding_key)
+                                 split_binding_key, uses_from_mentions)
 from repro.lang.parser import parse_program
 from repro.cm.project import Project
 from repro.units.pipeline import source_digest
@@ -213,10 +213,6 @@ def analyze(project: Project, restrict: list[str] | None = None,
             from ``cache`` whose source digest equals its record's takes
             the summary from the record header instead of being parsed.
     """
-    # Imported lazily: repro.analysis.context imports this module, so a
-    # top-level import of the analysis package would be circular.
-    from repro.analysis.scopes import uses_from_mentions
-
     names = restrict if restrict is not None else project.names()
     graph = DepGraph()
 

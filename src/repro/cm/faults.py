@@ -1,8 +1,10 @@
 """Fault injection for the bin-file store.
 
 The store never touches the OS directly; every disk access goes through
-a :class:`FileSystem` seam.  Production code uses :data:`REAL_FS`; the
-fault-injection tests swap in a :class:`FaultyFS` driven by a
+a :class:`FileSystem` seam.  The seam is production code and lives in
+:mod:`repro.cm.seam`, with :data:`REAL_FS` and the transport errors;
+this module re-exports those names, and no production module imports
+it.  The fault-injection tests swap in a :class:`FaultyFS` driven by a
 deterministic :class:`FaultPlan` that simulates a process dying at an
 exact point of a save -- crash *before* the N-th mutating call,
 optionally tearing that write in half first.  Once "dead", every later
@@ -69,91 +71,16 @@ from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 from repro.cm import parallel
+from repro.cm.seam import (
+    REAL_FS,
+    FileSystem,
+    TransportError,
+    TransportTimeout,
+)
 
 
 class InjectedCrash(Exception):
     """Simulated process death during a filesystem operation."""
-
-
-class FileSystem:
-    """The store's I/O seam; this implementation is the real filesystem."""
-
-    def read_bytes(self, path: str) -> bytes:
-        with open(path, "rb") as f:
-            return f.read()
-
-    def write_bytes(self, path: str, data: bytes) -> None:
-        with open(path, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
-    def exists(self, path: str) -> bool:
-        return os.path.exists(path)
-
-    def isdir(self, path: str) -> bool:
-        return os.path.isdir(path)
-
-    def listdir(self, path: str) -> list[str]:
-        return sorted(os.listdir(path))
-
-    def remove(self, path: str) -> None:
-        try:
-            os.remove(path)
-        except FileNotFoundError:
-            pass
-
-    def makedirs(self, path: str) -> None:
-        os.makedirs(path, exist_ok=True)
-
-    def create_exclusive(self, path: str, data: bytes) -> bool:
-        """Create ``path`` holding ``data`` iff it does not already
-        exist; the creation itself is atomic (O_CREAT | O_EXCL)."""
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
-        return True
-
-    def release_lock(self, path: str) -> None:
-        self.remove(path)
-
-    def stat_signature(self, path: str) -> tuple | None:
-        """A cheap change probe: ``(mtime_ns, size)`` of ``path``, or
-        None when it is absent/unreadable.  Two equal signatures mean
-        the file has (almost certainly) not changed; the build daemon
-        uses this to refresh sources and the store incrementally
-        instead of re-reading everything per request."""
-        try:
-            st = os.stat(path)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    def pid_alive(self, pid: int) -> bool:
-        """Is a process with this pid running?  Non-positive and
-        out-of-range pids are never alive (and never signalled)."""
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:
-            return True
-        except (OverflowError, ValueError):
-            return False
-        return True
-
-
-REAL_FS = FileSystem()
 
 
 @dataclass
@@ -617,18 +544,6 @@ def fault_seed(default: int = 0) -> int:
 
 
 # -- the network seam ----------------------------------------------------
-
-
-class TransportError(Exception):
-    """A remote-store request failed at the transport layer: the
-    connection dropped, the response frame was truncated, or its
-    integrity check failed.  The remote backend converts every one of
-    these into *offline-and-local-miss* -- a build never sees this
-    exception (see :mod:`repro.cm.remote`)."""
-
-
-class TransportTimeout(TransportError):
-    """A remote-store request exceeded its deadline."""
 
 
 @dataclass

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from repro.cm.base import BaseBuilder
 from repro.cm.depend import DepGraph
+from repro.cm.make import TimestampBuilder
+from repro.cm.smart import SmartBuilder
 from repro.cm.store import BinRecord
 from repro.units.unit import CompiledUnit
 
@@ -42,3 +44,11 @@ class CutoffBuilder(BaseBuilder):
         if self.is_live_and_current(name, record):
             return "cached", ""
         return "load", ""
+
+
+#: The manager table the CLI and the daemon share (``--manager``).
+MANAGERS = {
+    "cutoff": CutoffBuilder,
+    "make": TimestampBuilder,
+    "smart": SmartBuilder,
+}

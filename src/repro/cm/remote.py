@@ -13,7 +13,7 @@ some other client compiled.  This module supplies the three pieces:
   (tests, benchmarks); :class:`SocketTransport` speaks the same framed
   protocol over TCP (``rbs://host:port``).  Every frame carries a
   CRC-128, so a truncated or garbled response is a
-  :class:`~repro.cm.faults.TransportError` at the codec, never garbage
+  :class:`~repro.cm.seam.TransportError` at the codec, never garbage
   handed to the store.
 - :class:`RemoteBackend` -- the client: a
   :class:`~repro.cm.backend.StoreBackend` fronting the server with a
@@ -62,7 +62,7 @@ from repro.cm.backend import (
     encode_manifest,
     parse_manifest,
 )
-from repro.cm.faults import (
+from repro.cm.seam import (
     REAL_FS,
     FileSystem,
     TransportError,
@@ -98,7 +98,7 @@ def encode_frame(meta: dict, blob: bytes = b"") -> bytes:
 
 def decode_frame(data: bytes) -> tuple[dict, bytes]:
     """Inverse of :func:`encode_frame` (the blob comes back
-    decompressed); raises :class:`~repro.cm.faults.TransportError` on
+    decompressed); raises :class:`~repro.cm.seam.TransportError` on
     any framing, integrity or compression failure."""
     if len(data) < len(_MAGIC) + 4 + 4 + 32:
         raise TransportError("short frame")

@@ -43,7 +43,7 @@ every kind of damage is detected and named:
   ``../x`` cannot escape the store directory); the real name rides in
   the header and is round-tripped on load.
 
-All disk access goes through the :class:`repro.cm.faults.FileSystem`
+All disk access goes through the :class:`repro.cm.seam.FileSystem`
 seam, so the fault-injection harness can kill a save at every possible
 point -- against any backend -- and prove recovery.
 """
@@ -76,7 +76,7 @@ from repro.cm.backend import (  # noqa: F401  (re-exported surface)
 )
 from repro.cm.backend import record_stem as _record_stem
 from repro.cm.depend import DepSummary
-from repro.cm.faults import REAL_FS, FileSystem
+from repro.cm.seam import REAL_FS, FileSystem
 from repro.digest import content_digest
 from repro.obs.meter import NULL_METER, BuildMeter
 

@@ -8,7 +8,8 @@ Two clients:
   compilation context into the bin file (see DESIGN.md).
 - The compilation manager's dependency analyzer
   (:mod:`repro.cm.depend`) finds which other units a source file
-  mentions.
+  mentions, and which of their bindings (:func:`uses_from_mentions`,
+  shared with the static analyzer).
 
 The analysis is deliberately *conservative*: it collects every name
 mentioned in a reference position, without subtracting locally-bound
@@ -65,6 +66,30 @@ class Mentions:
         """The module-namespace slices as a dict (see
         :data:`MODULE_NAMESPACES`)."""
         return {ns: getattr(self, ns) for ns in MODULE_NAMESPACES}
+
+
+def uses_from_mentions(mentions: Mentions, providers: dict[str, str],
+                       self_name: str) -> dict[str, set[str]]:
+    """The conservative use-set: provider unit -> the binding keys of
+    ``providers`` that ``mentions`` references.
+
+    ``providers`` maps a module-level name to its defining unit (the
+    dependency analyzer's provider table); mentions resolving to
+    ``self_name`` are dropped (a unit does not use itself).  This is THE
+    use-set computation: :func:`repro.cm.depend.analyze` derives both
+    the dependency edges and ``DepGraph.uses`` from it, and
+    :class:`~repro.analysis.scopes.UseDefAnalysis` re-exposes it to the
+    lint rules, so the build and the analyzer can never disagree about
+    what a unit uses.
+    """
+    uses: dict[str, set[str]] = {}
+    for ns in MODULE_NAMESPACES:
+        for module_name in getattr(mentions, ns):
+            provider = providers.get(module_name)
+            if provider is not None and provider != self_name:
+                uses.setdefault(provider, set()).add(
+                    binding_key(ns, module_name))
+    return uses
 
 
 def _mention_path(out: Mentions, path: ast.Path, namespace: str) -> None:

@@ -74,3 +74,17 @@ class Linker:
         export = execute_unit(unit, dyn_imports, self.session)
         self.dyn_exports[unit.name] = export
         return export
+
+
+class MendingLinker(Linker):
+    """The linker over a builder's live units, which may still be
+    header-backed: each unit runs as the builder's ``decoded(name)``
+    gives it (:meth:`repro.cm.base.BaseBuilder.decoded`), decoded, and
+    mended first if its payload failed to decode."""
+
+    def __init__(self, builder):
+        super().__init__(builder.session)
+        self.builder = builder
+
+    def execute(self, unit: CompiledUnit) -> DynExport:
+        return super().execute(self.builder.decoded(unit.name))

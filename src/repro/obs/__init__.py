@@ -28,51 +28,25 @@ Across builds, :mod:`repro.obs.history` keeps one
 :mod:`repro.obs.diff` structurally compares the current ledger against
 it (``--explain-diff``: "why did this unit rebuild today but not
 yesterday").
+
+Each name below loads on first use (:mod:`repro._lazy`), so an
+untraced build never imports the tracer or the diff.
 """
 
-from repro.obs.meter import (
-    NULL_METER,
-    BuildMeter,
-    CounterMeter,
-    NullMeter,
-    NullSpan,
-)
-from repro.obs.tracer import Span, Tracer
-from repro.obs.ledger import (
-    BuildDecision,
-    ExplanationLedger,
-    PidChange,
-    explain_decision,
-)
-from repro.obs.critical import (
-    critical_path,
-    phase_rollup,
-    span_coverage,
-    worker_idle,
-)
-from repro.obs.history import BuildHistory, BuildProfile, decision_entry
-from repro.obs.diff import ProfileDiff, UnitDiff, diff_against_profile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BuildMeter",
-    "NullMeter",
-    "NullSpan",
-    "NULL_METER",
-    "CounterMeter",
-    "Tracer",
-    "Span",
-    "BuildDecision",
-    "PidChange",
-    "ExplanationLedger",
-    "explain_decision",
-    "critical_path",
-    "phase_rollup",
-    "span_coverage",
-    "worker_idle",
-    "BuildHistory",
-    "BuildProfile",
-    "decision_entry",
-    "ProfileDiff",
-    "UnitDiff",
-    "diff_against_profile",
-]
+_EXPORTS = {
+    "repro.obs.meter": ("BuildMeter", "NullMeter", "NullSpan", "NULL_METER",
+                        "CounterMeter"),
+    "repro.obs.tracer": ("Tracer", "Span"),
+    "repro.obs.ledger": ("BuildDecision", "PidChange", "ExplanationLedger",
+                         "explain_decision"),
+    "repro.obs.critical": ("critical_path", "phase_rollup", "span_coverage",
+                           "worker_idle"),
+    "repro.obs.history": ("BuildHistory", "BuildProfile", "decision_entry"),
+    "repro.obs.diff": ("ProfileDiff", "UnitDiff", "diff_against_profile"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

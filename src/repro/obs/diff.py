@@ -22,8 +22,8 @@ a typed :class:`UnitDiff` per unit:
   the builds.
 
 ``python -m repro.cm --explain-diff [unit]`` renders this; the daemon
-answers an ``explain-diff`` request with the same text against its
-warm prior profile.
+answers an ``explain-diff`` request with the same text, against the
+profile its manager's last build left on disk.
 """
 
 from __future__ import annotations
@@ -92,18 +92,6 @@ class UnitDiff:
             text += f" -- {_changes_text(self.new_changes)}"
         return text
 
-    def to_json(self) -> dict:
-        return {
-            "unit": self.unit,
-            "kind": self.kind,
-            "old": {"verdict": self.old_verdict, "cause": self.old_cause,
-                    "culprit": self.old_culprit,
-                    "changes": list(self.old_changes)},
-            "new": {"verdict": self.new_verdict, "cause": self.new_cause,
-                    "culprit": self.new_culprit,
-                    "changes": list(self.new_changes)},
-        }
-
 
 @dataclass
 class ProfileDiff:
@@ -143,14 +131,6 @@ class ProfileDiff:
         lines.append(f"  changed: {len(self.changed())} of "
                      f"{len(self.diffs)} unit(s)")
         return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {
-            "prior_seq": self.prior.seq if self.prior else None,
-            "units": {u: d.to_json()
-                      for u, d in sorted(self.diffs.items())},
-            "changed": sorted(d.unit for d in self.changed()),
-        }
 
 
 def _diff_unit(name: str, old: dict | None, new: dict | None) -> UnitDiff:

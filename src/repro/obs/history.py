@@ -14,8 +14,8 @@ A profile holds what that diff reads and nothing else: the profile
 decision -- ``verdict``, ``cause``, ``culprit`` and pid ``changes``.
 It lives in ``<bin_dir>/profiles/<manager>.json``, written atomically
 (tmp file, then rename) through the store's filesystem seam (any object
-shaped like :class:`repro.cm.faults.FileSystem`; this module never
-imports ``repro.cm``, which imports ``repro.obs``).  IO is best-effort:
+shaped like :class:`repro.cm.seam.FileSystem`; this module never
+imports ``repro.cm``, whose store backend imports it).  IO is best-effort:
 a torn, unreadable or wrong-format profile reads as absent, and a
 profile that cannot be written costs history, never the build.
 """

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 
-from repro.dynamic.evaluate import eval_decs
 from repro.lang.parser import parse_program
 from repro.elab.topdec import elaborate_decs
 from repro.obs.meter import NULL_METER, BuildMeter
@@ -139,6 +138,9 @@ def execute_unit(
     into a fresh frame over the basis dynamic environment, the code runs,
     and the unit's own top-level bindings are its export vector.
     """
+    # Only running a unit needs the evaluator; compiling never loads it.
+    from repro.dynamic.evaluate import eval_decs
+
     t0 = time.perf_counter()
     env = session.basis.dyn_env.child()
     for dyn in dyn_imports:

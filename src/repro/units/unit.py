@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.dynamic.values import DynEnv, VFunctor, VStruct
 from repro.lang import ast
 from repro.pickle.pickler import Unpickler, UnpickleError
 from repro.semant.env import Env
+
+if TYPE_CHECKING:  # the dynamic semantics load only to run a unit
+    from repro.dynamic.values import DynEnv, VFunctor, VStruct
 
 
 @dataclass

@@ -14,7 +14,13 @@ attributes time by span nesting, so the build must keep these promises:
   come from their bin headers);
 - each build writes its profile through one call of
   ``repro.obs.history.BuildHistory.record`` (the ``obs.history.record``
-  layer; a workload in which a wrapped site never fires fails).
+  layer; a workload in which a wrapped site never fires fails);
+- a ``cli-session`` request -- a one-edit serial ``--no-link`` rebuild
+  in a new process -- fires every wrapped site that
+  ``bench.workloads.CliSession.bypassed`` does not list.  The shim
+  patches names bound at module level (``base.compile_unit``,
+  ``pipeline.parse_program``, ...); a call that moved behind a
+  function-level import would detach its wrapper.
 """
 
 import json
@@ -107,3 +113,17 @@ def test_a_build_records_its_profile_once(tmp_path):
     assert dump["fired"]["repro.obs.history.BuildHistory.record"] == 1
     assert [span[0] for span in dump["spans"]].count(
         "obs.history.record") == 1
+
+
+def test_one_edit_rebuild_fires_every_cli_session_site(tmp_path):
+    from bench.workloads import CliSession
+
+    project = tmp_path / "proj"
+    write_units(project)
+    run_shim(tmp_path, project)
+    write_units(project, {"b": UNITS["b"].replace("+ 1", "+ 3")})
+    dump = run_shim(tmp_path, project)
+    fired = dump["fired"]
+    assert fired
+    assert sorted(site for site, count in fired.items()
+                  if not count and site not in CliSession.bypassed) == []

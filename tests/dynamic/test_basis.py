@@ -1,8 +1,11 @@
 """The initial basis: the SML-written prelude, bootstrapped through the
 compiler itself."""
 
+import threading
+
 import pytest
 
+from repro.basis import make_basis
 from repro.dynamic.values import VCon, python_list
 
 
@@ -147,3 +150,35 @@ class TestOptionBasis:
     def test_filter(self, value_of):
         src = "val x = Option.filter (fn n => n > 0) 5"
         assert value_of(src, "x") == VCon("SOME", 5)
+
+
+class TestLazyDynEnv:
+    """Compiling never reads the dynamic basis; it is built (the
+    primitives, then the prelude evaluated over them) by its first
+    reader, and then it is the same environment for every reader."""
+
+    def test_first_read_builds_it_and_every_read_returns_it(self):
+        basis = make_basis(fresh=True)
+        env = basis.dyn_env
+        assert basis.dyn_env is env
+        assert basis.child_envs()[1].parent is env
+        # The prelude ran into it, over the primitives.
+        assert env.lookup_value("rev") is not None
+        assert env.lookup_structure("List") is not None
+
+    def test_concurrent_first_reads_agree(self):
+        basis = make_basis(fresh=True)
+        seen = []
+        start = threading.Barrier(4)
+
+        def read():
+            start.wait()
+            seen.append(basis.dyn_env)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(seen) == 4
+        assert all(env is seen[0] for env in seen)
