@@ -371,10 +371,16 @@ class StoreBackend:
         the moved half back).  Returns ``(moved, error)``."""
         raise NotImplementedError
 
-    def signature(self) -> tuple:
+    def signature(self):
         """A cheap change signature: two equal signatures mean no other
         writer touched the store in between (the daemon's incremental
         refresh probe)."""
+        raise NotImplementedError
+
+    def resign(self, sig, stems: set[str]):
+        """``sig`` brought up to date after this client's own saves
+        wrote or pruned the record pairs ``stems`` and rewrote the
+        manifest, without listing the store again."""
         raise NotImplementedError
 
     # -- addressing and bookkeeping ---------------------------------------
@@ -573,7 +579,9 @@ class DirectoryBackend(StoreBackend):
             done.append((src, dst))
         return bool(done), None
 
-    def signature(self) -> tuple:
+    def signature(self) -> dict | tuple:
+        """``{filename: (mtime_ns, size)}`` of every record file and the
+        manifest -- a map, so listing order cannot move it."""
         fs = self.fs
         if not fs.isdir(self.root):
             return ()
@@ -581,16 +589,32 @@ class DirectoryBackend(StoreBackend):
             entries = fs.listdir(self.root)
         except OSError:
             return ("unreadable",)
-        out = []
+        return {entry: fs.stat_signature(os.path.join(self.root, entry))
+                for entry in entries if _signed(entry)}
+
+    def resign(self, sig, stems: set[str]) -> dict:
+        fs = self.fs
+        out = dict(sig) if isinstance(sig, dict) else {}
+        entries = [MANIFEST_NAME]
+        for stem in stems:
+            entries += (stem + HEADER_SUFFIX, stem + PAYLOAD_SUFFIX)
         for entry in entries:
-            if entry.endswith(TMP_SUFFIX):
-                continue
-            if (entry == MANIFEST_NAME
-                    or entry.endswith(HEADER_SUFFIX)
-                    or entry.endswith(PAYLOAD_SUFFIX)):
-                out.append((entry, fs.stat_signature(
-                    os.path.join(self.root, entry))))
-        return tuple(out)
+            stat = fs.stat_signature(os.path.join(self.root, entry))
+            if stat is None:
+                out.pop(entry, None)
+            else:
+                out[entry] = stat
+        return out
+
+
+def _signed(entry: str) -> bool:
+    """Does a store signature cover this directory entry?  Locks, tmp
+    files and quarantine debris come and go without changing the
+    records a client would load."""
+    return (entry == MANIFEST_NAME
+            or (not entry.endswith(TMP_SUFFIX)
+                and (entry.endswith(HEADER_SUFFIX)
+                     or entry.endswith(PAYLOAD_SUFFIX))))
 
 
 def configured_backend(path: str,

@@ -24,9 +24,13 @@ all of that warm across requests:
   (:meth:`~repro.cm.seam.FileSystem.stat_signature`); the store is
   reloaded only when its on-disk
   :meth:`~repro.cm.store.BinStore.disk_signature` moved (another
-  process wrote it).  A *touch* -- new mtime, identical text -- leaves
-  the in-memory project untouched, exactly as a batch run would see no
-  digest change.
+  process wrote it).  A request lists the store once, for that check,
+  and saves only what it changed; its own saves update the kept
+  signature by restatting the files they wrote
+  (:meth:`~repro.cm.store.BinStore.signature_after_saves`), so a null
+  request writes nothing.  A *touch* -- new mtime, identical text --
+  leaves the in-memory project untouched, exactly as a batch run would
+  see no digest change.
 - **Byte identity.**  Daemon-served builds leave the same store bytes
   (records, manifest, export pids) a fresh batch build would.  The
   one non-obvious part is the record header's ``built_at`` logical
@@ -132,8 +136,8 @@ class _GroupState:
     stats: dict = field(default_factory=dict)
     #: source unit name -> text at last read.
     texts: dict = field(default_factory=dict)
-    #: the store directory's disk signature after our last load/save.
-    store_sig: tuple = ()
+    #: the store's disk signature as of our last load or save.
+    store_sig: object = ()
     #: the group's profile for the daemon's manager (created on first
     #: open).
     history: BuildHistory | None = None
@@ -285,12 +289,13 @@ class BuildDaemon:
         return state.backend
 
     def _open(self, state: _GroupState) -> None:
-        """First contact with a group: load the store."""
+        """First contact with a group: load the store.  The signature
+        is taken first, so a write that races the load moves it."""
         backend = self._backend_for(state)
-        state.store = BinStore.load_directory(
-            state.bin_dir, meter=self.meter, backend=backend)
         state.store_sig = BinStore.disk_signature(state.bin_dir,
                                                   backend=backend)
+        state.store = BinStore.load_directory(
+            state.bin_dir, meter=self.meter, backend=backend)
         # Profile IO rides the store's fs seam, so fault injection on
         # the store covers history writes too (best-effort either way).
         state.history = BuildHistory(state.bin_dir, self.manager,
@@ -340,8 +345,9 @@ class BuildDaemon:
 
     def _refresh_store(self, state: _GroupState) -> bool:
         """Reload the store iff its signature moved since we last
-        loaded/saved it (another process -- or, through a remote
-        backend, another *machine* -- wrote it)."""
+        loaded or saved it (another process -- or, through a remote
+        backend, another *machine* -- wrote it).  The one listing of
+        the store a request makes."""
         backend = self._backend_for(state)
         sig = BinStore.disk_signature(state.bin_dir, backend=backend)
         if sig == state.store_sig:
@@ -358,10 +364,11 @@ class BuildDaemon:
     # -- one build --------------------------------------------------------
 
     def _build(self, state: _GroupState):
-        if not state.opened:
+        opening = not state.opened
+        if opening:
             self._open(state)
         refreshed = self._refresh_sources(state)
-        reloaded = self._refresh_store(state)
+        reloaded = not opening and self._refresh_store(state)
         if state.builder is None:
             state.builder = MANAGERS[self.manager](
                 state.project, store=state.store, meter=self.meter)
@@ -372,9 +379,12 @@ class BuildDaemon:
             executor_factory=self._executor_factory,
             keep_executor=True)
         report = supervisor.build(builder)
-        builder.store.save_directory(state.bin_dir)
-        state.store_sig = BinStore.disk_signature(
-            state.bin_dir, backend=self._backend_for(state))
+        # The pump checkpointed every change at its last quiet point;
+        # save here only what a failed checkpoint left unwritten.
+        if builder.store.unsaved():
+            builder.store.save_directory(state.bin_dir)
+        state.store_sig = builder.store.signature_after_saves(
+            state.store_sig)
         self._record_profile(state, builder)
         if report.degraded:
             # The supervisor shut our cached pool down on its way down

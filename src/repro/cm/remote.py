@@ -675,7 +675,11 @@ class RemoteBackend(StoreBackend):
         got = self._try_call({"op": "rev"})
         if got is not None:
             return ("remote", self.url, got[0].get("rev"))
-        return ("remote-offline",) + self.cache.signature()
+        return ("remote-offline", self.cache.signature())
+
+    def resign(self, sig, stems: set[str]) -> tuple:
+        # The server's revision moved with the saves: ask it again.
+        return self.signature()
 
     # -- addressing --------------------------------------------------------
 

@@ -259,6 +259,10 @@ class BinStore:
         #: The loaded manifest was torn or stale-format: the next save
         #: must rewrite it even if no record is dirty.
         self._manifest_stale: bool = False
+        #: Stems of the record pairs saves wrote or pruned since the
+        #: last :meth:`signature_after_saves`; None when nothing was
+        #: saved since.
+        self._saved_stems: set[str] | None = None
         #: What the last load found; trivially healthy for a fresh store.
         self.health = StoreHealthReport()
         #: Cumulative payload bytes accepted, for benchmark reporting.
@@ -335,6 +339,12 @@ class BinStore:
             return backend
         return DirectoryBackend(path, fs=self.fs)
 
+    def unsaved(self) -> bool:
+        """Does this store hold changes no save has written: a dirty or
+        removed record, or a manifest the last load found torn or
+        stale?"""
+        return bool(self._dirty or self._removed or self._manifest_stale)
+
     def save_directory(self, path: str,
                        lock_timeout: float = 5.0) -> SaveStats:
         """Write the store to ``path`` atomically and incrementally.
@@ -392,6 +402,10 @@ class BinStore:
             live = {escape_name(n) for n in self._records}
             stats.pruned.extend(backend.prune(live))
 
+            saved = self._saved_stems or set()
+            saved.update(escape_name(name) for name in dirty)
+            saved.update(_record_stem(entry) for entry in stats.pruned)
+            self._saved_stems = saved
             self._dirty.clear()
             self._removed.clear()
             self._loaded_from = backend.key
@@ -698,19 +712,31 @@ class BinStore:
 
     @staticmethod
     def disk_signature(path: str, fs: FileSystem | None = None,
-                       backend: StoreBackend | None = None) -> tuple:
-        """A cheap change signature of a store: the sorted
-        ``(filename, (mtime_ns, size))`` of every record file and the
-        manifest.  Two equal signatures mean no other writer has
-        touched the store since the first was taken; the build daemon
-        takes one after each save and reloads the store only when the
-        on-disk signature has moved (another process built, fsck
+                       backend: StoreBackend | None = None):
+        """A cheap change signature of a store: for a directory, the
+        ``{filename: (mtime_ns, size)}`` map of every record file and
+        the manifest (a map, so listing order cannot move it); for a
+        remote store, the server's revision.  Two equal signatures mean
+        no other writer has touched the store since the first was
+        taken; the build daemon takes one per request and reloads the
+        store only when it moved (another process built, fsck
         quarantined something, a test reached in).  Locks, tmp files
         and quarantine debris are excluded -- they come and go without
         changing the records clients would load."""
         if backend is None:
             backend = DirectoryBackend(path, fs=fs)
         return backend.signature()
+
+    def signature_after_saves(self, sig):
+        """``sig``, a :meth:`disk_signature` of this store taken before
+        its latest saves, brought up to date with the files those saves
+        wrote or pruned -- a restat of each, not a listing (a remote
+        backend asks the server for its revision).  ``sig`` itself when
+        nothing was saved since the last call."""
+        if self._saved_stems is None:
+            return sig
+        stems, self._saved_stems = self._saved_stems, None
+        return self.backend.resign(sig, stems)
 
 
 def _is_str_table(value) -> bool:

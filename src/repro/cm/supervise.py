@@ -35,10 +35,10 @@ an *event to schedule around*:
   ``skipped`` (ledger cause ``poison-import``, naming the culprit), and
   every independent subgraph builds to completion.
 - **Checkpoints.**  With a ``checkpoint_dir``, the store is saved at
-  every quiet point.  A killed build's next run over the same store
-  loads every unit that finished: the crash-safe store's records are
-  the whole resume state (export pids are intrinsic, §5), so a rerun
-  of the same command is the resume.
+  every quiet point that has something to write.  A killed build's
+  next run over the same store loads every unit that finished: the
+  crash-safe store's records are the whole resume state (export pids
+  are intrinsic, §5), so a rerun of the same command is the resume.
 
 In both modes a dying pool degrades process -> thread -> inline instead
 of aborting, one rung per dead pool; :meth:`Supervisor._degrade` starts
@@ -224,8 +224,9 @@ class Supervisor:
         anyway.
 
         Checkpointing happens at *quiet points*: whenever the admit
-        queue drains and at least one unit finished since the last
-        checkpoint.
+        queue drains and the store holds changes no save has written
+        (:meth:`~repro.cm.store.BinStore.unsaved`), so a build that only
+        loads or keeps units writes nothing.
         """
         meter = self.meter
         policy = self.policy
@@ -234,7 +235,6 @@ class Supervisor:
         admit_queue: deque[str] = deque(ready.take())
         active: dict[str, tuple] = {}
         pending: list[tuple] = []  # (launch_at, name, attempt, reason)
-        done = False  # a unit finished since the last checkpoint
         #: (unit, closure unit) pairs relaunched for a damaged payload.
         mended: set[tuple[str, str]] = set()
         timed = policy is not None and policy.timeout is not None
@@ -243,7 +243,6 @@ class Supervisor:
             admit_queue.extend(ready.complete(name))
 
         def admit(name: str) -> None:
-            nonlocal done
             report.dispatch_order.append(name)
             culprit = self._poisoned_import(graph, name)
             if culprit is not None:
@@ -259,7 +258,6 @@ class Supervisor:
                 launch(name, 0, reason)
                 return
             report.add(outcome)
-            done = True
             finish(name)
 
         def launch(name: str, attempt: int, reason: str) -> None:
@@ -295,7 +293,6 @@ class Supervisor:
 
         def settle(name: str, attempt: int, reason: str,
                    result: CompileResult) -> None:
-            nonlocal done
             if meter.enabled and result.worker:
                 # Occupancy: when and where the worker actually ran,
                 # on its own track (perf_counter is host-wide, so
@@ -308,7 +305,6 @@ class Supervisor:
                 with meter.span("apply", cat="unit", unit=name):
                     report.add(_apply_result(builder, graph, name,
                                              reason, result))
-                done = True
                 finish(name)
                 return
             exc_type, message = result.error
@@ -346,63 +342,69 @@ class Supervisor:
                              retryable)
                 finish(name)
 
-        while True:
-            while admit_queue:
-                admit(admit_queue.popleft())
-            if done and self.checkpoint_dir is not None:
-                self._checkpoint(builder)
-                done = False
-            if not active and not pending:
-                return
-            now = time.perf_counter()
-            due = [item for item in pending if item[0] <= now]
-            if due:
-                pending[:] = [item for item in pending if item[0] > now]
-                for _at, name, attempt, reason in due:
-                    launch(name, attempt, reason)
-                continue
-            if not active:
-                time.sleep(min(item[0] for item in pending) - now)
-                continue
-            wake = [item[0] for item in pending] + [
-                entry[3] for entry in active.values()
-                if entry[3] is not None]
-            if timed and any(entry[3] is None
-                             for entry in active.values()):
-                wake.append(now + _POLL_SECONDS)  # watch queued attempts
-            finished, _ = wait(
-                [entry[0] for entry in active.values()],
-                timeout=max(0.0, min(wake) - now) if wake else None,
-                return_when=FIRST_COMPLETED)
-            now = time.perf_counter()
-            for name in sorted(active):
-                future, executor, attempt, deadline, reason = \
-                    active[name]
-                if future in finished:
-                    land(name)
-                elif deadline is None:
-                    if timed and future.running():
-                        # The clock starts once a worker picks the
-                        # attempt up: queueing behind busy workers is
-                        # not hanging.
-                        active[name] = (future, executor, attempt,
-                                        now + policy.timeout, reason)
-                elif now >= deadline:
-                    # A hung worker: abandon the attempt (stale result
-                    # ignored) and schedule the unit like a failure.
-                    del active[name]
-                    future.cancel()
-                    report.timeouts += 1
-                    if meter.enabled:
-                        meter.event("timeout", cat="supervise",
-                                    unit=name, attempt=attempt,
-                                    deadline=policy.timeout)
-                    settle(name, attempt, reason, CompileResult(
-                        name, error=(
-                            "TimeoutError",
-                            f"attempt {attempt} exceeded "
-                            f"{policy.timeout:.3f}s wall clock"),
-                        attempt=attempt))
+        try:
+            while True:
+                while admit_queue:
+                    admit(admit_queue.popleft())
+                if self.checkpoint_dir is not None and builder.store.unsaved():
+                    self._checkpoint(builder)
+                if not active and not pending:
+                    return
+                now = time.perf_counter()
+                due = [item for item in pending if item[0] <= now]
+                if due:
+                    pending[:] = [item for item in pending if item[0] > now]
+                    for _at, name, attempt, reason in due:
+                        launch(name, attempt, reason)
+                    continue
+                if not active:
+                    time.sleep(min(item[0] for item in pending) - now)
+                    continue
+                wake = [item[0] for item in pending] + [
+                    entry[3] for entry in active.values()
+                    if entry[3] is not None]
+                if timed and any(entry[3] is None
+                                 for entry in active.values()):
+                    wake.append(now + _POLL_SECONDS)  # watch queued attempts
+                finished, _ = wait(
+                    [entry[0] for entry in active.values()],
+                    timeout=max(0.0, min(wake) - now) if wake else None,
+                    return_when=FIRST_COMPLETED)
+                now = time.perf_counter()
+                for name in sorted(active):
+                    future, executor, attempt, deadline, reason = \
+                        active[name]
+                    if future in finished:
+                        land(name)
+                    elif deadline is None:
+                        if timed and future.running():
+                            # The clock starts once a worker picks the
+                            # attempt up: queueing behind busy workers is
+                            # not hanging.
+                            active[name] = (future, executor, attempt,
+                                            now + policy.timeout, reason)
+                    elif now >= deadline:
+                        # A hung worker: abandon the attempt (stale result
+                        # ignored) and schedule the unit like a failure.
+                        del active[name]
+                        future.cancel()
+                        report.timeouts += 1
+                        if meter.enabled:
+                            meter.event("timeout", cat="supervise",
+                                        unit=name, attempt=attempt,
+                                        deadline=policy.timeout)
+                        settle(name, attempt, reason, CompileResult(
+                            name, error=(
+                                "TimeoutError",
+                                f"attempt {attempt} exceeded "
+                                f"{policy.timeout:.3f}s wall clock"),
+                            attempt=attempt))
+        finally:
+            # ``launch``, ``land`` and ``settle`` reach one another
+            # through their closure cells: unbind them all, so the
+            # report, the ready set and the attempt maps they hold are
+            # freed by reference counting, not by the cyclic collector.
+            admit = launch = land = settle = finish = None
 
     def _poisoned_import(self, graph: DepGraph, name: str) -> str | None:
         for dep in graph.deps.get(name, ()):

@@ -430,7 +430,10 @@ class Elaborator:
                 return FunType(walk(t.dom), walk(t.rng))
             return t
 
-        body = walk(ty)
+        try:
+            body = walk(ty)
+        finally:
+            walk = None  # it reaches itself through its closure cell
         if not mapping:
             return ty
         return PolyType(len(mapping), body, tuple(eqflags))

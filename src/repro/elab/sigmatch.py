@@ -62,18 +62,18 @@ def match_structure(el, actual: Structure, sig: Sig, opaque: bool,
 def _flex_tycons(sig: Sig) -> list:
     """The flexible tycon objects of a signature, in spec order."""
     found: dict[int, object] = {}
-    flex_ids = {stamp.id for stamp in sig.flex}
-
-    def walk(env: Env) -> None:
-        for tycon in env.tycons.values():
-            stamp = getattr(tycon, "stamp", None)
-            if stamp is not None and stamp.id in flex_ids:
-                found.setdefault(stamp.id, tycon)
-        for struct in env.structures.values():
-            walk(struct.env)
-
-    walk(sig.env)
+    _collect_flex_tycons(sig.env, {stamp.id for stamp in sig.flex}, found)
     return list(found.values())
+
+
+def _collect_flex_tycons(env: Env, flex_ids: set[int],
+                         found: dict[int, object]) -> None:
+    for tycon in env.tycons.values():
+        stamp = getattr(tycon, "stamp", None)
+        if stamp is not None and stamp.id in flex_ids:
+            found.setdefault(stamp.id, tycon)
+    for struct in env.structures.values():
+        _collect_flex_tycons(struct.env, flex_ids, found)
 
 
 def _realize_tycons(actual: Env, formal: Env, flex_ids: set[int],

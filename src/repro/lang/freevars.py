@@ -189,21 +189,21 @@ def defined_module_names(decs: list[ast.Dec]) -> dict[str, set[str]]:
     """The module-level names a declaration list defines (including
     through ``local..in..end``)."""
     defined = {"structures": set(), "signatures": set(), "functors": set()}
-
-    def scan(dec_list) -> None:
-        for dec in dec_list:
-            if isinstance(dec, ast.StructureDec):
-                for binding in dec.bindings:
-                    defined["structures"].add(binding.name)
-            elif isinstance(dec, ast.SignatureDec):
-                for name, _sig in dec.bindings:
-                    defined["signatures"].add(name)
-            elif isinstance(dec, ast.FunctorDec):
-                for binding in dec.bindings:
-                    defined["functors"].add(binding.name)
-            elif isinstance(dec, ast.LocalDec):
-                scan(dec.private)
-                scan(dec.public)
-
-    scan(decs)
+    _scan_module_names(decs, defined)
     return defined
+
+
+def _scan_module_names(decs, defined: dict[str, set[str]]) -> None:
+    for dec in decs:
+        if isinstance(dec, ast.StructureDec):
+            for binding in dec.bindings:
+                defined["structures"].add(binding.name)
+        elif isinstance(dec, ast.SignatureDec):
+            for name, _sig in dec.bindings:
+                defined["signatures"].add(name)
+        elif isinstance(dec, ast.FunctorDec):
+            for binding in dec.bindings:
+                defined["functors"].add(binding.name)
+        elif isinstance(dec, ast.LocalDec):
+            _scan_module_names(dec.private, defined)
+            _scan_module_names(dec.public, defined)

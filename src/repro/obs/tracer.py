@@ -11,6 +11,10 @@ implements the :class:`~repro.obs.meter.BuildMeter` protocol:
 - ``complete_span`` lands a region timed elsewhere -- a process-pool
   worker measures its own compile and the parent records it on the
   worker's track.
+- ``record_collections`` turns each pause of CPython's cyclic garbage
+  collector into a ``gc`` span on the ``gc`` track while it is open,
+  so collector time is a named layer instead of a slice of whichever
+  span happened to allocate.
 
 The clock is injectable (default :func:`time.perf_counter`), so tests
 drive it deterministically; traces from a fake clock are byte-stable.
@@ -26,8 +30,10 @@ Exports:
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -187,6 +193,36 @@ class Tracer:
                     else self._track_label(), args=args)
         with self._lock:
             self.roots.append(span)
+
+    @contextmanager
+    def record_collections(self):
+        """While open, time every collection of this process's cyclic
+        garbage collector; on close, land each as a ``gc`` span on the
+        ``gc`` track with its ``generation`` and ``collected`` count,
+        and remove the callback.
+
+        The callback only appends to a list: it may fire in any thread,
+        while that thread holds this tracer's lock."""
+        pauses: list[list] = []
+        clock = self._clock
+
+        def on_collect(phase: str, info: dict) -> None:
+            if phase == "start":
+                pauses.append([clock(), None, info["generation"], 0])
+            elif pauses:
+                pauses[-1][1] = clock()
+                pauses[-1][3] = info["collected"]
+
+        gc.callbacks.append(on_collect)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(on_collect)
+            for start, end, generation, collected in pauses:
+                if end is not None:
+                    self.complete_span("gc", start, end, cat="gc",
+                                       track="gc", generation=generation,
+                                       collected=collected)
 
     # -- reports ----------------------------------------------------------
 

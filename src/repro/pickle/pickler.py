@@ -510,6 +510,11 @@ class Unpickler:
             raise UnpickleError(
                 f"corrupt bin stream ({type(err).__name__}: {err}) "
                 f"at byte {pos} of {end}") from err
+        finally:
+            # ``decode`` reaches itself through its closure cell: unbind
+            # it, so reference counting frees the decoder's state
+            # instead of leaving it to the cyclic collector.
+            decode = None
         if pos != end:
             raise UnpickleError(
                 f"trailing bytes in bin stream ({end - pos})")

@@ -30,6 +30,8 @@ from repro.cm import (
     SupervisePolicy,
     TimestampBuilder,
 )
+from repro.cm.__main__ import main as cli_main
+from repro.cm.seam import FileSystem
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
 
@@ -245,3 +247,101 @@ class TestCrashMidRequest:
         want_pids, want_files = batch_reference("fanout", "clean",
                                                 tmp_path_factory)
         assert store_files(bin_dir) == want_files
+
+
+class TestStoreSignature:
+    """A request lists the store once, to see whether another writer
+    moved it, and writes the store only when it changed something."""
+
+    def test_cli_build_between_requests_reloads(self, tmp_path, capsys):
+        srcdir = str(tmp_path / "served")
+        workload = generate_workload(SHAPES["diamond"](),
+                                     helpers_per_unit=1)
+        write_tree(srcdir, workload.project)
+        daemon = BuildDaemon(jobs=1, policy=POLICY)
+        try:
+            assert not daemon.request(srcdir).store_reloaded
+            workload.edit_interface("u000")
+            write_tree(srcdir, workload.project, only={"u000"})
+            assert cli_main([srcdir, "--no-link"]) == 0
+            reply = daemon.request(srcdir)
+            assert reply.store_reloaded
+            assert not reply.report.compiled  # the CLI build compiled
+            assert not daemon.request(srcdir).store_reloaded
+        finally:
+            daemon.shutdown()
+        want = str(tmp_path / "batch")
+        write_tree(want, workload.project)
+        batch_build(want, 1)
+        assert store_files(os.path.join(srcdir, ".bin")) == \
+            store_files(os.path.join(want, ".bin"))
+
+    def test_remote_signature_is_the_servers_revision(self, tmp_path,
+                                                      capsys):
+        """Through a store server, the daemon's own saves re-read the
+        server's revision, so only another client's write reloads."""
+        from repro.cm import (
+            StoreServer,
+            register_loopback,
+            unregister_loopback,
+        )
+
+        url = register_loopback("daemon-signature",
+                                StoreServer(str(tmp_path / "server")))
+        srcdir = str(tmp_path / "served")
+        other = str(tmp_path / "other")
+        workload = generate_workload(SHAPES["diamond"](),
+                                     helpers_per_unit=1)
+        write_tree(srcdir, workload.project)
+        daemon = BuildDaemon(jobs=1, policy=POLICY, store_url=url)
+        try:
+            daemon.request(srcdir)
+            assert not daemon.request(srcdir).store_reloaded
+            workload.edit_interface("u000")
+            write_tree(other, workload.project)
+            assert cli_main([other, "--store-url", url, "--no-link"]) == 0
+            write_tree(srcdir, workload.project, only={"u000"})
+            reply = daemon.request(srcdir)
+            assert reply.store_reloaded
+            # This request saved what it compiled: its own writes moved
+            # the revision, and the kept signature follows them.
+            assert reply.report.compiled
+            assert not daemon.request(srcdir).store_reloaded
+        finally:
+            daemon.shutdown()
+            unregister_loopback("daemon-signature")
+
+    def test_null_request_lists_the_store_once_and_writes_nothing(
+            self, tmp_path, monkeypatch):
+        srcdir = str(tmp_path / "served")
+        bin_dir = os.path.join(srcdir, ".bin")
+        workload = generate_workload(SHAPES["diamond"](),
+                                     helpers_per_unit=1)
+        write_tree(srcdir, workload.project)
+        calls = []
+
+        def logged(op, real):
+            def run(fs, path, *args):
+                calls.append((op, os.path.dirname(path), path))
+                return real(fs, path, *args)
+            return run
+
+        for op in ("listdir", "write_bytes", "replace", "remove",
+                   "create_exclusive"):
+            monkeypatch.setattr(FileSystem, op,
+                                logged(op, getattr(FileSystem, op)))
+        daemon = BuildDaemon(jobs=1, policy=POLICY)
+        try:
+            daemon.request(srcdir)
+            before = store_files(bin_dir)
+            del calls[:]
+            reply = daemon.request(srcdir)
+        finally:
+            daemon.shutdown()
+        assert len(reply.report.cached) == len(workload.project)
+        assert [c for c in calls if c[0] == "listdir"] == \
+            [("listdir", srcdir, bin_dir)]
+        # Only the build profile under .bin/profiles/ is rewritten.
+        assert [c for c in calls
+                if c[0] != "listdir" and c[1] == bin_dir] == []
+        assert store_files(bin_dir) == before

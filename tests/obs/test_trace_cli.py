@@ -5,11 +5,13 @@ The acceptance gates live here: the emitted file is valid Chrome
 wall-clock, and the embedded decision ledger attributes every unit.
 """
 
+import gc
 import json
 import os
 
 import pytest
 
+from repro.cm import __main__ as cli
 from repro.cm.__main__ import main
 
 
@@ -89,6 +91,32 @@ class TestTraceOut:
                  if e["ph"] == "M"}
         assert "main" in names
         assert any(n.startswith("w") for n in names)
+
+    def test_collector_pauses_are_gc_spans(self, srcdir, tmp_path,
+                                           capsys, monkeypatch):
+        """Each collection during a traced build is a ``gc`` span on
+        its own track, and the callback is gone once ``main``
+        returns."""
+        real = cli._build_directory
+
+        def collecting(args, tracer):
+            gc.collect(0)  # at least one collection, whatever the load
+            return real(args, tracer)
+
+        monkeypatch.setattr(cli, "_build_directory", collecting)
+        callbacks = list(gc.callbacks)
+        doc, _text, _ = run_traced(srcdir, tmp_path, capsys)
+        assert gc.callbacks == callbacks
+        tracks = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
+                  if e["ph"] == "M"}
+        pauses = [e for e in doc["traceEvents"]
+                  if e["ph"] == "X" and e["name"] == "gc"]
+        assert pauses
+        assert {tracks[e["tid"]] for e in pauses} == {"gc"}
+        assert any(e["args"]["generation"] == 0 for e in pauses)
+        assert all(set(e["args"]) == {"generation", "collected"}
+                   for e in pauses)
+        assert doc["phaseRollup"]["gc"]["count"] == len(pauses)
 
     def test_unwritable_output_is_an_error(self, srcdir, capsys):
         rc = main([srcdir, "--no-link", "--trace-out",

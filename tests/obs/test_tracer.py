@@ -1,5 +1,6 @@
 """The span/event tracer: timing, nesting, tracks, Chrome export."""
 
+import gc
 import json
 import threading
 
@@ -226,6 +227,22 @@ class TestAnalytics:
         text = tr.render_tree()
         assert "build" in text and "jobs=2" in text
         assert "units.compiled = 3" in text
+
+
+class TestCollections:
+    def test_each_collection_lands_as_a_gc_span(self):
+        clock = FakeClock()
+        tr = Tracer(clock=clock)
+        callbacks = list(gc.callbacks)
+        with tr.record_collections():
+            gc.collect(1)
+            clock.tick(5.0)
+        gc.collect()  # after the block: not recorded
+        assert gc.callbacks == callbacks
+        [pause] = tr.spans_named("gc")
+        assert (pause.track, pause.cat) == ("gc", "gc")
+        assert pause.args["generation"] == 1
+        assert pause.start == pause.end == 100.0
 
 
 class TestNullMeter:
