@@ -34,7 +34,7 @@ from .conftest import print_table
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(REPO, "BENCH_daemon.json")
 
-POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
+POLICY = SupervisePolicy(retries=1)
 SHAPE = fanout(38)  # 40 units: 1 base, 38 middle, 1 top
 WARM_REQUESTS = 5
 

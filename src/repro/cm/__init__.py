@@ -26,7 +26,8 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "repro.cm.project": ("Project",),
-    "repro.cm.depend": ("DepGraph", "DependencyError", "analyze"),
+    "repro.cm.depend": ("DepGraph", "DependencyError", "ReadySet",
+                        "analyze"),
     "repro.cm.backend": ("StoreBackend", "DirectoryBackend"),
     "repro.cm.store": ("BinRecord", "BinStore", "CorruptRecord",
                        "SaveStats", "StoreError", "StoreFullError",
@@ -37,7 +38,7 @@ _EXPORTS = {
     "repro.cm.make": ("TimestampBuilder",),
     "repro.cm.manager": ("CutoffBuilder",),
     "repro.cm.smart": ("SmartBuilder",),
-    "repro.cm.parallel": ("ParallelBuildError", "ReadySet"),
+    "repro.cm.parallel": ("ParallelBuildError",),
     "repro.cm.supervise": ("SupervisePolicy", "Supervisor"),
     "repro.cm.daemon": ("BuildDaemon", "DaemonError", "DaemonReply",
                         "serve"),

@@ -54,7 +54,8 @@ Options:
 
 A flag that only qualifies another -- ``--json`` and ``--quarantine``
 (``--fsck``), ``--strict`` (``--analyze``), ``--timeout`` (``--jobs
-N > 1``) -- is a usage error (exit 2) without it.  A ``.cm`` group
+N > 1``) -- is a usage error (exit 2) without it, and so are
+``--retries`` below 0 and a ``--timeout`` not above 0.  A ``.cm`` group
 target builds in memory and serially: it refuses ``--jobs N > 1``,
 ``--retries``, ``--timeout``, ``--store-url``, ``--stats``,
 ``--explain-diff`` and ``--fsck`` (exit 2) instead of ignoring them.
@@ -189,6 +190,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--store-url: {err}")
     if args.srcdir is None and not args.serve:
         parser.error("srcdir is required unless --serve is given")
+    if args.retries is not None and args.retries < 0:
+        parser.error("--retries must be at least 0")
+    if args.timeout is not None and not args.timeout > 0:
+        parser.error("--timeout must be greater than 0")
     # A flag that only qualifies another would be silently ignored
     # without it.  (The inline tier runs each compile at submit time,
     # so a --timeout deadline could never fire.)
@@ -288,11 +293,8 @@ def _build_directory(args, tracer):
     history = BuildHistory(bin_dir, args.manager, store.fs)
     prior_profile = history.latest()
 
-    policy = _policy(args)
     try:
-        report = builder.build(
-            jobs=max(1, args.jobs), policy=policy,
-            checkpoint_dir=bin_dir if policy is not None else None)
+        report = builder.build(jobs=max(1, args.jobs), policy=_policy(args))
     except Exception as err:  # ElabError, DependencyError, ParseError...
         print(f"error: {err}", file=sys.stderr)
         return 1, builder, None

@@ -71,11 +71,10 @@ class BaseBuilder:
 
     # -- the build loop -----------------------------------------------------
 
-    def build(self, jobs: int = 1, policy=None,
-              checkpoint_dir: str | None = None) -> BuildReport:
+    def build(self, jobs: int = 1, policy=None) -> BuildReport:
         """Bring every unit up to date; returns what was done.
 
-        With ``jobs == 1`` and no supervision this is the serial loop
+        With ``jobs == 1`` and no ``policy`` this is the serial loop
         below, compiling in this builder's own session.  Anything else
         runs the ready-set pump (:class:`repro.cm.supervise.Supervisor`):
         each unit is decided the moment its last import lands and its
@@ -83,22 +82,19 @@ class BaseBuilder:
         job); the resulting statenv, bin store contents and export pids
         are byte-identical to a serial build.
 
-        Without supervision the first failed compile raises
-        :class:`~repro.cm.parallel.ParallelBuildError`.  A ``policy``
-        (or a ``checkpoint_dir``, which implies the default one)
-        supervises instead: worker failures retry with backoff, hung
-        workers time out and reschedule, poison units skip only their
-        dependents, and with a ``checkpoint_dir`` the store is saved
-        there at quiet points, so a killed build's rerun over that
-        store loads every unit that finished.
+        Without a policy the first failed compile raises
+        :class:`~repro.cm.parallel.ParallelBuildError`.  A
+        :class:`~repro.cm.supervise.SupervisePolicy` supervises
+        instead: worker failures retry with backoff, hung workers time
+        out and reschedule, poison units skip only their dependents,
+        and the store is saved at quiet points into the backend it was
+        loaded from or last saved to (a store with none is not), so a
+        killed build's rerun over that store loads every unit that
+        finished.
         """
-        supervised = policy is not None or checkpoint_dir is not None
-        if jobs != 1 or supervised:
-            from repro.cm.supervise import SupervisePolicy, Supervisor
-            if supervised and policy is None:
-                policy = SupervisePolicy()
-            return Supervisor(jobs=jobs, policy=policy,
-                              checkpoint_dir=checkpoint_dir).run(self)
+        if jobs != 1 or policy is not None:
+            from repro.cm.supervise import Supervisor
+            return Supervisor(jobs=jobs, policy=policy).run(self)
         meter = self.meter
         t0 = time.perf_counter()
         report = self.last_report = BuildReport()

@@ -375,7 +375,6 @@ class BuildDaemon:
         builder = state.builder
         supervisor = Supervisor(
             jobs=self.jobs, policy=self.policy,
-            checkpoint_dir=state.bin_dir,
             executor_factory=self._executor_factory,
             keep_executor=True)
         report = supervisor.build(builder)

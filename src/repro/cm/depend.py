@@ -15,6 +15,11 @@ files [is] computed and cached").
 Per the paper's footnote 4, the IRM requires separately compiled units to
 contain structures, functors and signatures -- not top-level values and
 types; :func:`analyze` enforces this.
+
+Units are ordered by one scheduler, :class:`ReadySet`: :func:`analyze`
+drains it smallest ready name first into :attr:`DepGraph.order` (the
+serial build order, and the cycle report when it stalls), and the build
+pump (:mod:`repro.cm.supervise`) drains a fresh one as units land.
 """
 
 from __future__ import annotations
@@ -296,33 +301,74 @@ def _check_module_only(name: str, decs: list[ast.Dec]) -> None:
             _check_module_only(name, dec.public)
 
 
+class ReadySet:
+    """In-degree counters over a dependency map: which units have every
+    in-graph import completed.
+
+    The build driver's one scheduler.  :func:`_topo_order` drains it
+    through a heap, smallest ready name first, for the serial build
+    order; the build pump (:mod:`repro.cm.supervise`) drains it through
+    a FIFO queue for its dispatch order.  ``roots`` lists, sorted, the
+    units that wait on nothing; :meth:`complete` retires a unit and
+    returns, sorted, the dependents it was the last gate for.  Imports
+    outside ``names`` (stable-library units, already live) never gate.
+
+    So every unit is released once, and only after ``complete`` was
+    called for each of its in-graph imports; completing a unit again
+    releases nothing.  Completion means "this unit's fate is settled"
+    -- compiled, loaded, cached, failed or skipped all count, which is
+    how the supervisor propagates poison without deadlocking.
+    """
+
+    def __init__(self, names: list[str], deps: dict[str, list[str]]):
+        in_graph = set(names)
+        #: unit -> number of in-graph imports not yet completed.
+        self._waiting: dict[str, int] = {}
+        #: unit -> its in-graph importers, sorted (filled in name
+        #: order); popped when the unit completes.
+        self._dependents: dict[str, list[str]] = {name: [] for name in names}
+        for name in sorted(names):
+            gates = [dep for dep in deps[name] if dep in in_graph]
+            self._waiting[name] = len(gates)
+            for dep in gates:
+                self._dependents[dep].append(name)
+        self.roots: list[str] = [
+            name for name, gates in self._waiting.items() if not gates]
+
+    def complete(self, name: str) -> list[str]:
+        """Retire ``name``; returns the units this made ready (sorted)."""
+        waiting = self._waiting
+        released = []
+        for dependent in self._dependents.pop(name, ()):
+            waiting[dependent] -= 1
+            if not waiting[dependent]:
+                released.append(dependent)
+        return released
+
+    def stuck(self) -> set[str]:
+        """The units an in-graph import still gates: once nothing more
+        can be released, the units on or behind a cycle."""
+        return {name for name, gates in self._waiting.items() if gates}
+
+
 def _topo_order(names: list[str], deps: dict[str, list[str]]) -> list[str]:
-    """Stable topological sort: Kahn's algorithm over in-degree
-    counters, taking the alphabetically smallest ready unit first.
+    """Stable topological sort: Kahn's algorithm over a
+    :class:`ReadySet`, taking the alphabetically smallest ready unit
+    first.
 
     Dependencies outside ``names`` (stable-library units, already live)
     do not gate ordering.
     """
-    name_set = set(names)
-    waiting: dict[str, int] = {}
-    dependents: dict[str, list[str]] = {name: [] for name in names}
-    for name in names:
-        gates = {d for d in deps[name] if d in name_set}
-        waiting[name] = len(gates)
-        for dep in gates:
-            dependents[dep].append(name)
-    ready = [name for name, gates in waiting.items() if not gates]
-    heapq.heapify(ready)
+    ready = ReadySet(names, deps)
+    heap = list(ready.roots)  # sorted, so already a heap
     order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
+    while heap:
+        node = heapq.heappop(heap)
         order.append(node)
-        for name in dependents[node]:
-            waiting[name] -= 1
-            if not waiting[name]:
-                heapq.heappush(ready, name)
-    if len(order) < len(waiting):
-        stuck = {name for name, gates in waiting.items() if gates}
+        for name in ready.complete(node):
+            heapq.heappush(heap, name)
+    stuck = ready.stuck()
+    if stuck:
         cycle = find_cycle({name: {d for d in deps[name] if d in stuck}
                             for name in stuck})
         raise DependencyError(

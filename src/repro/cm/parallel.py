@@ -1,14 +1,14 @@
-"""Parallel builds: hermetic workers, the ready set and the executors.
+"""Parallel builds: hermetic workers and the executors.
 
 The cutoff model makes units independent once the pids of their imports
 are fixed (§5): a unit's compilation reads only its source text and the
 statenvs of the units it imports.  A unit can therefore compile the
 moment its last in-graph import has landed, concurrently with every
-other unit in that position: :class:`ReadySet` tracks which units have
-reached it, and the one build pump in :mod:`repro.cm.supervise` drains
-it onto a worker pool in sorted name order.  Any offer order gives the
-same store bytes (point 2 below); sorted names also make the dispatch
-order itself reproducible.
+other unit in that position: :class:`~repro.cm.depend.ReadySet` tracks
+which units have reached it, and the one build pump in
+:mod:`repro.cm.supervise` drains it onto a worker pool in sorted name
+order.  Any offer order gives the same store bytes (point 2 below);
+sorted names also make the dispatch order itself reproducible.
 
 Determinism proof sketch (why ``--jobs N`` is byte-identical to serial):
 
@@ -73,72 +73,6 @@ class ParallelBuildError(Exception):
         self.name = name
         self.exc_type = exc_type
         self.message = message
-
-
-# -- ready-set schedule --------------------------------------------------
-
-
-class ReadySet:
-    """Barrier-free scheduling state over a :class:`DepGraph`.
-
-    Tracks, per unit, how many of its *in-graph* imports have not yet
-    completed (imports outside the graph -- stable-library units,
-    already live -- do not gate).  A unit
-    with zero outstanding imports is *ready*; :meth:`take` drains the
-    ready units in sorted name order (each offered exactly once) and
-    :meth:`complete` retires a finished unit, releasing any dependents
-    it was the last gate for.
-
-    The dispatch sequence this induces is always a linear extension of
-    the graph: a unit is offered only after ``complete`` was called for
-    every in-graph import.  Completion means "this unit's fate is
-    settled" -- compiled, loaded, cached, failed or skipped all count,
-    which is how the supervisor propagates poison through the ready set
-    without deadlocking.
-    """
-
-    def __init__(self, graph: DepGraph):
-        self._graph = graph
-        in_graph = set(graph.order)
-        #: unit -> number of in-graph imports not yet completed.
-        self._waiting: dict[str, int] = {
-            name: sum(1 for dep in graph.deps.get(name, ())
-                      if dep in in_graph)
-            for name in graph.order
-        }
-        self._ready: list[str] = sorted(
-            name for name, gates in self._waiting.items() if gates == 0)
-        self._done: set[str] = set()
-
-    def take(self) -> list[str]:
-        """Drain the currently ready units (sorted; offered once)."""
-        out, self._ready = self._ready, []
-        return out
-
-    def complete(self, name: str) -> list[str]:
-        """Retire ``name``; returns the units this made ready (sorted).
-        The newly ready units also join the next :meth:`take`."""
-        if name in self._done:
-            return []
-        self._done.add(name)
-        released = []
-        for dependent in self._graph.dependents.get(name, ()):
-            gates = self._waiting.get(dependent)
-            if gates is None:
-                continue
-            self._waiting[dependent] = gates - 1
-            if gates - 1 == 0:
-                released.append(dependent)
-        released.sort()
-        self._ready = sorted(self._ready + released)
-        return released
-
-    def outstanding(self) -> int:
-        """Units not yet completed."""
-        return len(self._waiting) - len(self._done)
-
-    def all_done(self) -> bool:
-        return not self.outstanding()
 
 
 # -- the worker ----------------------------------------------------------

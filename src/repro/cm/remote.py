@@ -12,7 +12,7 @@ some other client compiled.  This module supplies the three pieces:
 - Transports -- :class:`LoopbackTransport` calls a server in-process
   (tests, benchmarks); :class:`SocketTransport` speaks the same framed
   protocol over TCP (``rbs://host:port``).  Every frame carries a
-  CRC-128, so a truncated or garbled response is a
+  content digest, so a truncated or garbled response is a
   :class:`~repro.cm.seam.TransportError` at the codec, never garbage
   handed to the store.
 - :class:`RemoteBackend` -- the client: a
@@ -69,20 +69,21 @@ from repro.cm.seam import (
     TransportTimeout,
 )
 from repro.digest import content_digest
-from repro.pids.crc128 import crc128_hex
 
-#: Frame magic: "repro bin store, framing v1".
-_MAGIC = b"RBS1"
+#: Frame magic: "repro bin store, framing v2" (v1 frames ended in a
+#: CRC-128).
+_MAGIC = b"RBS2"
 
 
 # -- the frame codec -----------------------------------------------------
 
 
 def encode_frame(meta: dict, blob: bytes = b"") -> bytes:
-    """``MAGIC + u32(meta_len) + meta + u32(blob_len) + blob + crc``.
+    """``MAGIC + u32(meta_len) + meta + u32(blob_len) + blob + digest``.
     The blob is zlib-compressed whenever that makes it smaller, and the
-    meta then carries ``"z": 1``.  The trailing CRC-128 (hex, 32 bytes)
-    covers everything before it; :func:`decode_frame` rejects any frame
+    meta then carries ``"z": 1``.  The trailing
+    :func:`~repro.digest.content_digest` (hex, 32 bytes) covers
+    everything before it; :func:`decode_frame` rejects any frame
     that fails it, which is how wire truncation/garbling becomes a
     typed transport error instead of bytes the store has to guess
     about."""
@@ -93,7 +94,7 @@ def encode_frame(meta: dict, blob: bytes = b"") -> bytes:
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = (_MAGIC + struct.pack(">I", len(meta_bytes)) + meta_bytes
             + struct.pack(">I", len(blob)) + blob)
-    return body + crc128_hex(body).encode("ascii")
+    return body + content_digest(body).encode("ascii")
 
 
 def decode_frame(data: bytes) -> tuple[dict, bytes]:
@@ -102,10 +103,10 @@ def decode_frame(data: bytes) -> tuple[dict, bytes]:
     any framing, integrity or compression failure."""
     if len(data) < len(_MAGIC) + 4 + 4 + 32:
         raise TransportError("short frame")
-    body, crc = data[:-32], data[-32:]
+    body, digest = data[:-32], data[-32:]
     if body[:len(_MAGIC)] != _MAGIC:
         raise TransportError("bad frame magic")
-    if crc128_hex(body).encode("ascii") != crc:
+    if content_digest(body).encode("ascii") != digest:
         raise TransportError("frame integrity check failed")
     off = len(_MAGIC)
     (meta_len,) = struct.unpack_from(">I", body, off)

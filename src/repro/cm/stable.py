@@ -20,14 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.pids.crc128 import crc128_hex
+from repro.digest import content_digest
 
 MAGIC = b"SMLSTABLE1\n"
 
 #: Archive format version.  Version 2 added per-unit payload checksums
-#: and a trailing whole-archive digest; other versions are rejected with
-#: a typed error (clients recompile from sources when they have them).
-ARCHIVE_VERSION = 2
+#: and a trailing whole-archive digest; version 3 computes both with
+#: :func:`~repro.digest.content_digest` instead of CRC-128.  Other
+#: versions are rejected with a typed error (clients recompile from
+#: sources when they have them).
+ARCHIVE_VERSION = 3
 
 
 class StableArchiveError(ValueError):
@@ -79,7 +81,7 @@ def stabilize(builder, names: list[str]) -> bytes:
             "imports": unit.imports,
             "provides": provides,
             "payload_len": len(unit.payload),
-            "payload_crc": crc128_hex(unit.payload),
+            "payload_digest": content_digest(unit.payload),
         })
         payloads.append(unit.payload)
     header = json.dumps(
@@ -92,7 +94,7 @@ def stabilize(builder, names: list[str]) -> bytes:
     # Whole-archive digest: anyone truncating or flipping a byte
     # anywhere in the file is caught even if the damage lands between
     # the per-unit checksums.
-    out.extend(bytes.fromhex(crc128_hex(bytes(out))))
+    out.extend(bytes.fromhex(content_digest(bytes(out))))
     return bytes(out)
 
 
@@ -110,7 +112,7 @@ def parse_archive(blob: bytes) -> list[StableUnit]:
         raise StableArchiveError("truncated stable archive (no header)")
     digest = blob[-16:].hex()
     body = blob[:-16]
-    if crc128_hex(body) != digest:
+    if content_digest(body) != digest:
         raise StableArchiveError(
             "stable-archive digest mismatch (truncated or corrupted)")
     offset = len(MAGIC)
@@ -139,7 +141,7 @@ def parse_archive(blob: bytes) -> list[StableUnit]:
                     f"{entry.get('name', '?')!r})")
             payload = body[offset:offset + length]
             offset += length
-            if crc128_hex(payload) != entry["payload_crc"]:
+            if content_digest(payload) != entry["payload_digest"]:
                 raise StableArchiveError(
                     f"checksum mismatch in stable unit "
                     f"{entry.get('name', '?')!r}")

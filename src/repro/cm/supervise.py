@@ -4,12 +4,16 @@
 admitted (decided through the builder's ``try_reuse`` seam, then
 compiled on a worker if it must be) the moment its last in-graph import
 has landed, and every fate -- applied, cached, loaded, failed, skipped
--- completes it in the :class:`~repro.cm.parallel.ReadySet`.  Workers
-are hermetic and results are applied only after their providers, so
-the store is byte-identical to a serial build's for every jobs count,
-pool kind and completion order.  Tasks always go through an executor;
-the ``jobs <= 1`` tier is :class:`~repro.cm.parallel.InlineExecutor`,
-which runs them at submit time.  A pooled build is configured in
+-- completes it in the :class:`~repro.cm.depend.ReadySet`, the same
+in-degree counters whose heap drain is the serial build order.  The
+pump drains them through a FIFO queue: the ready set's roots first,
+then each completion's releases, sorted.  Workers are hermetic and
+results are applied only after their providers, so the store is
+byte-identical to a serial build's for every jobs count, pool kind and
+completion order.  Tasks always go through an executor; the
+``jobs <= 1`` tier is :class:`~repro.cm.parallel.InlineExecutor`,
+which runs them at submit time.  A pooled build is configured by a
+jobs count and a policy, whether through
 :meth:`repro.cm.base.BaseBuilder.build` (CLI, library) or by
 constructing a :class:`Supervisor` (daemon, tests).
 
@@ -20,10 +24,11 @@ already applied.  With a :class:`SupervisePolicy` it treats failure as
 an *event to schedule around*:
 
 - **Retry with backoff.**  A failed attempt whose exception type is in
-  the policy's ``retryable`` set is resubmitted after a capped
-  exponential backoff, up to ``retries`` extra attempts per unit and
-  ``retry_total`` across the whole build (the *typed retry budget*:
-  deterministic compile errors are not retried at all).
+  :data:`RETRYABLE` is resubmitted after a capped exponential backoff
+  (:data:`BACKOFF_BASE` doubling per attempt, at most
+  :data:`BACKOFF_CAP`), up to the policy's ``retries`` extra attempts
+  per unit and :data:`RETRY_TOTAL` across the whole build (the *typed
+  retry budget*: deterministic compile errors are not retried at all).
 - **Timeouts.**  With ``timeout`` set, an attempt that runs past its
   wall-clock deadline (counted from when a worker picks it up, so
   waiting in the pool's queue does not count) is abandoned -- the hung
@@ -34,11 +39,13 @@ an *event to schedule around*:
   *poisoned*: it is recorded as ``failed``, its dependents are
   ``skipped`` (ledger cause ``poison-import``, naming the culprit), and
   every independent subgraph builds to completion.
-- **Checkpoints.**  With a ``checkpoint_dir``, the store is saved at
-  every quiet point that has something to write.  A killed build's
-  next run over the same store loads every unit that finished: the
-  crash-safe store's records are the whole resume state (export pids
-  are intrinsic, §5), so a rerun of the same command is the resume.
+- **Checkpoints.**  The store is saved at every quiet point that has
+  something to write, into the backend it was loaded from or last
+  saved to (a store with no backend, such as a bare ``BinStore()``,
+  never checkpoints).  A killed build's next run over the same store
+  loads every unit that finished: the crash-safe store's records are
+  the whole resume state (export pids are intrinsic, §5), so a rerun
+  of the same command is the resume.
 
 In both modes a dying pool degrades process -> thread -> inline instead
 of aborting, one rung per dead pool; :meth:`Supervisor._degrade` starts
@@ -65,12 +72,11 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from repro.cm import parallel
-from repro.cm.depend import DepGraph
+from repro.cm.depend import DepGraph, ReadySet
 from repro.cm.parallel import (
     CompileResult,
     InlineExecutor,
     ParallelBuildError,
-    ReadySet,
     _apply_result,
     _make_task,
     compile_task,
@@ -80,15 +86,24 @@ from repro.cm.store import StoreError
 from repro.obs.ledger import explain_skip
 from repro.obs.meter import NULL_METER
 
-#: Exception *type names* retried by default: the transient family
+#: Exception *type names* worth retrying: the transient family
 #: (injected crashes, IO errors, timeouts, pool plumbing failures).
 #: Deterministic compile errors -- parse/elaboration failures -- are
 #: absent on purpose: retrying them burns budget to learn nothing.
-DEFAULT_RETRYABLE = (
+RETRYABLE = (
     "InjectedCrash", "TimeoutError", "OSError", "IOError",
     "BrokenProcessPool", "BrokenThreadPool", "BrokenExecutor",
     "ConnectionError", "ConnectionResetError", "EOFError",
 )
+
+#: Retries across one whole build, so a systemically failing
+#: environment converges instead of thrashing.
+RETRY_TOTAL = 16
+
+#: ``BACKOFF_BASE * 2**attempt`` seconds, at most ``BACKOFF_CAP``,
+#: separate a unit's attempts.
+BACKOFF_BASE = 0.01
+BACKOFF_CAP = 0.25
 
 
 @dataclass(frozen=True)
@@ -96,22 +111,14 @@ class SupervisePolicy:
     """How hard the supervisor fights for a build.
 
     ``retries`` is *extra attempts per unit* (0 = one attempt, no
-    retry); ``retry_total`` caps retries across the whole build so a
-    systemically-failing environment converges instead of thrashing.
-    ``backoff_base * 2**attempt`` seconds, capped at ``backoff_cap``,
-    separates attempts.  ``timeout`` (pooled builds only; the inline
-    tier cannot preempt) is the per-attempt wall-clock deadline, from
-    when a worker starts the attempt.
-    ``retryable`` is the typed budget: exception *type names* worth
-    retrying.
+    retry), within the build-wide :data:`RETRY_TOTAL`.  ``timeout``
+    (pooled builds only; the inline tier cannot preempt) is the
+    per-attempt wall-clock deadline, from when a worker starts the
+    attempt.
     """
 
     retries: int = 2
-    retry_total: int = 16
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
     timeout: float | None = None
-    retryable: tuple = DEFAULT_RETRYABLE
 
 
 #: How often the pump looks for queued attempts that started running
@@ -133,12 +140,10 @@ class Supervisor:
 
     def __init__(self, jobs: int = 2,
                  policy: SupervisePolicy | None = None,
-                 checkpoint_dir: str | None = None,
                  executor_factory=None,
                  keep_executor: bool = False):
         self.jobs = jobs
         self.policy = policy
-        self.checkpoint_dir = checkpoint_dir
         self.executor_factory = executor_factory
         #: When True the executor outlives the build -- the daemon's
         #: warm-pool seam (:mod:`repro.cm.daemon` hands a cached
@@ -223,21 +228,23 @@ class Supervisor:
         never read, and all attempts produce identical intrinsic bytes
         anyway.
 
-        Checkpointing happens at *quiet points*: whenever the admit
-        queue drains and the store holds changes no save has written
+        A supervised build over a store with a backend checkpoints at
+        *quiet points*: whenever the admit queue drains and the store
+        holds changes no save has written
         (:meth:`~repro.cm.store.BinStore.unsaved`), so a build that only
         loads or keeps units writes nothing.
         """
         meter = self.meter
         policy = self.policy
         report = self.report
-        ready = ReadySet(graph)
-        admit_queue: deque[str] = deque(ready.take())
+        ready = ReadySet(graph.order, graph.deps)
+        admit_queue: deque[str] = deque(ready.roots)
         active: dict[str, tuple] = {}
         pending: list[tuple] = []  # (launch_at, name, attempt, reason)
         #: (unit, closure unit) pairs relaunched for a damaged payload.
         mended: set[tuple[str, str]] = set()
         timed = policy is not None and policy.timeout is not None
+        checkpoints = policy is not None and builder.store.backend is not None
 
         def finish(name: str) -> None:
             admit_queue.extend(ready.complete(name))
@@ -320,13 +327,12 @@ class Supervisor:
                 return
             if policy is None:
                 raise ParallelBuildError(name, exc_type, message)
-            retryable = exc_type in policy.retryable
+            retryable = exc_type in RETRYABLE
             if retryable and attempt < policy.retries \
-                    and self.retry_spent < policy.retry_total:
+                    and self.retry_spent < RETRY_TOTAL:
                 self.retry_spent += 1
                 report.retries += 1
-                delay = min(policy.backoff_cap,
-                            policy.backoff_base * (2 ** attempt))
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** attempt))
                 t = time.perf_counter()
                 if meter.enabled:
                     meter.event("retry", cat="supervise", unit=name,
@@ -346,7 +352,7 @@ class Supervisor:
             while True:
                 while admit_queue:
                     admit(admit_queue.popleft())
-                if self.checkpoint_dir is not None and builder.store.unsaved():
+                if checkpoints and builder.store.unsaved():
                     self._checkpoint(builder)
                 if not active and not pending:
                     return
@@ -468,10 +474,12 @@ class Supervisor:
     # -- checkpointing ----------------------------------------------------
 
     def _checkpoint(self, builder) -> None:
-        """Persist a quiet point: one store save.  Best effort -- a
-        full disk costs resumability, never the build."""
+        """Persist a quiet point: one save into the store's own
+        backend.  Best effort -- a full disk costs resumability, never
+        the build."""
+        store = builder.store
         try:
-            builder.store.save_directory(self.checkpoint_dir)
+            store.save_directory(store.backend.root)
         except StoreError as err:
             builder.health.notes.append(
                 f"checkpoint save failed ({type(err).__name__}): {err}")

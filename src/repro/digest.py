@@ -3,9 +3,10 @@ a pid.
 
 Pids stay CRC-128 (:mod:`repro.pids.crc128`), because the paper (§5)
 defines them that way and cutoff and the link check compare them across
-sessions.  Source digests and the bin store's payload and record
-digests only have to detect change and damage, so they use a C-speed
-hash instead of the pure-Python CRC.
+sessions.  Source digests, the bin store's payload and record digests,
+the remote store's frame trailers and the stable archive's checks only
+have to detect change and damage, so they use a C-speed hash instead of
+the pure-Python CRC.
 """
 
 from __future__ import annotations

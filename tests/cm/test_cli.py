@@ -200,6 +200,20 @@ class TestCmFiles:
         assert "Main.answer = 42" in out
 
 
+#: Supervision flags out of range, and the usage error each one gets.
+#: (``--retries 0`` is in range: TestServeFlags builds with it.)
+OUT_OF_RANGE = [
+    pytest.param(["--retries", "-1"], "--retries must be at least 0",
+                 id="retries-negative"),
+    pytest.param(["--timeout", "0"], "--timeout must be greater than 0",
+                 id="timeout-zero"),
+    pytest.param(["--timeout", "-1"], "--timeout must be greater than 0",
+                 id="timeout-negative"),
+    pytest.param(["--timeout", "nan"], "--timeout must be greater than 0",
+                 id="timeout-nan"),
+]
+
+
 class TestSupervisedCli:
     def test_retries_flag_builds_supervised(self, srcdir, capsys):
         assert main([srcdir, "--retries", "1", "--jobs", "2",
@@ -226,9 +240,10 @@ class TestSupervisedCli:
         srcdir = str(tmp_path / "killed")
         names = self.chain_tree(srcdir)
         killed = kill_at_save(
-            Supervisor(jobs=2, policy=SupervisePolicy(),
-                       checkpoint_dir=os.path.join(srcdir, ".bin")),
-            CutoffBuilder(Project.from_directory(srcdir)), 1)
+            Supervisor(jobs=2, policy=SupervisePolicy()),
+            CutoffBuilder(Project.from_directory(srcdir),
+                          store=BinStore.load_directory(
+                              os.path.join(srcdir, ".bin"))), 1)
         finished = set(killed.compiled)
         assert 0 < len(finished) < len(names)
 
@@ -244,6 +259,17 @@ class TestSupervisedCli:
         assert main([clean, *command]) == 0
         assert (store_files(os.path.join(srcdir, ".bin"))
                 == store_files(os.path.join(clean, ".bin")))
+
+    @pytest.mark.parametrize("flags, message", OUT_OF_RANGE)
+    def test_out_of_range_flag_is_refused(self, srcdir, capsys, flags,
+                                          message):
+        """A negative retry count, or a deadline that every attempt
+        has already missed, is a usage error, not a failed build."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([srcdir, "--jobs", "2", "--no-link", *flags])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
 
     def test_timeout_needs_jobs(self, srcdir, capsys):
         """The inline tier runs each compile at submit time, so a
@@ -414,6 +440,18 @@ class TestServeFlags:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert named in captured.err and "--serve" in captured.err
+        assert captured.out == ""  # no request was served
+        assert not os.path.exists(os.path.join(srcdir, ".bin"))
+
+    @pytest.mark.parametrize("flags, message", OUT_OF_RANGE)
+    def test_out_of_range_flag_is_refused(self, srcdir, capsys,
+                                          monkeypatch, flags, message):
+        self.feed(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--serve", srcdir, "--jobs", "2", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
         assert captured.out == ""  # no request was served
         assert not os.path.exists(os.path.join(srcdir, ".bin"))
 

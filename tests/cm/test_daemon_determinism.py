@@ -52,8 +52,8 @@ EDITS = {
 
 JOBS = [1, 2, 4]
 
-#: Fast supervision for tests (tiny backoffs; behaviourally identical).
-POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
+#: Supervision with one retry per unit.
+POLICY = SupervisePolicy(retries=1)
 
 
 def write_tree(srcdir, project, only=None):

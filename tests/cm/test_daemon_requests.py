@@ -27,7 +27,7 @@ from repro.obs import Tracer
 from repro.workload import generate_workload
 from repro.workload.shapes import chain, diamond, fanout
 
-POLICY = SupervisePolicy(retries=1, backoff_base=0.001, backoff_cap=0.01)
+POLICY = SupervisePolicy(retries=1)
 
 
 def write_tree(srcdir, project):

@@ -149,10 +149,10 @@ class TestCheckpointUnderDiskFull:
         bin_dir = str(tmp_path / "bin")
         workload = generate_workload([[], [0], [1]], helpers_per_unit=1)
         fs = FaultyFS(FaultPlan(enospc_at_write=2))
-        builder = CutoffBuilder(workload.project,
-                                store=BinStore(fs=fs))
-        report = Supervisor(jobs=2, policy=SupervisePolicy(),
-                            checkpoint_dir=bin_dir).build(builder)
+        builder = CutoffBuilder(
+            workload.project, store=BinStore.load_directory(bin_dir, fs=fs))
+        report = Supervisor(jobs=2,
+                            policy=SupervisePolicy()).build(builder)
         assert not report.failed and not report.skipped
         assert len(report.compiled) == 3
         assert any("checkpoint" in note

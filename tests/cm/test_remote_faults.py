@@ -300,3 +300,21 @@ class TestCompression:
         assert server.bytes_out - bytes_out < len(payload)
         assert loaded.health.ok, loaded.health.render_text()
         assert loaded.get("big").payload == payload
+
+
+class TestFrameFormat:
+    def test_frame_with_the_old_trailer_is_a_transport_error(self):
+        """A frame ends in the content digest of everything before it.
+        A CRC-128 trailer, under either magic, is refused."""
+        from repro.cm.remote import decode_frame, encode_frame
+        from repro.cm.seam import TransportError
+        from repro.pids.crc128 import crc128_hex
+
+        frame = encode_frame({"op": "get", "stem": "a"}, b"blob")
+        assert decode_frame(frame) == ({"op": "get", "stem": "a"}, b"blob")
+        body = frame[:-32]
+        with pytest.raises(TransportError, match="integrity"):
+            decode_frame(body + crc128_hex(body).encode("ascii"))
+        old = b"RBS1" + body[4:]
+        with pytest.raises(TransportError, match="magic"):
+            decode_frame(old + crc128_hex(old).encode("ascii"))

@@ -1,10 +1,14 @@
 """Stable-archive hardening: typed errors on damage, and builders that
 fall back to sources instead of crashing."""
 
+import json
+
 import pytest
 
 from repro.cm import CutoffBuilder, Project, StableArchiveError
 from repro.cm.stable import MAGIC, parse_archive, stabilize
+from repro.digest import content_digest
+from repro.pids.crc128 import crc128_hex
 
 LIB = {
     "mathsig": "signature MATH = sig val double : int -> int "
@@ -68,6 +72,41 @@ class TestArchiveValidation:
 
     def test_stable_archive_error_is_a_value_error(self):
         assert issubclass(StableArchiveError, ValueError)
+
+
+def repack(archive, version, digest, entry_key):
+    """``archive``'s units packed as format ``version``: each payload
+    checked under ``entry_key`` and the whole archive by ``digest``."""
+    units = parse_archive(archive)
+    start = len(MAGIC) + 8
+    header = json.loads(archive[start:start + int.from_bytes(
+        archive[len(MAGIC):start], "big")])
+    header["version"] = version
+    for entry, unit in zip(header["units"], units):
+        del entry["payload_digest"]
+        entry[entry_key] = digest(unit.payload)
+    raw = json.dumps(header).encode()
+    out = (MAGIC + len(raw).to_bytes(8, "big") + raw
+           + b"".join(unit.payload for unit in units))
+    return out + bytes.fromhex(digest(out))
+
+
+class TestFormatVersion:
+    def test_repack_reproduces_the_current_format(self, archive):
+        assert repack(archive, 3, content_digest,
+                      "payload_digest") == archive
+
+    def test_version_2_archive_is_rejected(self, archive):
+        """Version 2 checked each payload (``payload_crc``) and the
+        whole archive with CRC-128."""
+        with pytest.raises(StableArchiveError):
+            parse_archive(repack(archive, 2, crc128_hex, "payload_crc"))
+
+    def test_version_2_header_is_rejected_whatever_its_digests(
+            self, archive):
+        with pytest.raises(StableArchiveError, match="version"):
+            parse_archive(repack(archive, 2, content_digest,
+                                 "payload_digest"))
 
 
 class TestBuilderFallback:

@@ -320,11 +320,11 @@ class TestCheckpointResume:
 
         # Session 1: killed right after its second checkpoint.
         workload = generate_workload(shape, helpers_per_unit=1)
-        first = CutoffBuilder(workload.project,
-                              store=BinStore(backend=backend))
+        first = CutoffBuilder(
+            workload.project,
+            store=BinStore.load_directory(bin_dir, backend=backend))
         partial = kill_at_save(
-            Supervisor(jobs=2, policy=SupervisePolicy(),
-                       checkpoint_dir=bin_dir), first, 2)
+            Supervisor(jobs=2, policy=SupervisePolicy()), first, 2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
 
@@ -336,8 +336,8 @@ class TestCheckpointResume:
         store = BinStore.load_directory(bin_dir, backend=backend2)
         assert store.health.ok, store.health.render_text()
         second = CutoffBuilder(workload2.project, store=store)
-        report = Supervisor(jobs=2, policy=SupervisePolicy(),
-                            checkpoint_dir=bin_dir).build(second)
+        report = Supervisor(jobs=2,
+                            policy=SupervisePolicy()).build(second)
         assert not report.failed and not report.skipped
         assert set(report.loaded) == finished
         assert set(report.compiled) == \

@@ -11,6 +11,7 @@ ledger and the tracer.
 """
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -29,8 +30,9 @@ from repro.workload.shapes import fanout, layered
 
 from tests.helpers import kill_at_save, store_files
 
-#: A fast retry policy for tests (real backoffs are milliseconds here).
-FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
+#: Two retries per unit; the backoff between attempts is the fixed
+#: 10-250 ms of ``repro.cm.supervise``.
+POLICY = SupervisePolicy(retries=2)
 
 
 def serial_reference(shape, store_dir):
@@ -63,8 +65,7 @@ class TestFaultsConverge:
                               delay=5.0)
         report = Supervisor(
             jobs=4,
-            policy=SupervisePolicy(retries=2, backoff_base=0.001,
-                                   timeout=2.0),
+            policy=SupervisePolicy(retries=2, timeout=2.0),
             executor_factory=faulty_executors(faults)).build(builder)
         assert len(report.compiled) == 40
         assert not report.failed and not report.skipped
@@ -86,7 +87,7 @@ class TestFaultsConverge:
         faults = WorkerFaults(
             crash_units=frozenset({"u000", "u004", "u008"}))
         report = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=faulty_executors(faults)).build(builder)
         assert not report.failed and not report.skipped
         assert report.retries == 3
@@ -108,7 +109,7 @@ class TestFaultsConverge:
         faults = WorkerFaults(crash_units=frozenset({"u004"}),
                               slow_units=frozenset({"u001"}), delay=0.05)
         report = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=faulty_executors(faults)).build(builder)
         assert report.pool == "process"
         assert report.retries == 1
@@ -122,7 +123,7 @@ class TestFaultsConverge:
         workload = generate_workload(fanout(3), helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         report = Supervisor(
-            jobs=1, policy=FAST,
+            jobs=1, policy=POLICY,
             executor_factory=faulty_executors(WorkerFaults(
                 crash_units=frozenset({"u002"})))).build(builder)
         assert not report.failed
@@ -138,7 +139,7 @@ class TestPoisonAndSkip:
         builder = CutoffBuilder(workload.project, meter=meter)
         report = Supervisor(
             jobs=2,
-            policy=SupervisePolicy(retries=1, backoff_base=0.001),
+            policy=SupervisePolicy(retries=1),
             executor_factory=faulty_executors(WorkerFaults(
                 poison_units=frozenset({"u001"})))).build(builder)
         return builder, report
@@ -187,7 +188,7 @@ class TestPoisonAndSkip:
             "u001",
             "structure Broken = struct val x = no_such_thing end")
         builder = CutoffBuilder(workload.project)
-        report = Supervisor(jobs=2, policy=FAST).build(builder)
+        report = Supervisor(jobs=2, policy=POLICY).build(builder)
         assert report.failed == ["u001"]
         assert report.retries == 0
         decision = builder.ledger.get("u001")
@@ -201,10 +202,10 @@ class TestResume:
 
         # Session 1: killed right after its second checkpoint.
         workload = generate_workload(shape, helpers_per_unit=1)
-        first = CutoffBuilder(workload.project)
+        first = CutoffBuilder(workload.project,
+                              store=BinStore.load_directory(bin_dir))
         partial = kill_at_save(
-            Supervisor(jobs=2, policy=SupervisePolicy(),
-                       checkpoint_dir=bin_dir), first, 2)
+            Supervisor(jobs=2, policy=SupervisePolicy()), first, 2)
         finished = set(partial.compiled)
         assert 0 < len(finished) < len(shape)
 
@@ -216,8 +217,8 @@ class TestResume:
         assert store.health.ok
         assert set(store.names()) == finished
         second = CutoffBuilder(workload2.project, store=store)
-        report = Supervisor(jobs=2, policy=SupervisePolicy(),
-                            checkpoint_dir=bin_dir).build(second)
+        report = Supervisor(jobs=2,
+                            policy=SupervisePolicy()).build(second)
         assert not report.failed and not report.skipped
         assert set(report.loaded) == finished
         assert set(report.compiled) == \
@@ -242,7 +243,7 @@ class TestDegradation:
                                      helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=lambda jobs: (BrokenExecutor(), "process"))
         report = supervisor.build(builder)
         assert not report.failed and not report.skipped
@@ -265,7 +266,7 @@ class TestDegradation:
         workload = generate_workload([[], [0]], helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=lambda jobs: (BrokenExecutor(), "process"))
         # Make the degraded thread tier broken too.
         import repro.cm.supervise as supervise_mod
@@ -306,7 +307,7 @@ class TestDegradation:
         workload = generate_workload(shape, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         supervisor = Supervisor(
-            jobs=2, policy=SupervisePolicy(backoff_base=0.001),
+            jobs=2, policy=SupervisePolicy(),
             executor_factory=lambda jobs: (DyingPool(), "process"))
         report = supervisor.build(builder)
         assert report.degraded == 1
@@ -347,8 +348,7 @@ class TestObservability:
                               delay=5.0)
         report = Supervisor(
             jobs=3,
-            policy=SupervisePolicy(retries=2, backoff_base=0.001,
-                                   timeout=0.25),
+            policy=SupervisePolicy(retries=2, timeout=0.25),
             executor_factory=faulty_executors(faults)).build(builder)
         assert not report.failed
         retry_events = tracer.events_named("retry")
@@ -365,7 +365,7 @@ class TestObservability:
         workload = generate_workload([[], [0]], helpers_per_unit=1)
         builder = CutoffBuilder(workload.project, meter=tracer)
         report = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=faulty_executors(WorkerFaults(
                 poison_units=frozenset({"u000"})))).build(builder)
         assert report.failed == ["u000"]
@@ -380,11 +380,63 @@ class TestBuilderEntryPoint:
     def test_build_kwargs_route_through_supervisor(self, tmp_path):
         """``builder.build(policy=...)`` is the supervised path."""
         workload = generate_workload(fanout(3), helpers_per_unit=1)
-        builder = CutoffBuilder(workload.project)
-        report = builder.build(jobs=2, policy=FAST,
-                               checkpoint_dir=str(tmp_path / "bin"))
+        bin_dir = str(tmp_path / "bin")
+        builder = CutoffBuilder(workload.project,
+                                store=BinStore.load_directory(bin_dir))
+        report = builder.build(jobs=2, policy=POLICY)
         assert not report.failed
         assert len(report.compiled) == 5
         # The checkpoint really landed.
-        store = BinStore.load_directory(str(tmp_path / "bin"))
+        store = BinStore.load_directory(bin_dir)
         assert sorted(store.names()) == sorted(builder.units)
+
+
+class TestDerivedCheckpoint:
+    """A supervised build checkpoints into the store's own backend:
+    the directory it was loaded from or last saved to."""
+
+    @staticmethod
+    def build_counting_saves(store, policy):
+        workload = generate_workload(layered([2, 2], seed=1),
+                                     helpers_per_unit=1)
+        builder = CutoffBuilder(workload.project, store=store)
+        saves = []
+        save = store.save_directory
+
+        def counted(path, *args, **kwargs):
+            saves.append(path)
+            return save(path, *args, **kwargs)
+
+        store.save_directory = counted
+        try:
+            report = Supervisor(jobs=1, policy=policy).build(builder)
+        finally:
+            del store.save_directory
+        assert len(report.compiled) == 4
+        return builder, saves
+
+    def test_store_loaded_from_a_directory_checkpoints_there(
+            self, tmp_path):
+        bin_dir = str(tmp_path / "bin")
+        builder, saves = self.build_counting_saves(
+            BinStore.load_directory(bin_dir), POLICY)
+        assert saves and set(saves) == {bin_dir}
+        assert not builder.store.unsaved()
+        on_disk = BinStore.load_directory(bin_dir)
+        assert sorted(on_disk.names()) == sorted(builder.units)
+
+    def test_store_with_no_backend_writes_nothing(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        builder, saves = self.build_counting_saves(BinStore(), POLICY)
+        assert saves == []
+        assert builder.store.unsaved()
+        assert os.listdir(tmp_path) == []
+
+    def test_fail_fast_build_never_checkpoints(self, tmp_path):
+        bin_dir = str(tmp_path / "bin")
+        builder, saves = self.build_counting_saves(
+            BinStore.load_directory(bin_dir), None)
+        assert saves == []
+        assert builder.store.unsaved()
+        assert not os.path.exists(bin_dir)

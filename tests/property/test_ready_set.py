@@ -2,23 +2,26 @@
 
 Three claims, over arbitrary DAGs:
 
-1. The :class:`ReadySet` state machine itself is sound: every unit is
-   offered exactly once, never before all its in-graph imports
-   completed, and imports outside the graph never gate.
+1. The :class:`ReadySet` state machine itself is sound: drained as the
+   build pump drains it (a FIFO queue seeded with ``roots``), every
+   unit is released exactly once, never before all its in-graph
+   imports completed, and imports outside the graph never gate.
 2. A ready-set build's recorded ``dispatch_order`` is a linear
    extension of the dependency graph -- no unit is decided before its
    imports -- and covers every unit exactly once.
 3. On random DAGs, a ready-set build produces the same final store
    bytes and export pids as a serial build.
 
-Alongside them, ``depend._topo_order`` (the serial build order) is
-checked against the quadratic definition it replaces: among the units
-whose in-graph imports are all placed, take the smallest name next.
+Alongside them, ``depend._topo_order`` (the serial build order, a heap
+drain of the same :class:`ReadySet`) is checked against the quadratic
+definition it replaces: among the units whose in-graph imports are all
+placed, take the smallest name next.
 """
 
 import os
 import shutil
 import tempfile
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,30 +62,45 @@ dags = st.builds(
 )
 
 
+def drain(ready, check=lambda released, completed: None):
+    """Drain ``ready`` the way the build pump does: a FIFO queue seeded
+    with the roots, extended by each completion's releases.  Returns
+    the units in the order they were released."""
+    offered = list(ready.roots)
+    queue = deque(offered)
+    completed: set = set()
+    while queue:
+        name = queue.popleft()
+        completed.add(name)
+        released = ready.complete(name)
+        check(released, completed)
+        offered.extend(released)
+        queue.extend(released)
+    return offered
+
+
 @given(dags)
 @settings(max_examples=120, deadline=None)
 def test_ready_set_offers_each_unit_once_after_its_imports(
         deps_by_index):
     graph = graph_from_deps(deps_by_index)
-    ready = ReadySet(graph)
-    completed: set = set()
-    offered: list = []
-    while not ready.all_done():
-        batch = ready.take()
-        assert batch == sorted(batch)
-        assert batch, "ready set stalled with units outstanding"
-        for name in batch:
+    ready = ReadySet(graph.order, graph.deps)
+    assert ready.roots == sorted(ready.roots)
+    for name in ready.roots:
+        assert graph.deps[name] == []
+
+    def check(released, completed):
+        assert released == sorted(released)
+        for name in released:
             # Never offered before every in-graph import completed.
             for dep in graph.deps[name]:
                 assert dep in completed
-        offered.extend(batch)
-        for name in batch:
-            ready.complete(name)
-            completed.add(name)
+
+    offered = drain(ready, check)
     # Exactly once each, nothing left behind.
     assert sorted(offered) == sorted(graph.order)
     assert len(offered) == len(set(offered))
-    assert ready.outstanding() == 0
+    assert ready.stuck() == set()
 
 
 @given(dags)
@@ -95,20 +113,9 @@ def test_ready_set_skips_imports_outside_the_graph(deps_by_index):
         return
     dropped = graph.order[0]
     kept = [n for n in graph.order if n != dropped]
-    trimmed = DepGraph(
-        deps={n: graph.deps[n] for n in kept},  # still names `dropped`
-        dependents={n: [d for d in graph.dependents[n] if d != dropped]
-                    for n in kept},
-        order=kept)
-    ready = ReadySet(trimmed)
-    offered = []
-    while not ready.all_done():
-        batch = ready.take()
-        assert batch
-        offered.extend(batch)
-        for name in batch:
-            ready.complete(name)
-    assert sorted(offered) == sorted(kept)
+    # The survivors' imports still name `dropped`.
+    ready = ReadySet(kept, {n: graph.deps[n] for n in kept})
+    assert sorted(drain(ready)) == sorted(kept)
 
 
 @given(dags)
@@ -119,16 +126,14 @@ def test_completing_a_unit_releases_exactly_its_last_gated_dependents(
     the final gate for -- the invariant the dispatch loops rely on to
     never poll."""
     graph = graph_from_deps(deps_by_index)
-    ready = ReadySet(graph)
+    ready = ReadySet(graph.order, graph.deps)
     completed: set = set()
-    ready.take()
     for name in graph.order:  # topological, so always completable
         released = ready.complete(name)
         completed.add(name)
-        for dependent in released:
-            assert all(dep in completed
-                       for dep in graph.deps[dependent])
-            assert name in graph.deps[dependent]
+        assert released == sorted(
+            dependent for dependent in graph.dependents[name]
+            if all(dep in completed for dep in graph.deps[dependent]))
         # Idempotent: completing again releases nothing twice.
         assert ready.complete(name) == []
 

@@ -25,7 +25,7 @@ from repro.workload import generate_workload, random_dag
 
 from tests.helpers import store_files
 
-FAST = SupervisePolicy(retries=2, backoff_base=0.001, backoff_cap=0.01)
+POLICY = SupervisePolicy(retries=2)
 
 
 def descendants(deps_by_index, root):
@@ -72,7 +72,7 @@ def test_crash_faults_cost_retries_never_bytes(case):
         workload = generate_workload(deps_by_index, helpers_per_unit=1)
         builder = CutoffBuilder(workload.project)
         report = Supervisor(
-            jobs=2, policy=FAST,
+            jobs=2, policy=POLICY,
             executor_factory=faulty_executors(WorkerFaults(
                 crash_units={victim}, crash_attempts=attempts))
         ).build(builder)
@@ -102,7 +102,7 @@ def test_poison_skips_exactly_the_dependent_cone(case):
     workload = generate_workload(deps_by_index, helpers_per_unit=1)
     builder = CutoffBuilder(workload.project)
     report = Supervisor(
-        jobs=1, policy=FAST,
+        jobs=1, policy=POLICY,
         executor_factory=faulty_executors(WorkerFaults(
             poison_units=frozenset({victim})))).build(builder)
 
