@@ -110,17 +110,17 @@ def test_micro_compile(benchmark, sample_unit):
 
 def test_micro_hash(benchmark, sample_unit):
     session, _w, graph, by_name, last = sample_unit
+    owned = last.owned_stamp_ids
     benchmark(lambda: intrinsic_pid(
-        last.static_env, last.owned_stamp_ids, session.extern,
-        seed=last.name))
+        last.static_env, owned, session.extern, seed=last.name))
 
 
 def test_micro_dehydrate(benchmark, sample_unit):
     session, _w, _graph, _by_name, last = sample_unit
+    owned = last.owned_stamp_ids
 
     def dehydrate():
-        pickler = Pickler(local_stamp_ids=last.owned_stamp_ids,
-                          extern=session.extern)
+        pickler = Pickler(local_stamp_ids=owned, extern=session.extern)
         return pickler.run((last.static_env, last.code))
 
     benchmark(dehydrate)

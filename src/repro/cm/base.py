@@ -529,8 +529,14 @@ class BaseBuilder:
         return record.imports == [(u.name, u.export_pid) for u in imports]
 
     def is_live_and_current(self, name: str, record: BinRecord) -> bool:
+        """Is the live unit the one ``record`` describes?  Its pid alone
+        is not enough: after another writer's build, a record can keep
+        a unit's pid while naming new import pids, and the live object
+        was compiled against the superseded ones."""
         live = self.units.get(name)
-        return live is not None and live.export_pid == record.export_pid
+        return (live is not None
+                and live.export_pid == record.export_pid
+                and live.imports == record.imports)
 
     # -- linking and running -------------------------------------------------
 

@@ -189,8 +189,16 @@ class StoreServer:
             if op == "list":
                 notes: list[str] = []
                 headers, payloads = backend.list_pairs(notes=notes)
+                digests = {}
+                for stem in headers:
+                    try:
+                        digests[stem] = content_digest(
+                            backend.read_header(stem))
+                    except OSError:
+                        pass  # the client fetches it and sees why
                 return {"headers": sorted(headers),
                         "payloads": sorted(payloads),
+                        "digests": digests,
                         "notes": notes}, b""
             if op == "fetch":
                 stem = meta["stem"]
@@ -394,7 +402,8 @@ class RemoteBackend(StoreBackend):
     fronted by a local flat-directory write-through cache.
 
     Reads prefetch: ``list_pairs`` pulls every record the cache does
-    not already hold (verified against its own header checksum before
+    not already hold, or holds under a header other than the one the
+    server lists (verified against its own header checksum before
     caching -- server-side at-rest damage is *served raw* to the store
     for normal taxonomy classification, never cached).  Writes go to
     the cache first and through to the server; if the server is
@@ -479,6 +488,17 @@ class RemoteBackend(StoreBackend):
                 and self.fs.exists(self.cache.path_of(stem,
                                                       HEADER_SUFFIX)))
 
+    def _cache_holds(self, stem: str, digest: str | None) -> bool:
+        """Does the cache hold the pair the server lists, whose header
+        has content digest ``digest``?  Another client may have
+        replaced a cached pair since this cache fetched it."""
+        if digest is None or not self._cached(stem):
+            return False
+        try:
+            return content_digest(self.cache.read_header(stem)) == digest
+        except OSError:
+            return False
+
     def _verify_pair(self, header: bytes,
                      payload: bytes) -> tuple[bool, str | None]:
         """Is a fetched pair internally consistent (parsable header
@@ -512,11 +532,12 @@ class RemoteBackend(StoreBackend):
             notes.extend(meta.get("notes", []))
         headers = set(meta.get("headers", []))
         payloads = set(meta.get("payloads", []))
+        digests = meta.get("digests", {})
         fresh_names: dict[str, str] = {}
         seen_headers: set[str] = set()
         seen_payloads: set[str] = set()
         for stem in sorted(headers | payloads):
-            if self._cached(stem):
+            if self._cache_holds(stem, digests.get(stem)):
                 self.cache_hits += 1
                 seen_headers.add(stem)
                 seen_payloads.add(stem)

@@ -12,7 +12,7 @@ from repro.elab.unify import unify
 from repro.lang import ast
 from repro.semant import prim
 from repro.semant.env import Env, ValueBinding
-from repro.semant.stamps import StampGenerator, default_generator
+from repro.semant.stamps import default_generator
 from repro.semant.types import (
     BoundVar,
     ConType,
@@ -47,10 +47,10 @@ class Elaborator:
     """Elaboration context for one compilation unit (or one interactive
     declaration)."""
 
-    def __init__(self, env: Env, stamps: StampGenerator | None = None):
+    def __init__(self, env: Env):
         self.env = env
         self.level = 0
-        self.stamps = stamps or default_generator()
+        self.stamps = default_generator()
         self._tyvar_scopes: list[_TyvarScope] = []
         #: Stamps minted while elaborating the current unit; the pickler
         #: uses this set to tell local objects from imported ones.

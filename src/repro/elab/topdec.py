@@ -6,14 +6,10 @@ import repro.elab.modules  # noqa: F401  (registers module-dec handlers)
 from repro.elab.core import Elaborator
 from repro.lang import ast
 from repro.semant.env import Env
-from repro.semant.stamps import StampGenerator
 
 
-def elaborate_decs(
-    decs: list[ast.Dec],
-    context: Env,
-    stamps: StampGenerator | None = None,
-) -> tuple[Env, Elaborator]:
+def elaborate_decs(decs: list[ast.Dec],
+                   context: Env) -> tuple[Env, Elaborator]:
     """Elaborate a sequence of top-level declarations against ``context``.
 
     Returns the frame of new bindings (the unit's static export) and the
@@ -23,7 +19,7 @@ def elaborate_decs(
     The AST is annotated in place; the caller keeps it as the unit's
     "code".
     """
-    el = Elaborator(context, stamps)
+    el = Elaborator(context)
     frame = el.push_frame()
     for dec in decs:
         el.elab_dec(dec)

@@ -13,8 +13,13 @@ same way SML/NJ did:
    other compilation units (or the pervasive basis).  "We 'dehydrate' the
    environment by identifying the external pointers and replacing them by
    stubs" -- a stub names the defining unit's pid and the object's export
-   index.  Rehydration resolves stubs through a registry built from the
-   context units, "replacing the stubs with the right pointers".
+   index.  Rehydration resolves stubs through the session's registry of
+   loaded units, "replacing the stubs with the right pointers".
+
+Stubs are the only boundary.  Every frame a unit exports is built with
+no parent, so a payload is closed: it holds no pointer into the
+environment its unit was compiled in, and the session's registry is the
+whole of the paper's "context environment".
 """
 
 from repro.pickle.pickler import (

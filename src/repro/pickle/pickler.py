@@ -7,16 +7,14 @@ fields), so cyclic graphs -- datatypes and their constructors -- roundtrip
 exactly, and shared subgraphs are written once (back-references), keeping
 bin files linear in the object graph.
 
-Two pluggable boundaries implement the paper's dehydration:
-
-- ``local_stamp_ids`` + ``extern``: a stamped object whose stamp the
-  current unit does not own is written as ``STUB(pid, index)`` where
-  ``extern(stamp_id)`` supplies the owning unit's pid and the object's
-  export index within that unit's bin file.
-- ``context_env_ids``: environment frames belonging to the compilation
-  context (imports + basis layering) are written as a ``CONTEXT`` mark;
-  the rehydrater splices the *current session's* context environment in
-  their place.
+One boundary implements the paper's dehydration: a stamped object
+whose stamp the current unit does not own (``local_stamp_ids``) is
+written as ``STUB(pid, index)``, where ``extern(stamp_id)`` supplies the
+owning unit's pid and the object's export index within that unit's bin
+file.  That is the only pointer out of a payload: every frame a unit
+exports is built parentless, so nothing a unit dehydrates reaches the
+environment it was compiled in, and a payload decodes against the
+session's pid registry alone (the paper's "context environment", §4).
 
 Export indices: every locally-owned stamped object is assigned the next
 index in encounter order.  The encoder and decoder perform the identical
@@ -45,8 +43,7 @@ from repro.pickle.registry import (
     TAG_TO_ENTRY,
     prim_tycon_table,
 )
-from repro.semant.env import Env
-from repro.semant.stamps import Stamp, StampGenerator, default_generator
+from repro.semant.stamps import Stamp, default_generator
 from repro.semant.types import FlexRecord, TyVar, prune
 
 _T_NONE = 0
@@ -61,7 +58,9 @@ _T_LIST = 8
 _T_DICT = 9
 _T_OBJ = 10
 _T_STUB = 11
-_T_CONTEXT = 12
+# 12 stays unassigned: it marked a frame of the compilation context in
+# streams of this same format version, and such a stream must fail as
+# damage rather than decode as something else.
 _T_PRIM = 13
 _T_STAMP = 14
 _T_BYTES = 15
@@ -97,8 +96,8 @@ class PickleError(Exception):
 
 
 class UnpickleError(Exception):
-    """Raised when a bin file cannot be rehydrated (stale or missing
-    context, corrupt stream)."""
+    """Raised when a bin file cannot be rehydrated (a stub the session
+    cannot resolve, a corrupt stream)."""
 
 
 class UnresolvedStubError(UnpickleError):
@@ -137,7 +136,6 @@ class Pickler:
         self,
         local_stamp_ids: set[int] | frozenset[int] = frozenset(),
         extern=None,
-        context_env_ids: set[int] | frozenset[int] = frozenset(),
         normalize_lines: bool = False,
         share: bool = True,
         raw_stamps: bool = False,
@@ -157,7 +155,6 @@ class Pickler:
         """
         self.local_stamp_ids = local_stamp_ids
         self.extern = extern
-        self.context_env_ids = context_env_ids
         self.normalize_lines = normalize_lines
         self.share = share
         self.raw_stamps = raw_stamps
@@ -282,10 +279,6 @@ class Pickler:
                 return
             self.export_index.append(obj)
 
-        if isinstance(obj, Env) and id(obj) in self.context_env_ids:
-            out.append(_T_CONTEXT)
-            return
-
         tag = CLASS_TO_TAG.get(cls)
         if tag is None:
             raise PickleError(
@@ -328,17 +321,9 @@ class Unpickler:
     """One rehydration run over a byte stream (see the module notes:
     :meth:`run` is the whole decoder)."""
 
-    def __init__(
-        self,
-        data: bytes,
-        resolve=None,
-        context_env: Env | None = None,
-        stamps: StampGenerator | None = None,
-    ):
+    def __init__(self, data: bytes, resolve=None):
         self._data = data
         self._resolve = resolve
-        self._context_env = context_env
-        self._stamps = stamps or default_generator()
         self.export_index: list[object] = []
         #: Bytes consumed (telemetry: rehydration input size).
         self.bytes_in = len(data)
@@ -350,8 +335,7 @@ class Unpickler:
         data = self._data
         end = len(data)
         resolve = self._resolve
-        context_env = self._context_env
-        fresh = self._stamps.fresh
+        fresh = default_generator().fresh
         exports = self.export_index
         memo: list[object] = []
         strings: list[str] = []
@@ -475,15 +459,10 @@ class Unpickler:
                     raise UnresolvedStubError(
                         pid,
                         f"unresolved external reference: unit {pid} "
-                        f"export #{index} is not in the context (at byte "
+                        f"export #{index} is not in the session (at byte "
                         f"{pos} of {end})") from None
                 memo[slot] = obj
                 return obj
-            if tag == _T_CONTEXT:
-                if context_env is None:
-                    fail("bin stream references its compilation context "
-                         "but none was provided")
-                return context_env
             if tag == _T_FLOAT:
                 return _FLOAT.unpack(take(8))[0]
             if tag == _T_BYTES:
@@ -525,33 +504,16 @@ def dehydrate(
     root,
     local_stamp_ids=frozenset(),
     extern=None,
-    context_env_ids=frozenset(),
     normalize_lines: bool = False,
 ) -> tuple[bytes, list[object]]:
     """Dehydrate ``root``; returns (bytes, export index)."""
-    pickler = Pickler(local_stamp_ids, extern, context_env_ids,
-                      normalize_lines)
+    pickler = Pickler(local_stamp_ids, extern, normalize_lines)
     data = pickler.run(root)
     return data, pickler.export_index
 
 
-def rehydrate(
-    data: bytes,
-    resolve=None,
-    context_env: Env | None = None,
-    stamps: StampGenerator | None = None,
-) -> tuple[object, list[object]]:
+def rehydrate(data: bytes, resolve=None) -> tuple[object, list[object]]:
     """Rehydrate a byte stream; returns (root, export index)."""
-    unpickler = Unpickler(data, resolve, context_env, stamps)
+    unpickler = Unpickler(data, resolve)
     root = unpickler.run()
     return root, unpickler.export_index
-
-
-def context_chain_ids(env: Env | None) -> frozenset[int]:
-    """The ids of every frame in an environment chain -- used to mark the
-    compilation context as a dehydration boundary."""
-    ids = set()
-    while env is not None:
-        ids.add(id(env))
-        env = env.parent
-    return frozenset(ids)

@@ -34,7 +34,6 @@ def intrinsic_pid(
     export_env: Env,
     local_stamp_ids,
     extern=None,
-    context_env_ids=frozenset(),
     seed: str = "",
 ) -> str:
     """The intrinsic pid (32 hex digits) of an exported environment.
@@ -47,7 +46,6 @@ def intrinsic_pid(
     pickler = Pickler(
         local_stamp_ids=local_stamp_ids,
         extern=extern,
-        context_env_ids=context_env_ids,
         normalize_lines=True,
     )
     data = pickler.run(export_env)
@@ -61,7 +59,6 @@ def binding_pids(
     export_env: Env,
     local_stamp_ids,
     extern=None,
-    context_env_ids=frozenset(),
     seed: str = "",
 ) -> dict[str, str]:
     """Per-binding intrinsic pids: the interface *slice* hashes.
@@ -88,7 +85,6 @@ def binding_pids(
             pickler = Pickler(
                 local_stamp_ids=local_stamp_ids,
                 extern=extern,
-                context_env_ids=context_env_ids,
                 normalize_lines=True,
             )
             data = pickler.run(obj)

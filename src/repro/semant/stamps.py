@@ -6,8 +6,8 @@ environment will contain both a stamp and a persistent identifier (pid)."
 
 Stamps give object identity that survives pickling: the dehydrater keys
 external references on (defining unit's pid, the object's export index),
-and the rehydrater finds the live object by looking the stamp up in a
-stamp-indexed context environment.
+and the rehydrater finds the live object by looking that pair up in the
+session's registry (:class:`repro.units.session.Session`).
 
 Stamps are deliberately *not* globally persistent -- two sessions
 elaborating the same source produce different stamp numbers.  That is
@@ -52,11 +52,11 @@ class StampGenerator:
         return Stamp(next(self._counter))
 
 
-#: The default session-wide generator.  All stamps in one Python process
-#: are drawn from this counter unless a caller explicitly injects its own
-#: generator *and* guarantees the resulting ids never meet (the pickler
-#: and the stamp index key objects by id, so ids must be unique within a
-#: session).
+#: The default session-wide generator.  Elaboration and rehydration draw
+#: every stamp in one Python process from this counter (the pickler and
+#: the session registry key objects by stamp id, so ids must be unique
+#: within a session); a test that builds semantic objects by hand uses
+#: its own generator over an id range this one never reaches.
 _DEFAULT = StampGenerator()
 
 

@@ -14,7 +14,7 @@ from repro.lang.parser import parse_program
 from repro.elab.topdec import elaborate_decs
 from repro.obs.meter import NULL_METER, BuildMeter
 from repro.digest import content_digest
-from repro.pickle.pickler import Pickler, context_chain_ids
+from repro.pickle.pickler import Pickler
 from repro.pids.intrinsic import binding_pids, intrinsic_pid
 from repro.units.session import Session
 from repro.units.unit import (
@@ -51,13 +51,12 @@ def compile_unit(
     t2 = time.perf_counter()
 
     with meter.span("hash", cat="phase", unit=name) as hsp:
-        ctx_ids = context_chain_ids(context)
         pid = intrinsic_pid(export_env, elaborator.new_stamps,
-                            session.extern, ctx_ids, seed=name)
+                            session.extern, seed=name)
         # Per-binding slice pids, same canonicalization, one pickler
         # run per exported binding (the smart builder's cutoff data).
         slice_pids = binding_pids(export_env, elaborator.new_stamps,
-                                  session.extern, ctx_ids, seed=name)
+                                  session.extern, seed=name)
         hsp.set(bindings=len(slice_pids))
     t3 = time.perf_counter()
 
@@ -65,7 +64,6 @@ def compile_unit(
         pickler = Pickler(
             local_stamp_ids=elaborator.new_stamps,
             extern=session.extern,
-            context_env_ids=ctx_ids,
         )
         payload = pickler.run((export_env, decs))
         sp.set(bytes=pickler.bytes_out)
@@ -88,7 +86,6 @@ def compile_unit(
         export_index=pickler.export_index,
         source_digest=source_digest(source),
         times=times,
-        owned_stamp_ids=frozenset(elaborator.new_stamps),
         binding_pids=slice_pids,
     )
     session.register_exports(pid, pickler.export_index)
@@ -110,7 +107,7 @@ def load_unit(
     Nothing is decoded here: the unit carries its header and payload,
     and rehydrates the payload the first time its static environment,
     code or export index is read (or a stub names its pid), in
-    ``session``, against ``imports`` -- the live units it was compiled
+    ``session``, after ``imports`` -- the live units it was compiled
     against, which need not be decoded yet either.  The ``rehydrate``
     span then fires under whatever demanded it; ``times.rehydrate``
     counts this call and that decode.  A caller that must know at once

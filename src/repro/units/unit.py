@@ -76,7 +76,7 @@ class CompiledUnit:
     frame), ``code`` (the elaborated declarations, "closed machine
     code"), ``export_index`` (locally-owned stamped objects in
     dehydration order; entry *i* is what stubs ``(export_pid, i)``
-    refer to) and ``owned_stamp_ids``.
+    refer to) and, derived from it, ``owned_stamp_ids``.
 
     :func:`~repro.units.pipeline.compile_unit` makes both at once.
     :func:`~repro.units.pipeline.load_unit` makes a *header-backed*
@@ -93,7 +93,6 @@ class CompiledUnit:
                  export_index: list[object] | None = None,
                  source_digest: str = "",
                  times: PhaseTimes | None = None,
-                 owned_stamp_ids: frozenset[int] = frozenset(),
                  binding_pids: dict[str, str] | None = None):
         self.name = name
         self.export_pid = export_pid
@@ -107,7 +106,6 @@ class CompiledUnit:
         self._code = code
         self._export_index = export_index if export_index is not None \
             else []
-        self._owned_stamp_ids = owned_stamp_ids
         #: ``(import cells, session, meter)`` until decoded; each cell
         #: is an import's :meth:`lineage` cell.
         self._pending: tuple | None = None
@@ -123,9 +121,9 @@ class CompiledUnit:
                       binding_pids: dict[str, str] | None = None
                       ) -> "CompiledUnit":
         """A unit that decodes ``payload`` on first demand, in
-        ``session``, against ``imports`` (the live units it was
-        compiled against).  It stands for its pid in the session at
-        once: a stub naming that pid decodes it."""
+        ``session``, after ``imports`` (the live units it was compiled
+        against, whose exports its stubs name).  It stands for its pid
+        in the session at once: a stub naming that pid decodes it."""
         unit = cls(name, export_pid,
                    [(imp.name, imp.export_pid) for imp in imports],
                    payload=payload, source_digest=source_digest,
@@ -158,8 +156,9 @@ class CompiledUnit:
 
     @property
     def owned_stamp_ids(self) -> frozenset[int]:
-        self.decode()
-        return self._owned_stamp_ids
+        """The stamps of the objects this unit exports: what a pickler
+        over its parts writes inline rather than as stubs."""
+        return frozenset(obj.stamp.id for obj in self.export_index)
 
     def decode(self) -> None:
         """Decode the payload, once: first every undecoded unit of the
@@ -195,7 +194,7 @@ class CompiledUnit:
         return order
 
     def _decode_own(self) -> None:
-        imports, session, meter = self._pending
+        _imports, session, meter = self._pending
         # Off the deferred map while decoding: a stub naming this very
         # pid (only a corrupt payload has one) must not decode it again.
         stands = session.undefer(self)
@@ -203,11 +202,7 @@ class CompiledUnit:
         with meter.span("rehydrate", cat="phase", unit=self.name,
                         bytes=len(self.payload)):
             try:
-                context = layer_context(
-                    session, [cell[0] for cell in imports]).child()
-                unpickler = Unpickler(self.payload,
-                                      resolve=session.resolve,
-                                      context_env=context)
+                unpickler = Unpickler(self.payload, resolve=session.resolve)
                 self._static_env, self._code = unpickler.run()
             except UnitDecodeError:
                 # Another unit's payload failed under a stub of ours:
@@ -221,8 +216,6 @@ class CompiledUnit:
         if meter.enabled:
             meter.counter("pickle.bytes_in", unpickler.bytes_in)
         self._export_index = unpickler.export_index
-        self._owned_stamp_ids = frozenset(
-            obj.stamp.id for obj in unpickler.export_index)
         self._pending = None
         if stands:
             session.register_exports(self.export_pid, self._export_index)
@@ -250,7 +243,6 @@ class CompiledUnit:
         self.decode()
         self._static_env = previous.static_env
         self._export_index = previous.export_index
-        self._owned_stamp_ids = previous.owned_stamp_ids
 
     def import_pid_of(self, name: str) -> str | None:
         for unit_name, pid in self.imports:

@@ -276,6 +276,33 @@ class TestStoreSignature:
         assert store_files(os.path.join(srcdir, ".bin")) == \
             store_files(os.path.join(want, ".bin"))
 
+    def test_reload_reloads_units_compiled_against_a_superseded_pid(
+            self, tmp_path, capsys):
+        """After a reload, a live unit whose record keeps its pid but
+        names a new import pid is loaded, not kept: the live object was
+        compiled against the superseded provider."""
+        from repro.linker.link import check_consistency
+
+        srcdir = str(tmp_path / "served")
+        workload = generate_workload(SHAPES["diamond"](),
+                                     helpers_per_unit=1)
+        write_tree(srcdir, workload.project)
+        daemon = BuildDaemon(jobs=1, policy=POLICY)
+        try:
+            daemon.request(srcdir)
+            workload.edit_interface("u000")
+            write_tree(srcdir, workload.project, only={"u000"})
+            assert cli_main([srcdir, "--no-link"]) == 0
+            report = daemon.request(srcdir).report
+            assert report.compiled == []
+            assert sorted(report.loaded) == ["u000", "u001", "u002"]
+            builder = daemon._state_for(srcdir).builder
+            check_consistency(list(builder.units.values()))
+            report = daemon.request(srcdir).report
+            assert len(report.cached) == len(workload.project)
+        finally:
+            daemon.shutdown()
+
     def test_remote_signature_is_the_servers_revision(self, tmp_path,
                                                       capsys):
         """Through a store server, the daemon's own saves re-read the
@@ -303,6 +330,13 @@ class TestStoreSignature:
             write_tree(srcdir, workload.project, only={"u000"})
             reply = daemon.request(srcdir)
             assert reply.store_reloaded
+            assert reply.report.compiled == []  # the other client did
+            assert reply.report.loaded
+            assert not daemon.request(srcdir).store_reloaded
+            workload.edit_interface("u001")
+            write_tree(srcdir, workload.project, only={"u001"})
+            reply = daemon.request(srcdir)
+            assert not reply.store_reloaded
             # This request saved what it compiled: its own writes moved
             # the revision, and the kept signature follows them.
             assert reply.report.compiled

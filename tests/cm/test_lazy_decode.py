@@ -30,6 +30,10 @@ from repro.workload.shapes import layered
 #: unknown class tag 99.
 GARBAGE = b"\x0a\x63garbage"
 
+#: A ``(static env, code)`` pair whose env is tag 12, which once marked
+#: a frame of the compilation context and is now an unknown tag.
+CONTEXT_MARK = b"\x07\x02\x0c\x00"
+
 ABC = {
     "a": "structure A = struct val x = 1 end\n",
     "b": "structure B = struct val y = A.x + 1 end\n",
@@ -38,13 +42,13 @@ ABC = {
 C_EDITED = "structure C = struct val z = B.y + 1 (* edited *) end\n"
 
 
-def damage(bin_dir: str, name: str) -> None:
-    """Replace ``name``'s payload with :data:`GARBAGE`, digests and all:
+def damage(bin_dir: str, name: str, payload: bytes = GARBAGE) -> None:
+    """Replace ``name``'s payload with ``payload``, digests and all:
     the store loads it as healthy."""
     store = BinStore.load_directory(bin_dir)
     r = store.get(name)
     store.put(BinRecord(r.name, r.source_digest, r.export_pid, r.imports,
-                        GARBAGE, built_at=r.built_at,
+                        payload, built_at=r.built_at,
                         binding_pids=r.binding_pids,
                         dep_summary=r.dep_summary))
     store.save_directory(bin_dir)
@@ -97,6 +101,21 @@ class TestUnreadablePayload:
         assert (decision.action, decision.detail) == ("compiled",
                                                       UNREADABLE)
         assert builder.link()["c"].structures["C"].values["z"] == 3
+        builder.store.save_directory(bin_dir)
+        assert_store_heals(abc_dir)
+
+    def test_a_context_mark_is_damage_that_recompiles(self, abc_dir):
+        bin_dir = os.path.join(abc_dir, ".bin")
+        damage(bin_dir, "b", CONTEXT_MARK)
+        builder = CutoffBuilder(Project.from_directory(abc_dir),
+                                store=BinStore.load_directory(bin_dir))
+        builder.build()
+        exports = builder.link()
+        assert builder.health.kinds_for("b") == ["rehydrate-failed"]
+        assert "unknown tag 12 (at byte 3 of 4)" in \
+            builder.health.render_text()
+        assert builder.ledger.get("b").detail == UNREADABLE
+        assert exports["c"].structures["C"].values["z"] == 3
         builder.store.save_directory(bin_dir)
         assert_store_heals(abc_dir)
 

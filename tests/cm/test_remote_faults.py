@@ -271,6 +271,39 @@ class TestSharedStore:
         exports = builder.link()
         assert exports["app"].structures["App"].values["answer"] == ANSWER
 
+    def test_a_pair_another_client_replaced_is_refetched(self, tmp_path,
+                                                         capsys):
+        """Two CLI clients share a server.  B builds an interface edit;
+        A, given the same sources, loads B's records instead of
+        trusting the copies its cache fetched before the edit."""
+        from repro.cm import register_loopback, unregister_loopback
+        from repro.cm.__main__ import main
+        from repro.workload import generate_workload
+        from repro.workload.shapes import diamond
+
+        url = register_loopback("replaced-pairs",
+                                StoreServer(str(tmp_path / "server")))
+        workload = generate_workload(diamond(2, 2), helpers_per_unit=1)
+
+        def build(client):
+            srcdir = tmp_path / client
+            srcdir.mkdir(exist_ok=True)
+            for name in workload.project.names():
+                (srcdir / f"{name}.sml").write_text(
+                    workload.project.source(name))
+            assert main([str(srcdir), "--store-url", url,
+                         "--no-link"]) == 0
+            return capsys.readouterr().out
+
+        try:
+            assert "6 compiled" in build("a")
+            assert "0 compiled, 6 loaded" in build("b")
+            workload.edit_interface("u000")
+            assert "3 compiled, 3 loaded" in build("b")
+            assert "0 compiled, 6 loaded" in build("a")
+        finally:
+            unregister_loopback("replaced-pairs")
+
 
 class TestCompression:
     def test_compressible_record_crosses_the_wire_compressed(

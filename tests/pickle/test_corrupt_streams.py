@@ -15,9 +15,6 @@ from repro.pickle import (
     dehydrate,
     rehydrate,
 )
-from repro.semant.env import Env
-from repro.semant.stamps import StampGenerator
-from repro.semant.types import ConType, DatatypeTycon
 
 
 def sample_stream():
@@ -102,44 +99,16 @@ def client_unit():
     provider's datatype, so the payload holds stubs as well as objects,
     strings and back-references."""
     from repro.cm import CutoffBuilder, Project
-    from repro.units.unit import layer_context
 
     builder = CutoffBuilder(Project.from_sources(
         {"a": PROVIDER, "b": CLIENT}))
     builder.build()
     session = builder.session
-    context = layer_context(session, [builder.units["a"]]).child()
 
     def decode(blob, resolve=session.resolve):
-        return rehydrate(blob, resolve=resolve, context_env=context)
+        return rehydrate(blob, resolve=resolve)
 
     return builder.units["b"].payload, session, decode
-
-
-@pytest.fixture(scope="module")
-def context_stream():
-    """A stream with a CONTEXT mark next to a stub.  No unit payload
-    holds one: a unit exports a parentless frame, and functor closures
-    are trimmed copies, so nothing a unit dehydrates reaches its
-    compilation context."""
-    foreign = _fresh_datatype("foreign")
-    context = Env()
-    inner = context.child()
-    data, _ = dehydrate((inner, ConType(foreign, ())),
-                        context_env_ids=frozenset({id(context)}),
-                        local_stamp_ids=set(),
-                        extern=lambda sid: ("PIDX", 7))
-
-    def decode(blob):
-        return rehydrate(
-            blob, context_env=Env(),
-            resolve=lambda pid, idx: {("PIDX", 7): foreign}[(pid, idx)])
-
-    return data, decode
-
-
-def _fresh_datatype(name):
-    return DatatypeTycon(StampGenerator(start=20_000_000).fresh(), name, 0)
 
 
 def assert_damage_is_typed(decode, data):
@@ -173,9 +142,3 @@ class TestReferenceTagDamage:
     def test_unit_payload(self, client_unit):
         payload, _session, decode = client_unit
         assert_damage_is_typed(decode, payload)
-
-    def test_context_mark_and_stub(self, context_stream):
-        data, decode = context_stream
-        (env, con), _ = decode(data)
-        assert env.parent is not None and con.tycon.name == "foreign"
-        assert_damage_is_typed(decode, data)

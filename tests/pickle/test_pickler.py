@@ -5,7 +5,6 @@ import pytest
 from repro.elab.topdec import elaborate_decs
 from repro.lang.parser import parse_program
 from repro.pickle import PickleError, UnpickleError, dehydrate, rehydrate
-from repro.pickle.pickler import Pickler, Unpickler, context_chain_ids
 from repro.semant.env import Env, Structure, ValueBinding
 from repro.semant.format import format_type
 from repro.semant.stamps import StampGenerator
@@ -170,30 +169,6 @@ class TestStubs:
         assert enc_kinds == dec_kinds
 
 
-class TestContextBoundary:
-    def test_context_marker(self):
-        context = Env()
-        inner = context.child()
-        data, _ = dehydrate(inner, context_env_ids=frozenset({id(context)}))
-        replacement = Env()
-        out, _ = rehydrate(data, context_env=replacement)
-        assert out.parent is replacement
-
-    def test_context_without_replacement_fails(self):
-        context = Env()
-        inner = context.child()
-        data, _ = dehydrate(inner, context_env_ids=frozenset({id(context)}))
-        with pytest.raises(UnpickleError, match="context"):
-            rehydrate(data)
-
-    def test_context_chain_ids(self):
-        a = Env()
-        b = a.child()
-        c = b.child()
-        ids = context_chain_ids(c)
-        assert ids == frozenset({id(a), id(b), id(c)})
-
-
 class TestCorruption:
     def test_truncated_stream(self):
         data, _ = dehydrate([1, 2, 3])
@@ -208,6 +183,11 @@ class TestCorruption:
     def test_unknown_tag(self):
         with pytest.raises(UnpickleError):
             rehydrate(b"\xfa")
+        # 12 once marked a frame of the compilation context.  Nothing
+        # writes it, so a stream holding it is damage like any other.
+        with pytest.raises(UnpickleError,
+                           match=r"unknown tag 12 \(at byte 3 of 4\)"):
+            rehydrate(b"\x07\x02\x0c\x00")
 
 
 def _no_extern(stamp_id):
