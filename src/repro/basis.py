@@ -22,7 +22,7 @@ from repro.elab.topdec import elaborate_decs
 from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.semant import prim
-from repro.semant.env import Env, stamp_index
+from repro.semant.env import Env
 
 if TYPE_CHECKING:  # the dynamic semantics load on the first run
     from repro.dynamic.values import DynEnv
@@ -229,14 +229,12 @@ class Basis:
         dyn_env: the matching dynamic environment, built on first read
             (compiling never reads it).
         owned_stamp_ids: stamps owned by the basis pseudo-unit.
-        stamp_idx: stamp id -> semantic object, for rehydration.
     """
 
     def __init__(self, static_env: Env, owned_stamp_ids: set[int],
                  prelude: list[ast.Dec], print_sink=None):
         self.static_env = static_env
         self.owned_stamp_ids = owned_stamp_ids
-        self.stamp_idx = stamp_index(static_env)
         #: The elaborated prelude and the primitives' print sink, which
         #: the first read of :attr:`dyn_env` evaluates.
         self._prelude = prelude

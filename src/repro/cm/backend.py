@@ -328,6 +328,11 @@ class StoreBackend:
         a disk-full aborts cleanly as :class:`StoreFullError`."""
         raise NotImplementedError
 
+    def refresh(self, stem: str) -> bool:
+        """Replace this client's copy of ``stem`` with the pair another
+        client has saved since, if any; False when nothing changed."""
+        return False
+
     # -- manifest ----------------------------------------------------------
 
     def manifest_present(self) -> bool:

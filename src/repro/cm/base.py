@@ -215,11 +215,18 @@ class BaseBuilder:
                   imports: list[CompiledUnit]
                   ) -> tuple[UnitOutcome | None, str]:
         """Decide ``name``, record why in the ledger, and carry out a
-        ``cached`` or ``load`` verdict.  Returns ``(outcome, reason)``;
-        ``outcome`` is None when the unit must be compiled (for
-        ``reason``), which the caller does serially or on a worker."""
+        ``cached`` or ``load`` verdict, after trading a record it would
+        recompile for another client's in a shared store, if any.
+        Returns ``(outcome, reason)``; ``outcome`` is None when the unit
+        must be compiled (for ``reason``), which the caller does
+        serially or on a worker."""
         record = self.store.get(name)
         action, reason = self.decide(name, graph, imports, record)
+        if action == "compile" and record is not None:
+            fresher = self.store.refresh(name)  # another client's
+            if fresher is not None:
+                record = fresher
+                action, reason = self.decide(name, graph, imports, record)
         self.explain(name, action, reason, record, imports)
         if action == "cached":
             return UnitOutcome(name, "cached", "up to date"), reason
@@ -529,10 +536,8 @@ class BaseBuilder:
         return record.imports == [(u.name, u.export_pid) for u in imports]
 
     def is_live_and_current(self, name: str, record: BinRecord) -> bool:
-        """Is the live unit the one ``record`` describes?  Its pid alone
-        is not enough: after another writer's build, a record can keep
-        a unit's pid while naming new import pids, and the live object
-        was compiled against the superseded ones."""
+        # Not the pid alone: another writer's record may keep it while
+        # naming import pids the live unit was not compiled against.
         live = self.units.get(name)
         return (live is not None
                 and live.export_pid == record.export_pid

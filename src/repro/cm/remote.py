@@ -189,16 +189,8 @@ class StoreServer:
             if op == "list":
                 notes: list[str] = []
                 headers, payloads = backend.list_pairs(notes=notes)
-                digests = {}
-                for stem in headers:
-                    try:
-                        digests[stem] = content_digest(
-                            backend.read_header(stem))
-                    except OSError:
-                        pass  # the client fetches it and sees why
                 return {"headers": sorted(headers),
                         "payloads": sorted(payloads),
-                        "digests": digests,
                         "notes": notes}, b""
             if op == "fetch":
                 stem = meta["stem"]
@@ -207,6 +199,10 @@ class StoreServer:
                     header = backend.read_header(stem)
                 except OSError:
                     pass
+                # ``unless``: the digest of the header the client holds.
+                if (header is not None and "unless" in meta
+                        and content_digest(header) == meta["unless"]):
+                    return {"unchanged": True}, b""
                 try:
                     payload = backend.read_payload(stem)
                 except OSError:
@@ -402,10 +398,12 @@ class RemoteBackend(StoreBackend):
     fronted by a local flat-directory write-through cache.
 
     Reads prefetch: ``list_pairs`` pulls every record the cache does
-    not already hold, or holds under a header other than the one the
-    server lists (verified against its own header checksum before
+    not already hold (verified against its own header checksum before
     caching -- server-side at-rest damage is *served raw* to the store
-    for normal taxonomy classification, never cached).  Writes go to
+    for normal taxonomy classification, never cached).  A cached pair
+    another client has since replaced on the server stays cached until
+    a build finds it of no use and asks for the server's
+    (:meth:`refresh`).  Writes go to
     the cache first and through to the server; if the server is
     unreachable the **offline latch** trips and the session continues
     purely locally -- every consequence is a note plus a clean local
@@ -488,16 +486,19 @@ class RemoteBackend(StoreBackend):
                 and self.fs.exists(self.cache.path_of(stem,
                                                       HEADER_SUFFIX)))
 
-    def _cache_holds(self, stem: str, digest: str | None) -> bool:
-        """Does the cache hold the pair the server lists, whose header
-        has content digest ``digest``?  Another client may have
-        replaced a cached pair since this cache fetched it."""
-        if digest is None or not self._cached(stem):
-            return False
-        try:
-            return content_digest(self.cache.read_header(stem)) == digest
-        except OSError:
-            return False
+    def _fetch(self, stem: str, **conditions
+               ) -> tuple[bytes | None, bytes | None] | None:
+        """``stem``'s header and payload from the server, None for a
+        half it lacks; None when it is unreachable or reports the pair
+        ``unchanged``."""
+        got = self._try_call({"op": "fetch", "stem": stem, **conditions})
+        if got is None or got[0].get("unchanged"):
+            return None
+        meta, blob = got
+        self.remote_fetches += 1
+        cut = meta["header_len"]
+        return (blob[:cut] if meta.get("has_header") else None,
+                blob[cut:] if meta.get("has_payload") else None)
 
     def _verify_pair(self, header: bytes,
                      payload: bytes) -> tuple[bool, str | None]:
@@ -532,27 +533,21 @@ class RemoteBackend(StoreBackend):
             notes.extend(meta.get("notes", []))
         headers = set(meta.get("headers", []))
         payloads = set(meta.get("payloads", []))
-        digests = meta.get("digests", {})
         fresh_names: dict[str, str] = {}
         seen_headers: set[str] = set()
         seen_payloads: set[str] = set()
         for stem in sorted(headers | payloads):
-            if self._cache_holds(stem, digests.get(stem)):
+            if self._cached(stem):
                 self.cache_hits += 1
                 seen_headers.add(stem)
                 seen_payloads.add(stem)
                 continue
-            fetched = self._try_call({"op": "fetch", "stem": stem})
+            fetched = self._fetch(stem)
             if fetched is None:
                 # Mid-prefetch fault: report only what is available
                 # locally -- the rest are clean misses.
                 break
-            fmeta, blob = fetched
-            self.remote_fetches += 1
-            header = (blob[:fmeta["header_len"]]
-                      if fmeta.get("has_header") else None)
-            payload = (blob[fmeta["header_len"]:]
-                       if fmeta.get("has_payload") else None)
+            header, payload = fetched
             if header is not None:
                 seen_headers.add(stem)
             if payload is not None:
@@ -576,6 +571,24 @@ class RemoteBackend(StoreBackend):
                 pass
         return seen_headers, seen_payloads
 
+    def refresh(self, stem: str) -> bool:
+        # The fetch names the cached header's digest, so a pair no
+        # other client replaced costs one empty reply.  A busy cache
+        # keeps its copy.
+        try:
+            pair = self._fetch(stem, unless=content_digest(
+                self.cache.read_header(stem)))
+        except OSError:
+            return False
+        if pair is None or None in pair or not self._verify_pair(*pair)[0]:
+            return False
+        try:
+            with self.cache.store_lock(0):
+                self.cache.put(stem, *pair)
+        except (OSError, StoreError):
+            return False
+        return True
+
     def read_header(self, stem: str) -> bytes:
         if stem in self._raw:
             header = self._raw[stem][0]
@@ -584,12 +597,10 @@ class RemoteBackend(StoreBackend):
             return header
         if self._cached(stem):
             return self.cache.read_header(stem)
-        got = self._try_call({"op": "fetch", "stem": stem})
-        if got is not None and got[0].get("has_header"):
-            self._raw[stem] = (got[1][:got[0]["header_len"]],
-                               got[1][got[0]["header_len"]:]
-                               if got[0].get("has_payload") else None)
-            return self._raw[stem][0]
+        pair = self._fetch(stem)
+        if pair is not None and pair[0] is not None:
+            self._raw[stem] = pair
+            return pair[0]
         raise OSError(f"record {stem!r} not available "
                       f"(remote {'offline' if self.offline else 'miss'})")
 

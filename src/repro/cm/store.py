@@ -282,6 +282,18 @@ class BinStore:
             self._removed.add(name)
         self._dirty.discard(name)
 
+    def refresh(self, name: str) -> BinRecord | None:
+        """``name``'s record as another client has since saved it to a
+        shared store, loaded in place of this one; None when there is
+        none.  Builders ask only for a record of no use to them, so one
+        that matches their own sources is kept."""
+        stem = escape_name(name)
+        if (self.backend is None or not self.backend.refresh(stem)
+                or self._load_record(self.backend, stem,
+                                     self.health) is None):
+            return None
+        return self._records[name]
+
     def names(self) -> list[str]:
         return sorted(self._records)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 from repro.elab.errors import ElabError
 from repro.elab.unify import unify
 from repro.lang import ast
-from repro.semant import prim
+from repro.semant import prim, stamps
 from repro.semant.env import Env, ValueBinding
-from repro.semant.stamps import default_generator
 from repro.semant.types import (
     BoundVar,
     ConType,
@@ -50,7 +49,6 @@ class Elaborator:
     def __init__(self, env: Env):
         self.env = env
         self.level = 0
-        self.stamps = default_generator()
         self._tyvar_scopes: list[_TyvarScope] = []
         #: Stamps minted while elaborating the current unit; the pickler
         #: uses this set to tell local objects from imported ones.
@@ -65,7 +63,7 @@ class Elaborator:
     # -- plumbing -----------------------------------------------------------
 
     def fresh_stamp(self):
-        stamp = self.stamps.fresh()
+        stamp = stamps.fresh_stamp()
         self.new_stamps.add(stamp.id)
         return stamp
 

@@ -5,9 +5,9 @@ The paper's §4 asks two things of environments:
 - *layering*: the context for compiling a unit is the composition of the
   exported environments of everything it imports, plus the pervasive
   basis.  :meth:`Env.atop` builds such compositions without copying.
-- *indexing by stamp*: the rehydrater must find "the real in-core pointer"
-  for a stub; :func:`stamp_index` builds the reverse map from a context
-  environment.
+- *indexing by stamp*: the paper's rehydrater finds "the real in-core
+  pointer" for a stub by stamp; here stubs resolve through the session's
+  (pid, index) registry, and :func:`stamp_index` serves inspection only.
 
 An :class:`Env` holds five namespaces, mirroring SML's: values (including
 data and exception constructors), type constructors, structures,
@@ -203,12 +203,6 @@ class Sig:
         self.env = env
         self.flex = flex
 
-    def is_flexible(self, tycon) -> bool:
-        return (
-            isinstance(tycon, (AbstractTycon, DatatypeTycon))
-            and any(tycon.stamp is s for s in self.flex)
-        )
-
     def __repr__(self) -> str:
         return f"<sig {self.name} {self.stamp!r} flex={len(self.flex)}>"
 
@@ -266,7 +260,7 @@ def stamp_index(env: Env, index: dict[int, object] | None = None,
     """Build the paper's "indexed environment": stamp id -> live object,
     over everything reachable from ``env`` (including parents).
 
-    Used by the rehydrater to resolve stubs into real pointers.
+    Nothing on the compile, load or link path calls it.
     """
     if index is None:
         index = {}

@@ -18,10 +18,14 @@ the faulted session must:
 
 import pytest
 
-from repro.cm import BinRecord, BinStore, CutoffBuilder, Project
+from repro.cm import (BinRecord, BinStore, CutoffBuilder, Project,
+                      register_loopback, unregister_loopback)
+from repro.cm.__main__ import main
 from repro.cm.faults import FaultyTransport, TransportPlan
 from repro.cm.remote import LoopbackTransport, RemoteBackend, StoreServer
 from repro.obs.ledger import RECOMPILE_CAUSES, REUSE_CAUSES
+from repro.workload import generate_workload
+from repro.workload.shapes import diamond
 
 SOURCES = {
     "base": "structure Base = struct fun triple x = 3 * x end",
@@ -43,6 +47,31 @@ def no_cache_build():
     payloads = {name: builder.store.get(name).payload
                 for name in builder.store.names()}
     return pids, payloads
+
+
+@pytest.fixture
+def cli_client(tmp_path, capsys):
+    """``build(client, sources)``: a CLI build of ``sources`` in the
+    client's own directory against one loopback server every client of
+    the test shares; returns what the build printed."""
+    url = register_loopback("shared-cli",
+                            StoreServer(str(tmp_path / "server")))
+
+    def build(client, sources):
+        srcdir = tmp_path / client
+        srcdir.mkdir(exist_ok=True)
+        for name, text in sources.items():
+            (srcdir / f"{name}.sml").write_text(text)
+        assert main([str(srcdir), "--store-url", url, "--no-link"]) == 0
+        return capsys.readouterr().out
+
+    yield build
+    unregister_loopback("shared-cli")
+
+
+def sources_of(workload):
+    return {name: workload.project.source(name)
+            for name in workload.project.names()}
 
 
 @pytest.fixture
@@ -271,38 +300,47 @@ class TestSharedStore:
         exports = builder.link()
         assert exports["app"].structures["App"].values["answer"] == ANSWER
 
-    def test_a_pair_another_client_replaced_is_refetched(self, tmp_path,
-                                                         capsys):
+    def test_an_unreplaced_pair_costs_one_empty_reply(self, server,
+                                                      tmp_path):
+        """Asking the server for another client's record of a unit no
+        one replaced sends no pair back."""
+        cache = str(tmp_path / "client")
+        backend = RemoteBackend(URL, cache, LoopbackTransport(server))
+        store = BinStore.load_directory(cache, backend=backend)
+        fetched, requests = backend.remote_fetches, server.requests
+        assert store.refresh("mid") is None
+        assert backend.remote_fetches == fetched
+        assert server.requests == requests + 1
+
+    def test_a_pair_another_client_replaced_is_refetched(self,
+                                                         cli_client):
         """Two CLI clients share a server.  B builds an interface edit;
         A, given the same sources, loads B's records instead of
-        trusting the copies its cache fetched before the edit."""
-        from repro.cm import register_loopback, unregister_loopback
-        from repro.cm.__main__ import main
-        from repro.workload import generate_workload
-        from repro.workload.shapes import diamond
-
-        url = register_loopback("replaced-pairs",
-                                StoreServer(str(tmp_path / "server")))
+        compiling from the copies its cache held before the edit."""
         workload = generate_workload(diamond(2, 2), helpers_per_unit=1)
+        assert "6 compiled" in cli_client("a", sources_of(workload))
+        assert "0 compiled, 6 loaded" in cli_client("b",
+                                                    sources_of(workload))
+        workload.edit_interface("u000")
+        assert "3 compiled, 3 loaded" in cli_client("b",
+                                                    sources_of(workload))
+        assert "0 compiled, 6 loaded" in cli_client("a",
+                                                    sources_of(workload))
 
-        def build(client):
-            srcdir = tmp_path / client
-            srcdir.mkdir(exist_ok=True)
-            for name in workload.project.names():
-                (srcdir / f"{name}.sml").write_text(
-                    workload.project.source(name))
-            assert main([str(srcdir), "--store-url", url,
-                         "--no-link"]) == 0
-            return capsys.readouterr().out
-
-        try:
-            assert "6 compiled" in build("a")
-            assert "0 compiled, 6 loaded" in build("b")
-            workload.edit_interface("u000")
-            assert "3 compiled, 3 loaded" in build("b")
-            assert "0 compiled, 6 loaded" in build("a")
-        finally:
-            unregister_loopback("replaced-pairs")
+    def test_a_pair_this_clients_sources_match_is_kept(self, cli_client):
+        """Two CLI clients share a server and differ in one unit's
+        source.  Each keeps the record its own sources match, so
+        neither recompiles the other's edit away (the server keeps one
+        record per unit, the last one saved)."""
+        workload = generate_workload(diamond(2, 2), helpers_per_unit=1)
+        original = sources_of(workload)
+        workload.edit_implementation("u001")
+        edited = sources_of(workload)
+        assert "6 compiled" in cli_client("a", original)
+        assert "0 compiled, 6 loaded" in cli_client("b", original)
+        assert "1 compiled, 5 loaded" in cli_client("a", edited)
+        assert "0 compiled, 6 loaded" in cli_client("b", original)
+        assert "0 compiled, 6 loaded" in cli_client("a", edited)
 
 
 class TestCompression:
