@@ -5,9 +5,10 @@
 dependency graph when the caller has one (e.g. a builder's
 ``last_graph``) and otherwise runs :func:`repro.cm.depend.analyze`
 itself -- against the caller's dependency cache when provided.  The
-rules read declarations from the graph, so a unit that dependency
-analysis parsed in this process is not parsed again, and one whose
-summary came from a bin header is parsed once, when first read.
+rules read declarations from the graph, so a unit whose tree dependency
+analysis parsed in this process, and no compile has taken, is not
+parsed again; one whose summary came from a bin header, or whose tree a
+compile took, is parsed once, when first read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def analyze_project(project: Project, graph: DepGraph | None = None,
         graph: an already-built dependency graph (skips re-analysis).
         cache: a dependency cache to share with ``depend.analyze`` (a
             builder's ``_dep_cache``); with a cache warmed by parses in
-            this process the analyzer performs no parsing at all.
+            this process, whose trees no compile has taken, the
+            analyzer performs no parsing at all.
         config: rule tunables and an optional rule-code subset.
     """
     config = config if config is not None else AnalysisConfig()

@@ -125,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--stats", action="store_true")
     parser.add_argument("--analyze", action="store_true",
                         help="run the static analyzer over the project "
-                             "after building (no extra parse pass)")
+                             "after building (reuses the build's "
+                             "dependency graph)")
     parser.add_argument("--strict", action="store_true",
                         help="with --analyze: exit 1 when the analyzer "
                              "reports warnings or errors")
@@ -513,7 +514,9 @@ def _run_fsck(args) -> int:
 
 def _run_analysis(project, graph, cache, strict: bool) -> int:
     """Run the static analyzer after a build, reusing the builder's
-    dependency graph and cache (no extra parse pass)."""
+    dependency graph and cache: no dependency analysis runs again, and
+    only the sources the build compiled are parsed again (each compile
+    kept its tree as the unit's code)."""
     from repro.analysis import Severity, analyze_project, render_text
 
     result = analyze_project(project, graph=graph, cache=cache)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from repro.cm.depend import DepGraph, analyze, memo_summary
+from repro.cm.depend import DepGraph, analyze, memo_summary, take_tree
 from repro.cm.project import Project
 from repro.cm.report import BuildReport, UnitOutcome
 from repro.cm.store import BinRecord, BinStore
@@ -60,7 +60,8 @@ class BaseBuilder:
         #: Dependency-analysis memo, keyed by unit and source text (§9:
         #: the IRM caches per-file dependency information).  It seeds
         #: each new record's dependency summary, which later sessions
-        #: read back instead of parsing.
+        #: read back instead of parsing, and holds each tree the
+        #: analysis parsed until that source's compile takes it.
         self._dep_cache: dict = {}
         #: Stable-library archives pending load, and the module-provider
         #: map of every stable unit already loaded.
@@ -118,7 +119,7 @@ class BaseBuilder:
         graph = analyze(self.project, restrict=self.restrict,
                         visible=self.visible, cache=self._dep_cache,
                         extra_providers=self._stable_providers,
-                        store=self.store)
+                        store=self.store, meter=self.meter)
         self.last_graph = graph
         return graph
 
@@ -393,12 +394,21 @@ class BaseBuilder:
     def compile(self, name: str, imports: list[CompiledUnit],
                 reason: str) -> UnitOutcome:
         source = self.project.source(name)
+        tree = take_tree(self._dep_cache, name, source)
+
+        def attempt() -> CompiledUnit:
+            # The analysis's tree goes to the first attempt only: the
+            # elaborator annotates it in place, so a rerun parses.
+            nonlocal tree
+            handed, tree = tree, None
+            return compile_unit(
+                name, source, [self.units[imp.name] for imp in imports],
+                self.session, meter=self.meter, tree=handed)
+
         # Compiling decodes the imports' closure; a payload that fails
         # on the way is mended first, and the compile reruns against
         # the live units.
-        unit = self._demand(lambda: compile_unit(
-            name, source, [self.units[imp.name] for imp in imports],
-            self.session, meter=self.meter))
+        unit = self._demand(attempt)
         previous = self.store.get(name)
         pid_changed = previous is None or previous.export_pid != unit.export_pid
         self.install(name, unit)

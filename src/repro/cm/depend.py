@@ -12,6 +12,11 @@ later session parses only the sources whose digest no longer matches
 their record (§9: "the dependency information for each of the library's
 files [is] computed and cached").
 
+Each source is parsed once.  The memo owns the tree the analysis parsed
+until the first compile of that exact text takes it (:func:`take_tree`);
+from then on the tree is the compiled unit's code, and the memo keeps
+only the summary.
+
 Per the paper's footnote 4, the IRM requires separately compiled units to
 contain structures, functors and signatures -- not top-level values and
 types; :func:`analyze` enforces this.
@@ -25,6 +30,7 @@ pump (:mod:`repro.cm.supervise`) drains a fresh one as units land.
 from __future__ import annotations
 
 import heapq
+import time
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -35,7 +41,8 @@ from repro.lang.freevars import (MODULE_NAMESPACES, Mentions, binding_key,
                                  split_binding_key, uses_from_mentions)
 from repro.lang.parser import parse_program
 from repro.cm.project import Project
-from repro.units.pipeline import source_digest
+from repro.obs.meter import NULL_METER, BuildMeter
+from repro.units.pipeline import ParseTree, source_digest
 
 if TYPE_CHECKING:  # repro.cm.store imports this module
     from repro.cm.store import BinStore
@@ -112,27 +119,32 @@ class DepSummary:
 
 
 class ParsedUnits(Mapping):
-    """unit -> parsed declarations, filled when read.
+    """unit -> parsed declarations, for the static analyzer.
 
-    A unit whose summary came from the memo or a bin header was not
-    parsed during analysis; reading it parses the exact source text the
-    analysis summarized, once.
+    Reading a unit returns the dependency memo's tree while the memo
+    holds one, without keeping it: a compile takes the tree and
+    annotates it in place.  Otherwise -- the unit was compiled, or its
+    summary came from a bin header -- reading it parses the exact
+    source text the analysis summarized, once.
     """
 
-    def __init__(self):
+    def __init__(self, memo: dict | None = None):
+        self._memo = memo if memo is not None else {}
         self._sources: dict[str, str] = {}
         self._decs: dict[str, list[ast.Dec]] = {}
 
-    def add(self, name: str, source: str,
-            decs: list[ast.Dec] | None) -> None:
+    def add(self, name: str, source: str) -> None:
         self._sources[name] = source
-        if decs is not None:
-            self._decs[name] = decs
 
     def __getitem__(self, name: str) -> list[ast.Dec]:
         decs = self._decs.get(name)
         if decs is None:
-            decs = self._decs[name] = parse_program(self._sources[name])
+            source = self._sources[name]
+            memo = self._memo.get(name)
+            if (memo is not None and memo.tree is not None
+                    and memo.source == source):
+                return memo.tree.decs
+            decs = self._decs[name] = parse_program(source)
         return decs
 
     def __contains__(self, name: object) -> bool:
@@ -153,10 +165,10 @@ class DepGraph:
         deps: unit -> sorted list of units it imports.
         dependents: unit -> sorted list of units importing it.
         order: a topological order (imports before importers).
-        parsed: unit -> parsed declarations, for the static analyzer.
-            Filled on demand: a unit summarized from the memo or a bin
-            header is parsed when first read.  Compiles parse their own
-            source.
+        parsed: unit -> parsed declarations, for the static analyzer
+            (:class:`ParsedUnits`).  It keeps no tree a compile takes: a
+            unit compiled since the analysis, or summarized from a bin
+            header, is parsed again when first read.
     """
 
     deps: dict[str, list[str]] = field(default_factory=dict)
@@ -181,11 +193,12 @@ class DepGraph:
 
 class _Memo(NamedTuple):
     """One dependency-memo entry: the source text it summarizes, the
-    summary, and the declarations when this process parsed them."""
+    summary, and the tree when this process parsed that text and no
+    compile has taken it yet (:func:`take_tree`)."""
 
     source: str
     summary: DepSummary
-    decs: list[ast.Dec] | None
+    tree: ParseTree | None
 
 
 def memo_summary(cache: dict, name: str, source: str) -> DepSummary | None:
@@ -196,11 +209,27 @@ def memo_summary(cache: dict, name: str, source: str) -> DepSummary | None:
     return memo.summary
 
 
+def take_tree(cache: dict, name: str, source: str) -> ParseTree | None:
+    """Hand the memo's tree of ``name`` to a compile of ``source``, or
+    None when the memo holds none for that exact text.
+
+    The memo lets go of it: the elaborator annotates a tree in place,
+    so it goes to one compile attempt only, and every later compile of
+    the same text (a retry, a mend, a recompile against new imports)
+    parses afresh."""
+    memo = cache.get(name)
+    if memo is None or memo.tree is None or memo.source != source:
+        return None
+    cache[name] = memo._replace(tree=None)
+    return memo.tree
+
+
 def analyze(project: Project, restrict: list[str] | None = None,
             visible: dict[str, set[str]] | None = None,
             cache: dict | None = None,
             extra_providers: dict[str, str] | None = None,
-            store: BinStore | None = None) -> DepGraph:
+            store: BinStore | None = None,
+            meter: BuildMeter = NULL_METER) -> DepGraph:
     """Build the dependency graph of ``project``.
 
     Args:
@@ -210,16 +239,20 @@ def analyze(project: Project, restrict: list[str] | None = None,
             outside the set is a :class:`DependencyError` (group/library
             visibility enforcement).
         cache: optional per-builder dictionary; summaries are memoized by
-            source text, so a rebuild only re-analyzes edited files.
+            source text, so a rebuild only re-analyzes edited files, and
+            each parsed tree waits there for its compile
+            (:func:`take_tree`).
         extra_providers: module name -> providing unit, for units that
             exist outside the project's sources (stable libraries); edges
             to them appear in ``deps`` but not in the build ``order``.
         store: optional bin store of earlier sessions; a unit missing
             from ``cache`` whose source digest equals its record's takes
             the summary from the record header instead of being parsed.
+        meter: observes each parse as a ``parse`` phase span.
     """
     names = restrict if restrict is not None else project.names()
-    graph = DepGraph()
+    cache = cache if cache is not None else {}
+    graph = DepGraph(parsed=ParsedUnits(cache))
 
     #: module name -> defining unit
     providers: dict[str, str] = dict(extra_providers or {})
@@ -227,8 +260,8 @@ def analyze(project: Project, restrict: list[str] | None = None,
     summaries: dict[str, DepSummary] = {}
     for name in names:
         source = project.source(name)
-        summary, decs = _summarize(name, source, cache, store)
-        graph.parsed.add(name, source, decs)
+        summary = _summarize(name, source, cache, store, meter)
+        graph.parsed.add(name, source)
         summaries[name] = summary
         for module_names in summary.defined.values():
             for module_name in module_names:
@@ -264,30 +297,31 @@ def analyze(project: Project, restrict: list[str] | None = None,
     return graph
 
 
-def _summarize(name: str, source: str, cache: dict | None,
-               store: BinStore | None
-               ) -> tuple[DepSummary, list[ast.Dec] | None]:
+def _summarize(name: str, source: str, cache: dict,
+               store: BinStore | None, meter: BuildMeter) -> DepSummary:
     """``name``'s summary, cheapest first: the memo (same source text),
-    its bin record's header (same source digest), or a parse.  Returns
-    the declarations too when this call or the memo parsed them.
+    its bin record's header (same source digest), or a parse, whose
+    tree the memo keeps for the compile.
 
     A record is only ever written for a source that was parsed and
     passed :func:`_check_module_only`, so a header summary needs no
     further check."""
-    memo = cache.get(name) if cache is not None else None
+    memo = cache.get(name)
     if memo is not None and memo.source == source:
-        return memo.summary, memo.decs
+        return memo.summary
     record = store.get(name) if store is not None else None
     if (record is not None and record.dep_summary is not None
             and record.source_digest == source_digest(source)):
-        summary, decs = record.dep_summary, None
+        summary, tree = record.dep_summary, None
     else:
-        decs = parse_program(source)
+        t0 = time.perf_counter()
+        with meter.span("parse", cat="phase", unit=name):
+            decs = parse_program(source)
+        tree = ParseTree(decs, time.perf_counter() - t0)
         _check_module_only(name, decs)
         summary = DepSummary.of_decs(decs)
-    if cache is not None:
-        cache[name] = _Memo(source, summary, decs)
-    return summary, decs
+    cache[name] = _Memo(source, summary, tree)
+    return summary
 
 
 def _check_module_only(name: str, decs: list[ast.Dec]) -> None:

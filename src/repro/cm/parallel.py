@@ -52,9 +52,9 @@ import time
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.cm.depend import DepGraph
+from repro.cm.depend import DepGraph, take_tree
 from repro.cm.report import UnitOutcome
-from repro.units.pipeline import compile_unit, load_unit
+from repro.units.pipeline import ParseTree, compile_unit, load_unit
 from repro.units.unit import PhaseTimes, UnitDecodeError
 
 
@@ -114,6 +114,16 @@ class CompileTask:
     #: result and the ``worker-compile`` span, and read by the
     #: attempt-aware fault plans of :mod:`repro.cm.faults`.
     attempt: int = 0
+    #: The dependency memo's parse of ``source``, for a worker in this
+    #: process (inline or thread).  It never crosses a process
+    #: boundary: a pickled task carries the source text only, and the
+    #: worker parses it.
+    tree: ParseTree | None = field(default=None, compare=False,
+                                   repr=False)
+
+    def __reduce__(self):
+        return (CompileTask, (self.name, self.source, self.imports,
+                              self.closure, self.attempt))
 
 
 @dataclass
@@ -183,7 +193,8 @@ def compile_task(task: CompileTask) -> CompileResult:
             live[dep.name] = unit
         imports = [live[d] for d in task.imports]
         try:
-            unit = compile_unit(task.name, task.source, imports, session)
+            unit = compile_unit(task.name, task.source, imports, session,
+                                tree=task.tree)
         except UnitDecodeError as err:
             damaged = err.unit.name
             _evict(session, cache, damaged)
@@ -287,8 +298,10 @@ def make_executor(jobs: int):
 
 def _make_task(builder, graph: DepGraph, name: str,
                attempt: int = 0) -> CompileTask:
-    """Package one unit's compile: its source plus the dehydrated
-    transitive import closure (stable-library units included)."""
+    """Package one unit's compile: its source, the dependency memo's
+    tree of it if the memo still holds one (taken, so this attempt is
+    its only reader), and the dehydrated transitive import closure
+    (stable-library units included)."""
     closure_names = _import_closure(builder, graph.deps[name])
     closure = tuple(
         ClosureUnit(
@@ -300,9 +313,11 @@ def _make_task(builder, graph: DepGraph, name: str,
         )
         for dep in closure_names
     )
-    return CompileTask(name=name, source=builder.project.source(name),
+    source = builder.project.source(name)
+    return CompileTask(name=name, source=source,
                        imports=tuple(graph.deps[name]), closure=closure,
-                       attempt=attempt)
+                       attempt=attempt,
+                       tree=take_tree(builder._dep_cache, name, source))
 
 
 def _import_closure(builder, roots: list[str]) -> list[str]:

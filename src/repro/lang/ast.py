@@ -14,6 +14,12 @@ constructor, or an exception constructor).  These annotations live in the
 mutable ``info`` fields.  They are deliberately restricted to facts that
 are functions of the lexical scope's *shape* (which is identical across
 repeated functor-body elaborations), never of particular type stamps.
+
+Because they are written in place, a tree goes to one compile: the
+elaborated tree becomes that unit's code.  The build hands the tree its
+dependency analysis parsed to the first compile of that source text
+(:func:`repro.cm.depend.take_tree`), and every other compile, and the
+static analyzer once a compile has taken the tree, parses afresh.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The paper's §4 asks two things of environments:
   basis.  :meth:`Env.atop` builds such compositions without copying.
 - *indexing by stamp*: the paper's rehydrater finds "the real in-core
   pointer" for a stub by stamp; here stubs resolve through the session's
-  (pid, index) registry, and :func:`stamp_index` serves inspection only.
+  (pid, index) registry.
 
 An :class:`Env` holds five namespaces, mirroring SML's: values (including
 data and exception constructors), type constructors, structures,
@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from repro.lang import ast
 from repro.semant.stamps import Stamp
-from repro.semant.types import (
-    AbstractTycon,
-    Constructor,
-    DatatypeTycon,
-    Tycon,
-    Type,
-    TypeFun,
-)
+from repro.semant.types import Constructor, Tycon, Type, TypeFun
 
 NAMESPACES = ("values", "tycons", "structures", "signatures", "functors")
 
@@ -254,41 +247,3 @@ class Functor:
     def __repr__(self) -> str:
         return f"<functor {self.name} {self.stamp!r}>"
 
-
-def stamp_index(env: Env, index: dict[int, object] | None = None,
-                _seen: set[int] | None = None) -> dict[int, object]:
-    """Build the paper's "indexed environment": stamp id -> live object,
-    over everything reachable from ``env`` (including parents).
-
-    Nothing on the compile, load or link path calls it.
-    """
-    if index is None:
-        index = {}
-    if _seen is None:
-        _seen = set()
-    node: Env | None = env
-    while node is not None:
-        if id(node) in _seen:
-            break
-        _seen.add(id(node))
-        for tycon in node.tycons.values():
-            if isinstance(tycon, (DatatypeTycon, AbstractTycon)):
-                index.setdefault(tycon.stamp.id, tycon)
-        for struct in node.structures.values():
-            if struct.stamp.id not in index:
-                index[struct.stamp.id] = struct
-                stamp_index(struct.env, index, _seen)
-        for sig in node.signatures.values():
-            if sig.stamp.id not in index:
-                index[sig.stamp.id] = sig
-                stamp_index(sig.env, index, _seen)
-        for functor in node.functors.values():
-            if functor.stamp.id not in index:
-                index[functor.stamp.id] = functor
-                if functor.param_sig is not None:
-                    stamp_index(functor.param_sig.env, index, _seen)
-                # result_sig and fct_param hold AST (re-elaborated per
-                # application); no semantic objects to index there.
-                stamp_index(functor.def_env, index, _seen)
-        node = node.parent
-    return index

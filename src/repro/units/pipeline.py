@@ -9,7 +9,9 @@ header-backed unit, which rehydrates the payload on first demand.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
+from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.elab.topdec import elaborate_decs
 from repro.obs.meter import NULL_METER, BuildMeter
@@ -25,12 +27,21 @@ from repro.units.unit import (
 )
 
 
+class ParseTree(NamedTuple):
+    """One source's parsed declarations, and the seconds the parse
+    took."""
+
+    decs: list[ast.Dec]
+    seconds: float
+
+
 def compile_unit(
     name: str,
     source: str,
     imports: list[CompiledUnit],
     session: Session,
     meter: BuildMeter = NULL_METER,
+    tree: ParseTree | None = None,
 ) -> CompiledUnit:
     """Parse, elaborate, hash and dehydrate one unit.
 
@@ -38,12 +49,22 @@ def compile_unit(
     depends on, in dependency order.  Registers the unit's exports in the
     session and returns the compiled unit.  ``meter`` observes the four
     phases (and the dehydrated byte count) when tracing is on.
+
+    ``tree``, when given, is a parse of this exact ``source`` that
+    nothing else will read (the dependency memo's, handed over by
+    :func:`repro.cm.depend.take_tree`): the compile parses only when it
+    gets none.  The elaborator annotates the tree in place and it
+    becomes the unit's code.  A handed tree emits no parse span, and
+    ``times.parse`` reports the parse that made it.
     """
     times = PhaseTimes()
 
-    t0 = time.perf_counter()
-    with meter.span("parse", cat="phase", unit=name):
-        decs = parse_program(source)
+    if tree is None:
+        t0 = time.perf_counter()
+        with meter.span("parse", cat="phase", unit=name):
+            tree = ParseTree(parse_program(source),
+                             time.perf_counter() - t0)
+    decs, times.parse = tree
     t1 = time.perf_counter()
     with meter.span("elaborate", cat="phase", unit=name):
         context = layer_context(session, imports).child()
@@ -71,7 +92,6 @@ def compile_unit(
     if meter.enabled:
         meter.counter("pickle.bytes_out", pickler.bytes_out)
 
-    times.parse = t1 - t0
     times.elaborate = t2 - t1
     times.hash = t3 - t2
     times.dehydrate = t4 - t3

@@ -81,23 +81,24 @@ class TestJsonSchemaStability:
 
 
 class TestNoSecondParse:
-    """The analyzer reuses the dependency pass's parse/mentions cache:
-    with a warm cache it performs zero parses."""
+    """The analyzer reuses the dependency pass's graph and memo: with a
+    warm cache it performs zero parses, and after a build it parses
+    only the sources whose trees the compiles took."""
 
     SOURCES = {
         "base": "structure Base = struct val v = 1 end",
         "app": "structure App = struct open Base val x = v end",
     }
 
-    def count_parses(self, monkeypatch):
+    def count_parses(self, monkeypatch, module=depend):
         calls = {"n": 0}
-        real = depend.parse_program
+        real = module.parse_program
 
         def counting(source):
             calls["n"] += 1
             return real(source)
 
-        monkeypatch.setattr(depend, "parse_program", counting)
+        monkeypatch.setattr(module, "parse_program", counting)
         return calls
 
     def test_warm_cache_means_zero_parses(self, monkeypatch):
@@ -112,16 +113,39 @@ class TestNoSecondParse:
         assert {d.code for d in result.diagnostics} >= {"SC002", "SC003"}
 
     def test_builder_graph_reuse_means_zero_parses(self, monkeypatch):
+        """Reusing the build's graph runs no dependency analysis.  The
+        build parses each source once; each compile took its source's
+        tree (it is the unit's code now), so the analyzer parses each
+        compiled source once more, on first read."""
+        from repro.units import pipeline
+
         project = Project.from_sources(self.SOURCES)
+        parses = self.count_parses(monkeypatch)
+        compile_parses = self.count_parses(monkeypatch, pipeline)
         builder = CutoffBuilder(project)
         report = builder.build()
-        # The timing machinery confirms the build itself did the parsing.
-        assert all(o.times.parse >= 0 for o in report.outcomes)
-        calls = self.count_parses(monkeypatch)
+        assert sorted(report.compiled) == sorted(self.SOURCES)
+        assert parses["n"] == len(self.SOURCES)
+        assert compile_parses["n"] == 0
+        # Each compile reports the analysis parse that made its tree.
+        assert all(o.times.parse > 0 for o in report.outcomes)
+
+        analyses = {"n": 0}
+        real_summarize = depend._summarize
+
+        def summarize(*args):
+            analyses["n"] += 1
+            return real_summarize(*args)
+
+        monkeypatch.setattr(depend, "_summarize", summarize)
+        parses["n"] = 0
         result = analyze_project(project, graph=builder.last_graph,
                                  cache=builder._dep_cache)
-        assert calls["n"] == 0
+        assert analyses["n"] == 0
+        assert parses["n"] == len(report.compiled)
+        assert compile_parses["n"] == 0
         assert result.cascade is not None
+        assert {d.code for d in result.diagnostics} >= {"SC002", "SC003"}
 
 
 class TestFailureDiagnostics:

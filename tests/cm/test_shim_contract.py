@@ -15,8 +15,8 @@ attributes time by span nesting, so the build must keep these promises:
 - each build writes its profile through one call of
   ``repro.obs.history.BuildHistory.record`` (the ``obs.history.record``
   layer; a workload in which a wrapped site never fires fails);
-- a ``cli-session`` request -- a one-edit serial ``--no-link`` rebuild
-  in a new process -- fires every wrapped site that
+- a ``cli-session`` session -- one-edit serial ``--no-link`` rebuilds,
+  each in a new process -- fires every wrapped site that
   ``bench.workloads.CliSession.bypassed`` does not list.  The shim
   patches names bound at module level (``base.compile_unit``,
   ``pipeline.parse_program``, ...); a call that moved behind a
@@ -116,14 +116,29 @@ def test_a_build_records_its_profile_once(tmp_path):
 
 
 def test_one_edit_rebuild_fires_every_cli_session_site(tmp_path):
+    """The benchmark checks shim sites per session, over all of its
+    requests (``bench.workloads.Workload.check_sites``).  An
+    implementation edit and an interface edit, each a one-edit serial
+    ``--no-link`` rebuild in a new process as ``cli-session`` runs
+    them, together fire every site ``CliSession.bypassed`` does not
+    list.  The implementation edit compiles from the tree its analysis
+    parsed, so the compile-site parse never fires; the interface
+    edit's dependents were summarized from their bin headers, so their
+    compiles parse."""
     from bench.workloads import CliSession
 
     project = tmp_path / "proj"
     write_units(project)
     run_shim(tmp_path, project)
     write_units(project, {"b": UNITS["b"].replace("+ 1", "+ 3")})
-    dump = run_shim(tmp_path, project)
-    fired = dump["fired"]
+    impl = run_shim(tmp_path, project)["fired"]
+    write_units(project, {"a": UNITS["a"].replace("end",
+                                                  "val extra = 0 end")})
+    iface = run_shim(tmp_path, project)["fired"]
+    assert impl["repro.units.pipeline.parse_program"] == 0
+    assert iface["repro.units.pipeline.parse_program"] == 2  # b and c
+    fired = {site: impl.get(site, 0) + iface.get(site, 0)
+             for site in impl.keys() | iface.keys()}
     assert fired
     assert sorted(site for site, count in fired.items()
                   if not count and site not in CliSession.bypassed) == []

@@ -1,11 +1,10 @@
-"""Environments: layering, lookup, stamp indexing."""
+"""Environments: layering and lookup."""
 
 import pytest
 
 from repro.semant import prim
-from repro.semant.env import Env, Structure, ValueBinding, stamp_index
+from repro.semant.env import Env, Structure, ValueBinding
 from repro.semant.stamps import StampGenerator
-from repro.semant.types import DatatypeTycon
 
 GEN = StampGenerator(start=20_000)
 
@@ -86,37 +85,3 @@ class TestLookup:
         env.bind_tycon("t", prim.INT)
         assert not env.is_empty_frame()
 
-
-class TestStampIndex:
-    def test_indexes_datatypes(self):
-        env = Env()
-        tycon = DatatypeTycon(GEN.fresh(), "t", 0)
-        env.bind_tycon("t", tycon)
-        index = stamp_index(env)
-        assert index[tycon.stamp.id] is tycon
-
-    def test_indexes_nested_structures(self):
-        inner = Env()
-        deep = DatatypeTycon(GEN.fresh(), "d", 0)
-        inner.bind_tycon("d", deep)
-        outer = Env()
-        struct = _struct("S", inner)
-        outer.bind_structure("S", struct)
-        index = stamp_index(outer)
-        assert index[struct.stamp.id] is struct
-        assert index[deep.stamp.id] is deep
-
-    def test_walks_parents(self):
-        base = Env()
-        tycon = DatatypeTycon(GEN.fresh(), "t", 0)
-        base.bind_tycon("t", tycon)
-        child = base.child()
-        assert tycon.stamp.id in stamp_index(child)
-
-    def test_handles_sharing_without_duplication(self):
-        shared = _struct("Shared")
-        a = Env()
-        a.bind_structure("A", shared)
-        a.bind_structure("B", shared)
-        index = stamp_index(a)
-        assert index[shared.stamp.id] is shared
