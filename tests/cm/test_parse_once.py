@@ -14,7 +14,9 @@ the compiled unit's code, and nothing else refers to it:
   import was mended parse afresh, and the store stays byte-identical
   to a clean serial build's;
 - a daemon keeps one tree per compiled source: after its prime and an
-  interface edit, no memo entry holds a tree for a source it compiled.
+  interface edit, no memo entry holds a tree for a source it compiled;
+- each parse is traced once: the analysis's as a ``parse`` span under
+  ``analyze``, a compile's only when it had to parse.
 """
 
 import os
@@ -33,6 +35,7 @@ from repro.cm import (
 )
 from repro.cm.faults import WorkerFaults, faulty_executors
 from repro.lang.parser import parse_program
+from repro.obs.tracer import Tracer
 from repro.units import pipeline
 from repro.workload import generate_workload
 from repro.workload.shapes import diamond, fanout
@@ -76,6 +79,38 @@ def test_serial_build_compiles_the_analysis_tree(monkeypatch):
     for name in project.names():
         assert graph.parsed[name] == parse_program(project.source(name))
         assert graph.parsed[name] is not builder.units[name].code
+
+
+def parse_spans_by_parent(tracer: Tracer) -> dict[str, list[str]]:
+    """parent span name -> the units of the ``parse`` spans under it."""
+    out: dict[str, list[str]] = {}
+    for span in tracer.all_spans():
+        for child in span.children:
+            if child.name == "parse":
+                out.setdefault(span.name, []).append(child.args["unit"])
+    return {name: sorted(units) for name, units in out.items()}
+
+
+def test_each_parse_is_traced_once():
+    workload = generate_workload(fanout(2), helpers_per_unit=1)
+    project = workload.project
+    tracer = Tracer()
+    builder = CutoffBuilder(project, meter=tracer)
+    report = builder.build()
+    assert parse_spans_by_parent(tracer) == {
+        "analyze": sorted(project.names())}
+    assert all(o.times.parse > 0 for o in report.outcomes)
+
+    # The dependents of an interface edit were parsed by an earlier
+    # compile, which kept the tree: their compiles parse again.
+    workload.edit_interface("u000")
+    tracer = Tracer()
+    builder.meter = tracer
+    report = builder.build()
+    dependents = sorted(set(report.compiled) - {"u000"})
+    assert dependents
+    assert parse_spans_by_parent(tracer) == {"analyze": ["u000"],
+                                             "unit": dependents}
 
 
 def test_a_pickled_compile_task_carries_no_tree():
